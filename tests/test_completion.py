@@ -265,3 +265,58 @@ def test_unsat_certificate_names_quads():
     assert res.conflicts  # at least one 4-subset witnessed
     for quad in res.conflicts:
         assert len(quad) == 4 and all(1 <= v <= 9 for v in quad)
+
+
+# -- golden search trees ----------------------------------------------------
+# Node counts, completion hashes and conflict sets of the first-solution
+# search, pinned so that a change to branch selection or propagation that
+# alters the search tree (not just its speed) turns the suite red.
+
+GOLDEN_COMPLETE = {
+    ("on", 12): (152, "ca090c7f609c8f29156355c265efc32646609b1175b28491d212716fcfed68b1",
+                 ((7, 8, 9, 10),)),
+    ("on", 16): (460, "98ef6fcd4dbff2b37ed16d1945bd333b5497cf34f9b44f289f6f6f5540e9e0e8",
+                 ((9, 10, 11, 12),)),
+    ("on", 20): (1008, "671f5fb61077fc35c4b3d3d5cd9aeb4a2864950395590413a3dd4e4f06c6d669",
+                 ((11, 12, 13, 14),)),
+    ("onneg", 12): (171, "e5ec517d8d85689db7eb5363abadf5d4deae3bbea854b16e05465d31742f4394",
+                    ()),
+    ("onneg", 16): (491, "f791d939b9aa3835d1fe4ee606a19d8469fe73045aa9ee1eb2099b54a52a2bde",
+                    ()),
+    ("onneg", 20): (1051, "b6e1ae8b2f7231232dfcc991e77affae544a0d745357a64ba1fa075c0f0254b8",
+                    ()),
+    ("bn", 12): (3, None, ((7, 8, 9, 10), (16, 17, 18, 19))),
+    ("bn", 16): (3, None, ((9, 10, 11, 12), (22, 23, 24, 25))),
+}
+
+GOLDEN_DELETION_NODES = {
+    7: (63, [95, 87, 95, 78, 79, 75, 79, 71, 66, 65, 74]),
+    8: (3, [183, 176, 186, 157, 163, 164, 156, 163, 156, 149, 151, 149, 159]),
+    9: (3, [318, 306, 317, 285, 291, 292, 295, 286, 293, 281, 278, 276, 277,
+            274, 289]),
+}
+
+
+@pytest.mark.parametrize("family,n", sorted(GOLDEN_COMPLETE))
+def test_golden_search_tree(family, n):
+    import hashlib
+
+    gen = {"on": gen_on, "onneg": gen_onneg, "bn": gen_bn}[family]
+    nodes, digest, conflicts = GOLDEN_COMPLETE[family, n]
+    res = complete(gen(n), H4_FREE)
+    assert res.nodes == nodes
+    assert res.conflicts == conflicts
+    if digest is None:
+        assert not res.sat
+    else:
+        assert res.sat
+        assert hashlib.sha256(res.completion.table).hexdigest() == digest
+
+
+@pytest.mark.parametrize("n", sorted(GOLDEN_DELETION_NODES))
+def test_golden_deletion_nodes(n):
+    whole_nodes, deletion_nodes = GOLDEN_DELETION_NODES[n]
+    rep = is_minimal_obstruction(gen_bn(n), H4_FREE)
+    assert rep.is_minimal
+    assert rep.whole.nodes == whole_nodes
+    assert [rep.deletions[v].nodes for v in sorted(rep.deletions)] == deletion_nodes
