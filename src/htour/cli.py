@@ -51,7 +51,7 @@ def _report(command: str, inputs: dict, verdict, witness, args, started: float) 
         "verdict": verdict,
         "witness": witness,
         "timing": (
-            {"seconds": round(time.time() - started, 6)}
+            {"seconds": round(time.perf_counter() - started, 6)}
             if getattr(args, "timing", False)
             else None
         ),
@@ -82,6 +82,7 @@ def _parse_order_flag(text: str, n: int) -> tuple[int, ...]:
 
 
 def _cmd_gen(args) -> int:
+    started = time.perf_counter()
     family = args.family
     fixed4 = {
         "h4": HoleyHT(4, bytes([PLUS, MINUS, PLUS, MINUS])),
@@ -121,7 +122,6 @@ def _cmd_gen(args) -> int:
         raise InputError(f"unknown family {family!r}")
 
     if args.format == "report":
-        started = time.time()
         sys.stdout.write(
             _report(
                 "gen",
@@ -142,7 +142,7 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    started = time.time()
+    started = time.perf_counter()
     doc = _read_document(args.file)
     if args.format == "ht":
         sys.stdout.write(htfile.emit_document(doc))
@@ -165,7 +165,7 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_classify4(args) -> int:
-    started = time.time()
+    started = time.perf_counter()
     doc = _read_document(args.file)
     t = four_type(doc.structure)
     sys.stdout.write(
@@ -175,7 +175,7 @@ def _cmd_classify4(args) -> int:
 
 
 def _cmd_member(args) -> int:
-    started = time.time()
+    started = time.perf_counter()
     doc = _read_document(args.file)
     allowed = ConstraintSet.parse(args.allow)
     res = class_member(doc.structure, allowed)
@@ -193,7 +193,7 @@ def _cmd_member(args) -> int:
 
 
 def _cmd_hat(args) -> int:
-    started = time.time()
+    started = time.perf_counter()
     doc = _read_document(args.file)
     if args.order:
         order = _parse_order_flag(args.order, doc.n)
@@ -216,7 +216,7 @@ def _cmd_hat(args) -> int:
 
 
 def _cmd_complete(args) -> int:
-    started = time.time()
+    started = time.perf_counter()
     doc = _read_document(args.file)
     allowed = ConstraintSet.parse(args.allow)
     res = complete(doc.structure, allowed)
@@ -243,7 +243,7 @@ def _cmd_complete(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    started = time.time()
+    started = time.perf_counter()
     doc = _read_document(args.file)
     allowed = ConstraintSet.parse(args.allow)
     comps = all_completions(doc.structure, allowed, cap=args.cap)
@@ -264,7 +264,7 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_minimal_obstruction(args) -> int:
-    started = time.time()
+    started = time.perf_counter()
     doc = _read_document(args.file)
     allowed = ConstraintSet.parse(args.allow)
     rep = is_minimal_obstruction(doc.structure, allowed, jobs=args.jobs)
@@ -289,7 +289,7 @@ def _cmd_minimal_obstruction(args) -> int:
 
 
 def _cmd_orders_count(args) -> int:
-    started = time.time()
+    started = time.perf_counter()
     doc = _read_document(args.file)
     orders = compatible_orders_cyclic(doc.structure)
     sys.stdout.write(
@@ -312,7 +312,7 @@ def _ordered_from_doc(doc: htfile.Document, kind: ExpansionKind) -> OrderedHT:
 
 
 def _cmd_ramsey(args) -> int:
-    started = time.time()
+    started = time.perf_counter()
     if args.sizes:
         try:
             nc, nb, na = (int(p) for p in args.sizes.replace(",", " ").split())
@@ -356,8 +356,8 @@ def _cmd_ramsey(args) -> int:
 def _cmd_verify(args) -> int:
     from .verify import run_verify
 
+    started = time.perf_counter()
     summary = run_verify(args.level, jobs=args.jobs, out=sys.stderr)
-    started = time.time()
     sys.stdout.write(
         _report(
             "verify",

@@ -11,6 +11,14 @@ Everything here is deterministic: branching always picks the hole occurring
 in the most one-hole 4-subsets (ties broken by triple rank), tries PLUS
 first, and propagation worklists are FIFO.  Identical inputs give identical
 results.
+
+The branch scores (one-hole 4-subsets per hole) are maintained
+incrementally, in the manner of the watched-literal counters of Chaff
+(Moskewicz et al., DAC 2001): `assign` and `undo_to` adjust them in O(1)
+per incident 4-subset, so picking a branch is one argmax over the triples
+instead of a rescan of every hole's 4-subsets.  They are built at the first
+branch, after root propagation, so searches that propagate to a verdict pay
+no upkeep; enumeration branches on the least-rank hole and keeps none.
 """
 
 from __future__ import annotations
@@ -113,6 +121,7 @@ class _Engine:
         "quad_verts",
         "bits",
         "hole_cnt",
+        "score",
         "trail",
         "conflicts",
         "nodes",
@@ -125,9 +134,15 @@ class _Engine:
         self.tq = triple_quad_ids(self.n)
         self.quad_verts = quads(self.n)
         self.bits = allowed.mask_bits()
+        table = self.table
         self.hole_cnt = [
-            sum(1 for r in ranks if self.table[r] == HOLE) for ranks in self.qt
+            (table[a] == HOLE) + (table[b] == HOLE) + (table[c] == HOLE)
+            + (table[d] == HOLE)
+            for a, b, c, d in self.qt
         ]
+        # per triple: the number of one-hole 4-subsets it is the hole of,
+        # -1 once assigned; built by the first pick_branch, None until then
+        self.score: list[int] | None = None
         self.trail: list[int] = []
         self.conflicts: set = set()
         self.nodes = 0
@@ -138,19 +153,52 @@ class _Engine:
         )
 
     def assign(self, rank: int, value: int, worklist: deque) -> None:
-        self.table[rank] = value
+        table = self.table
+        table[rank] = value
         self.trail.append(rank)
+        hole_cnt = self.hole_cnt
+        qt = self.qt
+        score = self.score
+        if score is not None:
+            score[rank] = -1
         for qi in self.tq[rank]:
-            self.hole_cnt[qi] -= 1
-            if self.hole_cnt[qi] <= 1:
+            cnt = hole_cnt[qi] - 1
+            hole_cnt[qi] = cnt
+            if cnt <= 1:
                 worklist.append(qi)
+                if cnt == 1 and score is not None:
+                    # the quad's last hole gains a one-hole 4-subset
+                    for r in qt[qi]:
+                        if table[r] == HOLE:
+                            score[r] += 1
+                            break
 
     def undo_to(self, mark: int) -> None:
-        while len(self.trail) > mark:
-            rank = self.trail.pop()
-            self.table[rank] = HOLE
-            for qi in self.tq[rank]:
-                self.hole_cnt[qi] += 1
+        """Pop the trail back to `mark`.  With scores built, `mark` is never
+        below the trail length at which they were built."""
+        table = self.table
+        trail = self.trail
+        hole_cnt = self.hole_cnt
+        tq = self.tq
+        qt = self.qt
+        score = self.score
+        while len(trail) > mark:
+            rank = trail.pop()
+            own = 0
+            for qi in tq[rank]:
+                cnt = hole_cnt[qi] + 1
+                hole_cnt[qi] = cnt
+                if cnt == 1:
+                    own += 1
+                elif cnt == 2 and score is not None:
+                    # the quad's other hole loses a one-hole 4-subset
+                    for r in qt[qi]:
+                        if table[r] == HOLE:
+                            score[r] -= 1
+                            break
+            table[rank] = HOLE
+            if score is not None:
+                score[rank] = own
 
     def propagate(self, worklist: deque) -> int | None:
         """Run unit propagation to fixpoint; return a conflicting quad id
@@ -189,16 +237,23 @@ class _Engine:
 
     def pick_branch(self) -> int | None:
         """Hole occurring in the most one-hole 4-subsets; ties by rank."""
-        best_rank = None
-        best_score = -1
-        hole_cnt = self.hole_cnt
-        for rank, v in enumerate(self.table):
-            if v != HOLE:
-                continue
-            score = sum(1 for qi in self.tq[rank] if hole_cnt[qi] == 1)
-            if score > best_score:
-                best_rank, best_score = rank, score
-        return best_rank
+        score = self.score
+        if score is None:
+            score = self.score = self._build_scores()
+        best = max(score, default=-1)
+        return None if best < 0 else score.index(best)
+
+    def _build_scores(self) -> list[int]:
+        table = self.table
+        qt = self.qt
+        score = [0 if v == HOLE else -1 for v in table]
+        for qi, cnt in enumerate(self.hole_cnt):
+            if cnt == 1:
+                for r in qt[qi]:
+                    if table[r] == HOLE:
+                        score[r] += 1
+                        break
+        return score
 
     def record_conflict(self, qi: int) -> None:
         self.conflicts.add(self.quad_verts[qi])
@@ -238,10 +293,8 @@ class _Engine:
                 return True
             # branch on the least-rank hole so results come out in
             # lexicographic (rank-ordered, PLUS-first) order
-            rank = next(
-                (r for r, v in enumerate(self.table) if v == HOLE), None
-            )
-            if rank is None:
+            rank = self.table.find(HOLE)
+            if rank < 0:
                 found.append(bytes(self.table))
                 return cap is None or len(found) < cap
             for value in (PLUS, MINUS):

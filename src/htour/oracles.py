@@ -68,33 +68,3 @@ def enumerate_completions(structure: HoleyHT, allowed) -> list[HoleyHT]:
     rec(0)
     return out
 
-
-def has_completion(structure: HoleyHT, allowed) -> bool:
-    """Brute-force satisfiability: same enumeration, stopping at the first hit."""
-    allowed = ConstraintSet.coerce(allowed)
-    holes = [r for r, v in enumerate(structure.table) if v == HOLE]
-    if len(holes) > BRUTE_FORCE_HOLE_GUARD:
-        raise GuardExceeded(
-            f"brute-force search limited to {BRUTE_FORCE_HOLE_GUARD} holes"
-        )
-    if not class_member(structure, allowed):
-        return False
-
-    bits = allowed.mask_bits()
-    qt = quad_triple_ranks(structure.n)
-    tq = triple_quad_ids(structure.n)
-    table = bytearray(structure.table)
-
-    def rec(i: int) -> bool:
-        if i == len(holes):
-            return True
-        r = holes[i]
-        for v in (PLUS, MINUS):
-            table[r] = v
-            if not any(_full_quad_violates(table, qt[qi], bits) for qi in tq[r]):
-                if rec(i + 1):
-                    return True
-        table[r] = HOLE
-        return False
-
-    return rec(0)

@@ -385,14 +385,14 @@ def run_verify(level: str = "quick", jobs: int = 1, out=sys.stderr) -> dict:
     results = []
     counts = {"pass": 0, "fail": 0, "xfail": 0, "upass": 0}
     for name, fn, xfail in build_items(level, jobs):
-        started = time.time()
+        started = time.perf_counter()
         try:
             detail = fn()
             status = "upass" if xfail else "pass"
         except AssertionError as exc:
             detail = str(exc)
             status = "xfail" if xfail else "fail"
-        seconds = round(time.time() - started, 3)
+        seconds = round(time.perf_counter() - started, 3)
         counts[status] += 1
         label = {
             "pass": "PASS ",

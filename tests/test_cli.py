@@ -1,8 +1,9 @@
 import json
 import subprocess
 import sys
+import time
 
-from htour import htfile
+from htour import cli, htfile, verify
 from htour.classify import H4_FREE
 from htour.completion import complete
 from htour.families import gen_on
@@ -162,3 +163,26 @@ def test_timing_flag_adds_seconds():
     assert report["timing"] is not None and report["timing"]["seconds"] >= 0
     plain = run_cli(["classify4"], stdin="htour 4\n1 2 3 +\n1 2 4 +\n1 3 4 +\n2 3 4 +\n")
     assert json.loads(plain.stdout)["timing"] is None
+
+
+def _slow(result):
+    def fn(*args, **kwargs):
+        time.sleep(0.05)
+        return result
+    return fn
+
+
+def test_verify_timing_covers_the_run(monkeypatch, capsys):
+    summary = {"ok": True, "counts": {}, "items": []}
+    monkeypatch.setattr(verify, "run_verify", _slow(summary))
+    assert cli.main(["verify", "--timing"]) == 0
+    assert json.loads(capsys.readouterr().out)["timing"]["seconds"] >= 0.05
+    assert cli.main(["verify"]) == 0
+    assert json.loads(capsys.readouterr().out)["timing"] is None
+
+
+def test_gen_timing_covers_the_build(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "gen_on", _slow(gen_on(6)))
+    assert cli.main(["gen", "--family", "on", "--n", "6", "--format", "report",
+                     "--timing"]) == 0
+    assert json.loads(capsys.readouterr().out)["timing"]["seconds"] >= 0.05

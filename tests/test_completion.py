@@ -1,10 +1,12 @@
+import hashlib
 import random
 
 import pytest
 
-from htour.classify import ALL_TYPES, CYCLIC, H4_FREE, class_member
+from htour.classify import ALL_TYPES, CYCLIC, EVEN, H4_FREE, class_member
 from htour.completion import (
     CompletionProblem,
+    _Engine,
     all_completions,
     amalgamate,
     complete,
@@ -20,9 +22,17 @@ from htour.core import (
     InputError,
     validate,
 )
-from htour.families import LinkKind, gadget, gen_bn, gen_cyclic, gen_on, gen_onneg
+from htour.families import (
+    LinkKind,
+    gadget,
+    gen_bn,
+    gen_cyclic,
+    gen_even,
+    gen_on,
+    gen_onneg,
+)
 from htour.oracles import enumerate_completions
-from htour.rand import random_holey_ht
+from htour.rand import random_graph, random_holey_ht, random_order
 
 
 def test_propagate_forcing_examples():
@@ -299,8 +309,6 @@ GOLDEN_DELETION_NODES = {
 
 @pytest.mark.parametrize("family,n", sorted(GOLDEN_COMPLETE))
 def test_golden_search_tree(family, n):
-    import hashlib
-
     gen = {"on": gen_on, "onneg": gen_onneg, "bn": gen_bn}[family]
     nodes, digest, conflicts = GOLDEN_COMPLETE[family, n]
     res = complete(gen(n), H4_FREE)
@@ -320,3 +328,62 @@ def test_golden_deletion_nodes(n):
     assert rep.is_minimal
     assert rep.whole.nodes == whole_nodes
     assert [rep.deletions[v].nodes for v in sorted(rep.deletions)] == deletion_nodes
+
+
+# -- incremental branch scores ----------------------------------------------
+
+
+def _planted(rng, n, kind):
+    """A seeded even or cyclic structure with about 90% of its triples made
+    holes; it completes by design."""
+    order = random_order(rng, n)
+    if kind == "even":
+        full = gen_even(n, random_graph(rng, n), order)
+    else:
+        full = gen_cyclic(n, order)
+    table = bytearray(full.table)
+    for r in rng.sample(range(len(table)), round(0.9 * len(table))):
+        table[r] = HOLE
+    return HoleyHT(n, bytes(table))
+
+
+@pytest.mark.parametrize(
+    "kind,allowed",
+    [("even", EVEN), ("cyclic", CYCLIC), ("cyclic", H4_FREE)],
+    ids=["even", "cyclic", "cyclic-h4free"],
+)
+def test_scores_match_recount_at_every_branch(monkeypatch, kind, allowed):
+    original = _Engine.pick_branch
+    calls = []
+
+    def checked(engine):
+        rank = original(engine)
+        table, hole_cnt = engine.table, engine.hole_cnt
+        assert hole_cnt == [
+            sum(table[r] == HOLE for r in ranks) for ranks in engine.qt
+        ]
+        recount = [
+            sum(1 for qi in engine.tq[r] if hole_cnt[qi] == 1) if v == HOLE else -1
+            for r, v in enumerate(table)
+        ]
+        assert engine.score == recount
+        holes = [r for r, v in enumerate(table) if v == HOLE]
+        # most one-hole 4-subsets, least rank among ties
+        expected = min(holes, key=lambda r: (-recount[r], r)) if holes else None
+        assert rank == expected
+        calls.append(rank)
+        return rank
+
+    monkeypatch.setattr(_Engine, "pick_branch", checked)
+    rng = random.Random(31)
+    for n in (12, 13, 14):
+        structure = _planted(rng, n, kind)
+        res = complete(structure, allowed)
+        assert res.sat and res.completion.extends(structure)
+    assert len(calls) > 3 * 10  # the searches branch, not just propagate
+
+
+def test_solve_all_keeps_no_scores():
+    engine = _Engine(gen_on(6), H4_FREE)
+    assert len(engine.solve_all(None)) == 9
+    assert engine.score is None
