@@ -43,7 +43,10 @@ from .ramsey import ExpansionKind, OrderedHT, arrow_check, compatible_orders_cyc
 REPORT_SCHEMA = "htour.report/1"
 
 
-def _report(command: str, inputs: dict, verdict, witness, args, started: float) -> str:
+def _report(command: str, inputs: dict, verdict, witness, args, started: float,
+            timing: dict | None = None) -> str:
+    """The JSON report; `timing` adds fields to the timing object, which is
+    present only with --timing."""
     doc = {
         "schema": REPORT_SCHEMA,
         "command": command,
@@ -51,7 +54,7 @@ def _report(command: str, inputs: dict, verdict, witness, args, started: float) 
         "verdict": verdict,
         "witness": witness,
         "timing": (
-            {"seconds": round(time.perf_counter() - started, 6)}
+            {"seconds": round(time.perf_counter() - started, 6), **(timing or {})}
             if getattr(args, "timing", False)
             else None
         ),
@@ -358,6 +361,8 @@ def _cmd_verify(args) -> int:
 
     started = time.perf_counter()
     summary = run_verify(args.level, jobs=args.jobs, out=sys.stderr)
+    # per-item runtimes differ from run to run, so they go under timing
+    item_seconds = {item["name"]: item.pop("seconds") for item in summary["items"]}
     sys.stdout.write(
         _report(
             "verify",
@@ -366,6 +371,7 @@ def _cmd_verify(args) -> int:
             summary,
             args,
             started,
+            {"items": item_seconds},
         )
     )
     return 0 if summary["ok"] else 1
@@ -451,7 +457,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="C,B,A sizes for ordered cyclic structures")
     p.add_argument("--files", nargs=3, default=None, metavar=("C", "B", "A"))
     p.add_argument("--kind", choices=["cyclic", "even", "all"], default="all")
-    p.add_argument("--prune", action="store_true")
+    p.add_argument("--prune", action="store_true",
+                   help="accepted for compatibility; selects nothing, the "
+                   "search always prunes")
     p.add_argument("--max-embeddings", type=int, default=25)
     p.add_argument("--timing", action="store_true")
     p.set_defaults(func=_cmd_ramsey)

@@ -387,28 +387,37 @@ def complete_hypergraph(n: int) -> Hypergraph3:
     return Hypergraph3(n, frozenset(triples(n)))
 
 
+def _order_parities(n: int, order) -> list[int]:
+    """For each triple in rank order, the parity of the permutation sorting
+    its vertices by position in `order`: 1 exactly when reading the triple
+    along the order flips its stored orientation (see orientation_of)."""
+    pos = [0] * (n + 1)
+    for i, v in enumerate(check_order(order, n)):
+        pos[v] = i
+    return [tuple_parity(pos[a], pos[b], pos[c]) for a, b, c in triples(n)]
+
+
 def hat(structure: HoleyHT, order) -> Hypergraph3:
     """Hypergraph whose hyperedges are the 3-subsets {a < b < c in `order`}
     with (a, b, c) in the relation.  Requires a hole-free structure."""
     if not structure.is_complete():
         raise HoleyInput("hat is defined for hole-free structures only")
-    ord_t = check_order(order, structure.n)
-    pos = {v: i for i, v in enumerate(ord_t)}
-    edges = set()
-    for t in triples(structure.n):
-        a, b, c = sorted(t, key=pos.__getitem__)
-        if structure.orientation_of(a, b, c) == IN_R:
-            edges.add(t)
-    return Hypergraph3(structure.n, frozenset(edges))
+    parities = _order_parities(structure.n, order)
+    edges = frozenset(
+        t
+        for t, v, odd in zip(triples(structure.n), structure.table, parities)
+        if v == (MINUS if odd else PLUS)
+    )
+    return Hypergraph3(structure.n, edges)
 
 
 def unhat(hypergraph: Hypergraph3, order) -> HoleyHT:
     """Inverse of hat: orient each 3-subset {a < b < c in `order`} as
     (a, b, c) when it is a hyperedge and (a, c, b) otherwise."""
-    ord_t = check_order(order, hypergraph.n)
-    pos = {v: i for i, v in enumerate(ord_t)}
-    asserted = []
-    for t in triples(hypergraph.n):
-        a, b, c = sorted(t, key=pos.__getitem__)
-        asserted.append((a, b, c) if t in hypergraph.hyperedges else (a, c, b))
-    return validate(asserted, hypergraph.n)
+    parities = _order_parities(hypergraph.n, order)
+    edges = hypergraph.hyperedges
+    table = bytes(
+        PLUS if (t in edges) != odd else MINUS
+        for t, odd in zip(triples(hypergraph.n), parities)
+    )
+    return HoleyHT(hypergraph.n, table)

@@ -1,12 +1,16 @@
 """Brute-force reference procedures.
 
 These enumerate candidate completions directly over the hole assignments,
-judging 4-subsets through the public classification path only.  They share
-no pruning or ordering machinery with the solver and exist so that solver
-results can be checked against an independent computation.
+judging 4-subsets through the public classification path only, and sweep
+every coloring of an arrow check in plain counter order.  They share no
+pruning or ordering machinery with the solver or the arrow search and exist
+so that their results can be checked against an independent computation.
 """
 
 from __future__ import annotations
+
+import itertools
+from operator import itemgetter
 
 from .classify import ConstraintSet, class_member, mask_of
 from .core import (
@@ -18,6 +22,7 @@ from .core import (
     quad_triple_ranks,
     triple_quad_ids,
 )
+from .ramsey import OrderedHT, embeddings
 
 BRUTE_FORCE_HOLE_GUARD = 22
 
@@ -68,3 +73,35 @@ def enumerate_completions(structure: HoleyHT, allowed) -> list[HoleyHT]:
     rec(0)
     return out
 
+
+def least_refuting_coloring(big: OrderedHT, mid: OrderedHT, small: OrderedHT,
+                            colors: int = 2) -> tuple[int, tuple] | None:
+    """Plain base-`colors` counter sweep over the colorings of the embeddings
+    of `small` into `big` (digit i = color of embedding i, embeddings in
+    `embeddings` order).  Returns (counter value, coloring) of the first
+    coloring under which no copy of `mid` has all its `small`-embeddings in
+    one color, or None when there is none, i.e. when the arrow holds.
+    """
+    embs = embeddings(small, big)
+    k = len(embs)
+    # itertools.product varies its last entry fastest, so it yields the
+    # colorings in counter order, digit i at position k-1-i
+    place = {e: k - 1 - i for i, e in enumerate(embs)}
+    inner = embeddings(small, mid)
+    copies = [
+        [place[tuple(g[v - 1] for v in e)] for e in inner]
+        for g in embeddings(mid, big)
+    ]
+    if any(len(copy) <= 1 for copy in copies):
+        return None  # such a copy is monochromatic under every coloring
+    # a copy is monochromatic when the colors of its embeddings, picked out
+    # of the digits, form a constant tuple
+    pick = [itemgetter(*copy) for copy in copies]
+    mono = {(color,) * len(inner) for color in range(colors)}
+    for counter, digits in enumerate(itertools.product(range(colors), repeat=k)):
+        for colors_of in pick:
+            if colors_of(digits) in mono:
+                break
+        else:
+            return counter, digits[::-1]
+    return None

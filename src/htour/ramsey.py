@@ -9,9 +9,10 @@ order, tagged by the expansion kind that fixes what else must hold:
   graph by the parity rule (even edge count inside the triple).
 * ALL: nothing beyond the order (holes permitted).
 
-arrow_check(C, B, A) decides, by exhausting all colorings of the embeddings
-of A into C, whether every 2-coloring admits a copy of B all of whose
-A-embeddings share one color.
+arrow_check(C, B, A, colors) decides, by a pruned exhaustive search over the
+colorings of the embeddings of A into C, whether every coloring with
+`colors` colors admits a copy of B all of whose A-embeddings share one
+color.
 """
 
 from __future__ import annotations
@@ -154,11 +155,12 @@ def embeddings(small: OrderedHT, big: OrderedHT) -> list[tuple[int, ...]]:
 class ArrowVerdict:
     """Outcome of an exhaustive arrow check.
 
-    `counterexample` (present iff the arrow fails) assigns a color 0/1 to
-    each embedding of A into C, listed alongside `a_embeddings` in the same
-    order; under it no copy of B is monochromatic.  `coloring_index` is the
-    counter value of that coloring (bit i = color of embedding i), the least
-    one that fails.
+    `counterexample` (present iff the arrow fails) assigns a color in
+    0..colors-1 to each embedding of A into C, listed alongside
+    `a_embeddings` in the same order; under it no copy of B is
+    monochromatic.  `coloring_index` is the base-`colors` counter value of
+    that coloring (digit i = color of embedding i), the least one that
+    fails.
     """
 
     holds: bool
@@ -188,10 +190,11 @@ def arrow_check(big: OrderedHT, mid: OrderedHT, small: OrderedHT,
     """Exhaustively decide whether every `colors`-coloring of the embeddings
     of `small` into `big` leaves some copy of `mid` monochromatic.
 
-    Colorings are enumerated as base-`colors` counters over the embedding
-    list (least counterexample wins).  `prune` switches on early
-    monochromatic-copy detection over partial colorings; verdict and
-    counterexample are identical to the plain sweep.
+    The search visits colorings in base-`colors` counter order (digit i =
+    color of embedding i) and abandons a partial coloring as soon as a fully
+    colored copy is monochromatic, so the counterexample it reports is the
+    least one.  `prune` is accepted for compatibility and selects nothing:
+    the search always prunes.
     """
     embs = embeddings(small, big)
     k = len(embs)
@@ -219,84 +222,40 @@ def arrow_check(big: OrderedHT, mid: OrderedHT, small: OrderedHT,
         # under every coloring
         return ArrowVerdict(True, tuple(embs), len(masks), total)
 
-    if colors == 2:
-        if prune:
-            found = _prune_search(k, masks)
-        else:
-            found = _sweep2(k, masks)
-        if found is None:
-            return ArrowVerdict(True, tuple(embs), len(masks), total)
-        colors_vec = tuple((found >> i) & 1 for i in range(k))
-        return ArrowVerdict(
-            False, tuple(embs), len(masks), total, colors_vec, found
-        )
-
-    # general color count: plain base-c counter sweep
-    for counter in range(total):
-        digits = []
-        c = counter
-        for _ in range(k):
-            digits.append(c % colors)
-            c //= colors
-        mono = False
-        for mask in masks:
-            seen = {digits[i] for i in range(k) if (mask >> i) & 1}
-            if len(seen) == 1:
-                mono = True
-                break
-        if not mono:
-            return ArrowVerdict(
-                False, tuple(embs), len(masks), total, tuple(digits), counter
-            )
-    return ArrowVerdict(True, tuple(embs), len(masks), total)
+    found = _least_refuting(k, masks, colors)
+    if found is None:
+        return ArrowVerdict(True, tuple(embs), len(masks), total)
+    index = sum(color * colors ** i for i, color in enumerate(found))
+    return ArrowVerdict(False, tuple(embs), len(masks), total, found, index)
 
 
-def _sweep2(k: int, masks: list[int]) -> int | None:
-    """Plain binary-counter sweep; returns the least failing coloring."""
-    for coloring in range(1 << k):
-        mono = False
-        for mask in masks:
-            section = coloring & mask
-            if section == 0 or section == mask:
-                mono = True
-                break
-        if not mono:
-            return coloring
-    return None
-
-
-def _prune_search(k: int, masks: list[int]) -> int | None:
-    """DFS over colorings assigning bits from the top so branches are
-    explored in ascending counter order; a branch is abandoned as soon as a
-    fully colored copy goes monochromatic.  Same verdict and least
-    counterexample as _sweep2."""
-    # copies become checkable once all their bits are assigned; assigning
-    # from bit k-1 down, a copy is complete at depth d where its lowest bit
-    # is >= k - d
-    by_depth: list[list[int]] = [[] for _ in range(k + 1)]
+def _least_refuting(k: int, masks: list[int], colors: int) -> tuple | None:
+    """DFS over colorings that assigns embedding k-1 first and tries colors
+    in ascending order, so leaves come in counter order.  A copy is checked
+    when its lowest embedding gets its color, which completes it.  Returns
+    the least coloring with no monochromatic copy, or None."""
+    closing: list[list[int]] = [[] for _ in range(k)]
     for mask in masks:
-        low = (mask & -mask).bit_length() - 1
-        by_depth[k - low].append(mask)
+        closing[(mask & -mask).bit_length() - 1].append(mask)
+    coloring = [0] * k
+    # by_color[c]: bitmask of the embeddings colored c so far
+    by_color = [0] * colors
 
-    def rec(depth: int, partial: int) -> int | None:
-        if depth == k:
-            return partial  # survived every completion check: counterexample
-        next_depth = depth + 1
-        for bit in (0, 1):
-            cand = partial | (bit << (k - 1 - depth))
-            mono = False
-            for mask in by_depth[next_depth]:
-                section = cand & mask
-                if section == 0 or section == mask:
-                    mono = True
-                    break
-            if not mono:
-                found = rec(next_depth, cand)
-                if found is not None:
-                    return found
-        return None
+    def rec(i: int) -> bool:
+        if i < 0:
+            return True
+        bit = 1 << i
+        for color in range(colors):
+            same = by_color[color] | bit
+            if not any(same & mask == mask for mask in closing[i]):
+                by_color[color] = same
+                coloring[i] = color
+                if rec(i - 1):
+                    return True
+                by_color[color] = same ^ bit
+        return False
 
-    return rec(0, 0)
+    return tuple(coloring) if rec(k - 1) else None
 
 
 def compatible_orders_cyclic(structure: HoleyHT) -> list[tuple[int, ...]]:

@@ -1,414 +1,39 @@
-"""Acceptance suite: one test per criterion (split per size where the
-criterion ranges over sizes), each printing a pass/fail line.
+"""Acceptance suite: one test per item of `htour verify --level full`.
 
-Three sub-assertions are strict expected failures; they state claims that
-the chain construction provably does not satisfy at its smallest sizes
-(wrap-around overlaps; see notes in the repository history / test ids):
-
-* the all-MINUS hole filling of on(n) is not a completion for n in {6, 7}
-  (first offending 4-subsets {1,3,5,6} and {2,4,5,7}),
-* the deleted-vertex seed for (n, v) = (6, 5) is not completable: with
-  {1,2,3} PLUS, the 4-subset {1,2,3,4} forces {2,3,4} PLUS and then
-  {2,3,4,6} is the forbidden type outright,
-* consequently bn(6) is an obstruction but not a minimal one (deleting
-  vertex 5 or 8 leaves an uncompletable structure); bn(7) and larger are
-  genuine minimal obstructions.
-
-Everything else passes at the stated tolerances.
+The criteria are defined once, in `htour.verify.build_items`; this module
+only runs them.  The items flagged as expected failures (the boundary
+behavior of the chain construction at n = 6 and 7, documented in the README
+and in `htour.verify`) are strict xfails, so any change in that behavior
+turns the suite red.  Each item must also finish within the wall-clock
+budget of its criterion.
 """
 
-import itertools
-import json
-import random
-import subprocess
-import sys
 import time
 
 import pytest
 
-from htour import htfile, oracles
-from htour.classify import (
-    ALL_TYPES,
-    EVEN,
-    H4_FREE,
-    FourType,
-    census4,
-    class_member,
-    four_type,
+from htour.verify import build_items
+
+XFAIL_REASON = "boundary behavior of the chain construction at n = 6 and 7"
+
+# seconds per item, keyed by criterion: the first two characters of its name
+BUDGET = {"c1": 1, "c2": 1, "c3": 30, "c4": 60, "c5": 60, "c6": 120, "c7": 60}
+
+
+@pytest.mark.parametrize(
+    "name, item",
+    [
+        pytest.param(
+            name, item, id=name,
+            marks=[pytest.mark.xfail(strict=True, reason=XFAIL_REASON)] if xfail else [],
+        )
+        for name, item, xfail in build_items("full")
+    ],
 )
-from htour.completion import all_completions, complete, is_minimal_obstruction, propagate
-from htour.core import (
-    HOLE,
-    MINUS,
-    PLUS,
-    HoleyHT,
-    hat,
-    is_isomorphic,
-    triples,
-    unhat,
-    validate,
-)
-from htour.families import (
-    LinkKind,
-    gadget,
-    gen_bn,
-    gen_cyclic,
-    gen_even,
-    gen_on,
-    gen_onneg,
-    on_deletion_tuples,
-    onneg_deletion_tuples,
-)
-from htour.rand import random_graph, random_holey_ht, random_order
-from htour.ramsey import ExpansionKind, OrderedHT, arrow_check, compatible_orders_cyclic
-
-
-def report(name, started, budget):
-    elapsed = time.monotonic() - started
-    ok = elapsed < budget
-    status = "PASS" if ok else "FAIL (over budget)"
-    print(f"ACCEPT {name}: {status} ({elapsed:.2f}s, budget {budget}s)")
-    assert ok, f"{name} exceeded its {budget}s budget"
-
-
-def report_claim(name, started, budget, ok, why=""):
-    elapsed = time.monotonic() - started
-    status = "PASS" if ok else f"FAIL ({why})"
-    print(f"ACCEPT {name}: {status} ({elapsed:.2f}s, budget {budget}s)")
-    assert ok, why
+def test_item(name, item):
+    started = time.perf_counter()
+    detail = item()
+    elapsed = time.perf_counter() - started
+    budget = BUDGET[name[:2]]
+    print(f"ACCEPT {name}: PASS ({elapsed:.2f}s, budget {budget}s): {detail}")
     assert elapsed < budget, f"{name} exceeded its {budget}s budget"
-
-
-# -- 1: four-vertex census ------------------------------------------------
-
-
-def test_c1_census():
-    started = time.monotonic()
-    assert census4() == {FourType.H4: 2, FourType.O4: 8, FourType.C4: 6}
-
-    reps, counts = [], {}
-    for values in itertools.product((PLUS, MINUS), repeat=4):
-        A = HoleyHT(4, bytes(values))
-        for r in reps:
-            if is_isomorphic(A, r) is not None:
-                assert four_type(A) == four_type(r)
-                counts[four_type(r)] += 1
-                break
-        else:
-            reps.append(A)
-            counts[four_type(A)] = counts.get(four_type(A), 0) + 1
-    assert len(reps) == 3
-    assert counts == {FourType.H4: 2, FourType.O4: 8, FourType.C4: 6}
-
-    for values in itertools.product((PLUS, MINUS), repeat=4):
-        A = HoleyHT(4, bytes(values))
-        t = four_type(A)
-        for perm in itertools.permutations(range(1, 5)):
-            assert four_type(A.relabel(perm)) == t
-
-    assert counts[FourType.H4] == 24 // 12  # Alt(4) has order 12
-    report("1 four-vertex census", started, 1)
-
-
-# -- 2: forcing gadget oracle -----------------------------------------------
-
-
-def test_c2_forcing_gadget_oracle():
-    started = time.monotonic()
-    g = gadget(LinkKind.FWD)
-    fills = {
-        (a, b): four_type(g.with_value(1, 2, 3, a).with_value(2, 3, 4, b))
-        for a, b in itertools.product((PLUS, MINUS), repeat=2)
-    }
-    assert [k for k, t in fills.items() if t == FourType.H4] == [(PLUS, MINUS)]
-    assert len(oracles.enumerate_completions(g, H4_FREE)) == 3
-
-    gn = gadget(LinkKind.FWD_NEG)
-    fills = {
-        (a, b): four_type(gn.with_value(1, 2, 3, a).with_value(1, 3, 4, b))
-        for a, b in itertools.product((PLUS, MINUS), repeat=2)
-    }
-    assert [k for k, t in fills.items() if t == FourType.H4] == [(PLUS, PLUS)]
-    assert len(oracles.enumerate_completions(gn, H4_FREE)) == 3
-
-    r = propagate(g.with_value(1, 2, 3, PLUS), H4_FREE)
-    assert r.ok and r.structure.triple_value(2, 3, 4) == PLUS
-    r = propagate(gn.with_value(1, 2, 3, PLUS), H4_FREE)
-    assert r.ok and r.structure.triple_value(1, 3, 4) == MINUS
-    report("2 forcing gadget oracle", started, 1)
-
-
-# -- 3: the chain structures at n = 6, 7, 8 -----------------------------------------
-
-
-@pytest.mark.parametrize("n", [6, 7, 8])
-def test_c3a_completion_exists(n):
-    started = time.monotonic()
-    assert complete(gen_on(n), H4_FREE).sat
-    assert complete(gen_onneg(n), H4_FREE).sat
-    report(f"3a completion exists n={n}", started, 30)
-
-
-@pytest.mark.parametrize(
-    "n",
-    [
-        pytest.param(
-            6,
-            marks=pytest.mark.xfail(
-                strict=True,
-                reason="wrap-around overlap: all-MINUS fill makes {1,3,5,6} "
-                "the forbidden type at n=6",
-            ),
-        ),
-        pytest.param(
-            7,
-            marks=pytest.mark.xfail(
-                strict=True,
-                reason="wrap-around overlap: all-MINUS fill makes {2,4,5,7} "
-                "the forbidden type at n=7",
-            ),
-        ),
-        8,
-    ],
-)
-def test_c3a_default_filling(n):
-    started = time.monotonic()
-    forward = class_member(gen_on(n).filled(MINUS), H4_FREE)
-    dual = class_member(gen_onneg(n).filled(PLUS), H4_FREE)
-    report_claim(
-        f"3a default filling n={n}",
-        started,
-        30,
-        bool(forward) and bool(dual),
-        f"filling violates 4-subset {forward.witness or dual.witness}",
-    )
-
-
-@pytest.mark.parametrize("n", [6, 7])
-def test_c3b_every_completion_forces_123(n):
-    started = time.monotonic()
-    comps = all_completions(gen_on(n), H4_FREE)
-    assert comps and all(c.triple_value(1, 2, 3) == MINUS for c in comps)
-    dual = all_completions(gen_onneg(n), H4_FREE)
-    assert dual and all(c.triple_value(1, 2, 3) == PLUS for c in dual)
-    # frozen sizes, cross-checked against the brute-force oracle
-    assert len(comps) == {6: 9, 7: 1228}[n]
-    assert comps == oracles.enumerate_completions(gen_on(n), H4_FREE)
-    report(f"3b forced orientation n={n}", started, 30)
-
-
-def _merge_deletion_seed(n, v, dual):
-    base = gen_onneg(n) if dual else gen_on(n)
-    seed = onneg_deletion_tuples(n, v) if dual else on_deletion_tuples(n, v)
-    kept = [u for u in base.vertices if u != v]
-    relabel = {u: i + 1 for i, u in enumerate(kept)}
-    sub = base.induced(kept)
-    merged = validate([tuple(relabel[x] for x in t) for t in seed], n - 1)
-    table = bytearray(sub.table)
-    for r, val in enumerate(merged.table):
-        if val == HOLE:
-            continue
-        assert table[r] in (HOLE, val), "seed conflicts with the structure"
-        table[r] = val
-    return HoleyHT(n - 1, bytes(table))
-
-
-@pytest.mark.parametrize(
-    "n",
-    [
-        pytest.param(
-            6,
-            marks=pytest.mark.xfail(
-                strict=True,
-                reason="(n, v) = (6, 5): {1,2,3}+ forces {2,3,4}+ via the "
-                "first 4-subset and then {2,3,4,6} is forbidden outright",
-            ),
-        ),
-        7,
-        8,
-    ],
-)
-def test_c3c_deleted_vertex_seeds(n):
-    started = time.monotonic()
-    bad = []
-    for v in range(4, n + 1):
-        for dual, want in ((False, PLUS), (True, MINUS)):
-            merged = _merge_deletion_seed(n, v, dual)
-            res = complete(merged, H4_FREE)
-            if not res.sat or res.completion.triple_value(1, 2, 3) != want:
-                bad.append((v, "dual" if dual else "forward"))
-    report_claim(
-        f"3c deleted-vertex seeds n={n}",
-        started,
-        30,
-        not bad,
-        f"uncompletable seeds at {bad}",
-    )
-
-
-# -- 4: glued obstructions at n = 6, 7 -------------------------------------------
-
-
-@pytest.mark.parametrize("n", [6, 7])
-def test_c4_bn_has_no_completion(n):
-    started = time.monotonic()
-    b = gen_bn(n)
-    assert b.n == 2 * n - 3
-    res = complete(b, H4_FREE)
-    assert not res.sat and res.conflicts
-    report(f"4 bn unsat n={n}", started, 60)
-
-
-@pytest.mark.parametrize(
-    "n",
-    [
-        pytest.param(
-            6,
-            marks=pytest.mark.xfail(
-                strict=True,
-                reason="bn(6) deletions of vertices 5 and 8 are themselves "
-                "uncompletable, so bn(6) is not a minimal obstruction",
-            ),
-        ),
-        7,
-    ],
-)
-def test_c4_bn_is_minimal(n):
-    started = time.monotonic()
-    rep = is_minimal_obstruction(gen_bn(n), H4_FREE)
-    assert not rep.whole.sat
-    assert len(rep.deletions) == 2 * n - 3
-    bad = sorted(v for v, r in rep.deletions.items() if not r.sat)
-    report_claim(
-        f"4 bn minimal n={n}",
-        started,
-        60,
-        rep.is_minimal,
-        f"uncompletable deletions: {bad}",
-    )
-
-
-# -- 5: solver versus brute force -------------------------------------------------
-
-
-def test_c5_solver_equals_oracle():
-    started = time.monotonic()
-    sat = 0
-    for i in range(500):
-        rng = random.Random(9000 + i)
-        n = rng.randint(4, 7)
-        A = random_holey_ht(rng, n, rng.randint(0, 12))
-        res = complete(A, H4_FREE)
-        comps = oracles.enumerate_completions(A, H4_FREE)
-        assert res.sat == bool(comps), f"seed {9000 + i}"
-        if res.sat:
-            sat += 1
-            p = propagate(A, H4_FREE)
-            assert p.ok
-            for (a, b, c), v in p.forced:
-                assert all(comp.triple_value(a, b, c) == v for comp in comps)
-    assert sat and sat < 500  # both verdicts exercised
-    report("5 solver vs oracle (500 instances)", started, 60)
-
-
-# -- 6: arrow instances, orders, expansions ----------------------------------------
-
-
-def _cyc(n):
-    return OrderedHT(gen_cyclic(n), tuple(range(1, n + 1)), ExpansionKind.CYCLIC)
-
-
-def test_c6_ramsey_instances():
-    started = time.monotonic()
-    assert arrow_check(_cyc(6), _cyc(3), _cyc(2)).holds
-    failed = arrow_check(_cyc(5), _cyc(3), _cyc(2))
-    assert not failed.holds
-    colors = dict(zip(failed.a_embeddings, failed.counterexample))
-    for tri in itertools.combinations(range(1, 6), 3):
-        assert len({colors[p] for p in itertools.combinations(tri, 2)}) == 2
-
-    for n in range(3, 8):
-        assert len(compatible_orders_cyclic(gen_cyclic(n))) == n
-
-    rng = random.Random(777)
-    for _ in range(200):
-        n = rng.randint(4, 8)
-        assert class_member(
-            gen_even(n, random_graph(rng, n), random_order(rng, n)), EVEN
-        )
-    rng = random.Random(778)
-    for _ in range(200):
-        A = random_holey_ht(rng, rng.randint(4, 8), rng.randint(0, 12))
-        assert complete(A, ALL_TYPES).sat
-    report("6 arrow instances and expansions", started, 120)
-
-
-# -- 7: structural invariant suites --------------------------------------------------
-
-
-def test_c7_hat_roundtrips_exhaustive():
-    started = time.monotonic()
-    for n in range(1, 6):
-        orders = list(itertools.permutations(range(1, n + 1)))
-        for values in itertools.product((PLUS, MINUS), repeat=len(triples(n))):
-            A = HoleyHT(n, bytes(values))
-            for order in orders:
-                H = hat(A, order)
-                assert unhat(H, order) == A
-                assert hat(unhat(H, order), order) == H
-    report("7 hat/unhat exhaustive n<=5", started, 60)
-
-
-def test_c7_restriction_lemma():
-    started = time.monotonic()
-    rng = random.Random(4242)
-    done = 0
-    while done < 200:
-        n = rng.randint(4, 7)
-        A = random_holey_ht(rng, n, rng.randint(0, 12))
-        res = complete(A, H4_FREE)
-        if not res.sat:
-            continue
-        done += 1
-        subset = sorted(rng.sample(range(1, n + 1), rng.randint(1, n)))
-        inner = res.completion.induced(subset)
-        assert inner.extends(A.induced(subset))
-        assert class_member(inner, H4_FREE)
-    report("7 restriction lemma (200 instances)", started, 60)
-
-
-def test_c7_serialization_roundtrips():
-    started = time.monotonic()
-    rng = random.Random(31)
-    for _ in range(1000):
-        n = rng.randint(1, 9)
-        A = random_holey_ht(rng, n, rng.randint(0, len(triples(n))))
-        order = random_order(rng, n) if rng.random() < 0.3 else None
-        edges = (
-            random_graph(rng, n) if order is not None and rng.random() < 0.5 else None
-        )
-        text = htfile.emit(A, order, edges)
-        doc = htfile.parse(text)
-        assert doc.structure == A and doc.order == order
-        assert doc.edges == (frozenset(edges) if edges else None)
-        assert htfile.emit_document(doc) == text
-    report("7 serialization (1000 documents)", started, 60)
-
-
-def test_c7_parallel_reports_byte_identical():
-    started = time.monotonic()
-    gen = subprocess.run(
-        [sys.executable, "-m", "htour", "gen", "--family", "bn", "--n", "6"],
-        capture_output=True, text=True, check=True,
-    )
-    outputs = []
-    for jobs in ("1", "8"):
-        run = subprocess.run(
-            [sys.executable, "-m", "htour", "minimal-obstruction", "--jobs", jobs],
-            input=gen.stdout, capture_output=True, text=True, check=True,
-        )
-        assert run.returncode == 0
-        outputs.append(run.stdout)
-    assert outputs[0] == outputs[1]
-    json.loads(outputs[0])  # and they are valid report documents
-    report("7 parallel determinism", started, 60)

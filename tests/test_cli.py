@@ -118,13 +118,6 @@ def test_minimal_obstruction_cli():
     assert len(report["witness"]["deletions"]) == 11
 
 
-def test_jobs_reports_byte_identical():
-    b6 = run_cli(["gen", "--family", "bn", "--n", "6"]).stdout
-    one = run_cli(["minimal-obstruction", "--jobs", "1"], stdin=b6)
-    eight = run_cli(["minimal-obstruction", "--jobs", "8"], stdin=b6)
-    assert one.stdout == eight.stdout
-
-
 def test_exit_code_input_error():
     bad = run_cli(["classify4"], stdin="htour 4\n1 2 3 +\n1 2 3 -\n")
     assert bad.returncode == 2
@@ -186,3 +179,23 @@ def test_gen_timing_covers_the_build(monkeypatch, capsys):
     assert cli.main(["gen", "--family", "on", "--n", "6", "--format", "report",
                      "--timing"]) == 0
     assert json.loads(capsys.readouterr().out)["timing"]["seconds"] >= 0.05
+
+
+def test_verify_report_is_byte_deterministic(monkeypatch, capsys):
+    naps = iter((0.01, 0.03, 0.02))
+
+    def sleepy():
+        time.sleep(next(naps))
+        return "slept"
+
+    monkeypatch.setattr(verify, "build_items", lambda level, jobs=1: [
+        ("c1-fast", lambda: "fast", False), ("c1-sleepy", sleepy, False)])
+    outs = []
+    for _ in range(2):
+        assert cli.main(["verify"]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+    assert cli.main(["verify", "--timing"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["timing"]["items"]["c1-sleepy"] >= 0.02
+    assert "seconds" not in report["witness"]["items"][1]

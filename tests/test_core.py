@@ -24,7 +24,7 @@ from htour.core import (
     unhat,
     validate,
 )
-from htour.rand import random_holey_ht, random_order
+from htour.rand import random_full_ht, random_holey_ht, random_order
 
 
 def all_plus(n=4):
@@ -200,13 +200,25 @@ def test_unhat_examples():
     assert unhat(complete_hypergraph(4), (1, 2, 3, 4)) == all_plus()
 
 
-def test_hat_unhat_roundtrip_exhaustive_n4():
-    for values in itertools.product((PLUS, MINUS), repeat=4):
-        A = HoleyHT(4, bytes(values))
-        for order in itertools.permutations(range(1, 5)):
-            H = hat(A, order)
-            assert unhat(H, order) == A
-            assert hat(unhat(H, order), order) == H
+def test_hat_unhat_match_their_definitions():
+    # the docstring definitions, through orientation_of and validate, as an
+    # independent reference for the one-pass parity formula
+    rng = random.Random(11)
+    for _ in range(200):
+        n = rng.randint(0, 8)
+        A = random_full_ht(rng, n)
+        order = random_order(rng, n)
+        pos = {v: i for i, v in enumerate(order)}
+        along = [tuple(sorted(t, key=pos.__getitem__)) for t in triples(n)]
+        edges = {t for t, (a, b, c) in zip(triples(n), along)
+                 if A.orientation_of(a, b, c) == IN_R}
+        assert hat(A, order).hyperedges == edges
+        H = Hypergraph3(n, frozenset(edges))
+        assert unhat(H, order) == validate(
+            [(a, b, c) if t in edges else (a, c, b)
+             for t, (a, b, c) in zip(triples(n), along)],
+            n,
+        )
 
 
 def test_filled_and_extends():

@@ -11,6 +11,7 @@ from htour.core import (
     PLUS,
 )
 from htour.families import gen_cyclic, gen_even
+from htour.oracles import least_refuting_coloring
 from htour.rand import random_graph, random_holey_ht, random_order
 from htour.ramsey import (
     ExpansionKind,
@@ -69,13 +70,24 @@ def test_arrow_single_vertex_trivial():
     assert arrow_check(cyc(4), point, point).holds
 
 
-def test_arrow_prune_identical():
-    for big in (4, 5, 6):
-        plain = arrow_check(cyc(big), cyc(3), cyc(2))
-        pruned = arrow_check(cyc(big), cyc(3), cyc(2), prune=True)
-        assert plain.holds == pruned.holds
-        assert plain.coloring_index == pruned.coloring_index
-        assert plain.counterexample == pruned.counterexample
+SWEEP_CASES = [
+    ((4, 3, 2), 2), ((5, 3, 2), 2), ((6, 3, 2), 2), ((7, 3, 2), 2),
+    ((6, 4, 3), 2), ((7, 6, 5), 2), ((6, 2, 3), 2),
+    ((5, 3, 2), 3), ((3, 2, 1), 3), ((4, 2, 1), 3),
+]
+
+
+@pytest.mark.parametrize(
+    "sizes, colors", SWEEP_CASES,
+    ids=[f"{c}-{b}-{a}-colors{k}" for (c, b, a), k in SWEEP_CASES],
+)
+def test_arrow_matches_plain_sweep(sizes, colors):
+    big, mid, small = (cyc(n) for n in sizes)
+    verdict = arrow_check(big, mid, small, colors=colors, max_embeddings=21)
+    found = least_refuting_coloring(big, mid, small, colors=colors)
+    assert verdict.holds == (found is None)
+    if found is not None:
+        assert (verdict.coloring_index, verdict.counterexample) == found
 
 
 def test_arrow_monotone_in_target():
@@ -102,10 +114,9 @@ def test_arrow_guard():
 
 def test_arrow_vacuous_copies_hold():
     # copies of B too small to contain A are monochromatic under every
-    # coloring, on all code paths
-    for prune in (False, True):
-        v = arrow_check(cyc(6), cyc(2), cyc(3), prune=prune, max_embeddings=20)
-        assert v.holds and v.b_copies == 15
+    # coloring, for every color count
+    v = arrow_check(cyc(6), cyc(2), cyc(3), max_embeddings=20)
+    assert v.holds and v.b_copies == 15
     assert arrow_check(cyc(6), cyc(2), cyc(3), colors=3, max_embeddings=20).holds
 
 

@@ -5,18 +5,50 @@ import pytest
 from htour import verify
 from htour.classify import FourType
 
+PINNED_XFAILS = {"c3a-allminus-n6", "c3a-allminus-n7", "c3c-part3-n6", "c4-bn-minimal-n6"}
 
-def test_quick_driver_summary():
+
+def _fails():
+    raise AssertionError("claim does not hold")
+
+
+@pytest.mark.parametrize(
+    "items, counts, ok",
+    [
+        (
+            [("p", lambda: "fine", False), ("f", _fails, False),
+             ("x", _fails, True), ("u", lambda: "fine", True)],
+            {"pass": 1, "fail": 1, "xfail": 1, "upass": 1},
+            False,
+        ),
+        (
+            [("p", lambda: "fine", False), ("x", _fails, True)],
+            {"pass": 1, "fail": 0, "xfail": 1, "upass": 0},
+            True,
+        ),
+    ],
+    ids=["mixed", "expected-only"],
+)
+def test_driver_summary(monkeypatch, items, counts, ok):
+    monkeypatch.setattr(verify, "build_items", lambda level, jobs=1: items)
     buf = io.StringIO()
     summary = verify.run_verify("quick", out=buf)
-    assert summary["ok"]
-    counts = summary["counts"]
-    assert counts["fail"] == 0 and counts["upass"] == 0
-    assert counts["xfail"] == 4  # the pinned boundary defects
-    text = buf.getvalue()
-    assert "c1-census" in text and "summary:" in text
+    assert summary["counts"] == counts
+    assert summary["ok"] is ok
+    lines = buf.getvalue().strip().splitlines()
     # one line per item plus the summary line
-    assert len(text.strip().splitlines()) == len(summary["items"]) + 1
+    assert len(lines) == len(items) + 1 and lines[-1].startswith("summary:")
+    assert [item["status"] for item in summary["items"]] == [
+        {"p": "pass", "f": "fail", "x": "xfail", "u": "upass"}[name]
+        for name, _, _ in items
+    ]
+
+
+def test_levels_share_items_and_pin_four_xfails():
+    quick, full = verify.build_items("quick"), verify.build_items("full")
+    assert {name for name, _, _ in quick} <= {name for name, _, _ in full}
+    for items in (quick, full):
+        assert {name for name, _, xfail in items if xfail} == PINNED_XFAILS
 
 
 def test_driver_detects_a_broken_classifier(monkeypatch):
