@@ -12,6 +12,11 @@ one of three structures:
 A 4-constrained class is given by a nonempty subset of {H4, O4, C4}: it
 contains the structures all of whose 4-vertex substructures have a type in
 the subset.
+
+The hot paths judge a 4-subset by one lookup: its four table values (HOLE 0,
+PLUS 1, MINUS 2) form the code v0 + 3*v1 + 9*v2 + 27*v3, and each constraint
+set carries two 81-entry tables over these codes, derived from mask_of: the
+action table of unit propagation and the ok table of class_member.
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property, lru_cache
 
 from .core import (
     HOLE,
@@ -28,7 +34,7 @@ from .core import (
     HoleyInput,
     InputError,
     quad_triple_ranks,
-    quads,
+    quad_vertices,
 )
 
 
@@ -62,6 +68,40 @@ def mask_of(v0: int, v1: int, v2: int, v3: int) -> int:
         | (v1 == PLUS) << 1
         | (v2 == PLUS) << 2
         | (v3 == PLUS) << 3
+    )
+
+
+# the table values (v0, v1, v2, v3) of the 4-subsets with code
+# v0 + 3*v1 + 9*v2 + 27*v3, by code
+_CODES = tuple((c % 3, c // 3 % 3, c // 9 % 3, c // 27) for c in range(81))
+
+
+def _action(bits: int, values) -> int:
+    holes = [pos for pos, v in enumerate(values) if v == HOLE]
+    if not holes:
+        return 0 if (bits >> mask_of(*values)) & 1 else -1
+    if len(holes) > 1:
+        return 0
+    pos = holes[0]
+    ok = [
+        value
+        for value in (PLUS, MINUS)
+        if (bits >> mask_of(*values[:pos], value, *values[pos + 1:])) & 1
+    ]
+    if len(ok) == 2:
+        return 0
+    return pos << 2 | ok[0] if ok else -1
+
+
+@lru_cache(maxsize=None)
+def _action_table(bits: int) -> tuple[int, ...]:
+    return tuple(_action(bits, values) for values in _CODES)
+
+
+@lru_cache(maxsize=None)
+def _ok_table(bits: int) -> bytes:
+    return bytes(
+        HOLE in values or (bits >> mask_of(*values)) & 1 for values in _CODES
     )
 
 
@@ -119,6 +159,19 @@ class ConstraintSet:
                 bits |= 1 << m
         return bits
 
+    @cached_property
+    def action_table(self) -> tuple[int, ...]:
+        """Unit propagation on a 4-subset, by code: 0 nothing to do (two or
+        more holes, or every completion of it allowed), -1 conflict (none
+        allowed), else pos << 2 | value: the one hole, at position pos, must
+        take value."""
+        return _action_table(self.mask_bits())
+
+    @cached_property
+    def ok_table(self) -> bytes:
+        """1 at the codes of 4-subsets that are allowed or hold a hole."""
+        return _ok_table(self.mask_bits())
+
     def label(self) -> str:
         return ",".join(t.value for t in self)
 
@@ -173,15 +226,14 @@ def class_member(structure: HoleyHT, allowed) -> Membership:
     the lexicographically least offending 4-subset.
     """
     allowed = ConstraintSet.coerce(allowed)
-    bits = allowed.mask_bits()
+    ok = allowed.ok_table
     table = structure.table
-    for qi, ranks in enumerate(quad_triple_ranks(structure.n)):
-        v0 = table[ranks[0]]
-        v1 = table[ranks[1]]
-        v2 = table[ranks[2]]
-        v3 = table[ranks[3]]
-        if HOLE in (v0, v1, v2, v3):
-            continue
-        if not (bits >> mask_of(v0, v1, v2, v3)) & 1:
-            return Membership(False, quads(structure.n)[qi])
+    qt = quad_triple_ranks(structure.n)
+    for b in range(0, len(qt), 4):
+        code = (
+            table[qt[b]] + 3 * table[qt[b + 1]] + 9 * table[qt[b + 2]]
+            + 27 * table[qt[b + 3]]
+        )
+        if not ok[code]:
+            return Membership(False, quad_vertices(structure.n, b >> 2))
     return Membership(True)

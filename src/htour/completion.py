@@ -19,6 +19,17 @@ per incident 4-subset, so picking a branch is one argmax over the triples
 instead of a rescan of every hole's 4-subsets.  They are built at the first
 branch, after root propagation, so searches that propagate to a verdict pay
 no upkeep; enumeration branches on the least-rank hole and keeps none.
+
+Propagation judges a 4-subset by one lookup in the constraint set's 81-entry
+action table (see classify.ConstraintSet.action_table), keyed by the code
+v0 + 3*v1 + 9*v2 + 27*v3 of its four table values: nothing to do, a
+conflict, or which hole is forced to which value.  The 4-subset index is the
+pair of flat arrays of core (quad_triple_ranks, triple_quad_ids), read by
+direct offset.
+
+The search recurses once per decision, so `complete` and `all_completions`
+raise the interpreter's recursion limit for their own duration and restore
+it on the way out.
 """
 
 from __future__ import annotations
@@ -27,9 +38,10 @@ import concurrent.futures
 import itertools
 import sys
 from collections import deque
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
-from .classify import ConstraintSet, class_member, mask_of
+from .classify import ConstraintSet, class_member
 from .core import (
     HOLE,
     MINUS,
@@ -38,7 +50,7 @@ from .core import (
     HoleyHT,
     InputError,
     quad_triple_ranks,
-    quads,
+    quad_vertices,
     triple_quad_ids,
     triples,
     validate,
@@ -47,11 +59,16 @@ from .core import (
 ENUMERATION_HOLE_GUARD = 30
 
 
-def _ensure_recursion_room(structure: HoleyHT) -> None:
-    # the search recurses at most once per hole, plus interpreter slack
-    needed = 2 * structure.hole_count() + 500
-    if sys.getrecursionlimit() < needed:
-        sys.setrecursionlimit(needed)
+@contextmanager
+def _recursion_room(structure: HoleyHT):
+    """Raise the recursion limit for the duration of one search, then
+    restore it: the search recurses at most once per hole, plus slack."""
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(limit, 2 * structure.hole_count() + 500))
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 @dataclass(frozen=True)
@@ -118,8 +135,8 @@ class _Engine:
         "table",
         "qt",
         "tq",
-        "quad_verts",
-        "bits",
+        "stride",
+        "action",
         "hole_cnt",
         "score",
         "trail",
@@ -130,16 +147,25 @@ class _Engine:
     def __init__(self, structure: HoleyHT, allowed: ConstraintSet) -> None:
         self.n = structure.n
         self.table = bytearray(structure.table)
+        # quad qi's triple ranks are qt[4*qi : 4*qi+4]; the quads of the
+        # triple of rank r are tq[r*stride : (r+1)*stride]
         self.qt = quad_triple_ranks(self.n)
         self.tq = triple_quad_ids(self.n)
-        self.quad_verts = quads(self.n)
-        self.bits = allowed.mask_bits()
+        self.stride = max(self.n - 3, 0)
+        self.action = allowed.action_table
+        # holes per quad, counted over whichever of the hole triples and
+        # the assigned triples are fewer
         table = self.table
-        self.hole_cnt = [
-            (table[a] == HOLE) + (table[b] == HOLE) + (table[c] == HOLE)
-            + (table[d] == HOLE)
-            for a, b, c, d in self.qt
-        ]
+        tq = self.tq
+        stride = self.stride
+        count_holes = 2 * table.count(HOLE) <= len(table)
+        step = 1 if count_holes else -1
+        hole_cnt = [0 if count_holes else 4] * (len(self.qt) >> 2)
+        for r, v in enumerate(table):
+            if (v == HOLE) == count_holes:
+                for qi in tq[r * stride:(r + 1) * stride]:
+                    hole_cnt[qi] += step
+        self.hole_cnt = hole_cnt
         # per triple: the number of one-hole 4-subsets it is the hole of,
         # -1 once assigned; built by the first pick_branch, None until then
         self.score: list[int] | None = None
@@ -161,14 +187,16 @@ class _Engine:
         score = self.score
         if score is not None:
             score[rank] = -1
-        for qi in self.tq[rank]:
+        start = rank * self.stride
+        for qi in self.tq[start:start + self.stride]:
             cnt = hole_cnt[qi] - 1
             hole_cnt[qi] = cnt
             if cnt <= 1:
                 worklist.append(qi)
                 if cnt == 1 and score is not None:
                     # the quad's last hole gains a one-hole 4-subset
-                    for r in qt[qi]:
+                    b = qi << 2
+                    for r in qt[b:b + 4]:
                         if table[r] == HOLE:
                             score[r] += 1
                             break
@@ -181,18 +209,21 @@ class _Engine:
         hole_cnt = self.hole_cnt
         tq = self.tq
         qt = self.qt
+        stride = self.stride
         score = self.score
         while len(trail) > mark:
             rank = trail.pop()
             own = 0
-            for qi in tq[rank]:
+            start = rank * stride
+            for qi in tq[start:start + stride]:
                 cnt = hole_cnt[qi] + 1
                 hole_cnt[qi] = cnt
                 if cnt == 1:
                     own += 1
                 elif cnt == 2 and score is not None:
                     # the quad's other hole loses a one-hole 4-subset
-                    for r in qt[qi]:
+                    b = qi << 2
+                    for r in qt[b:b + 4]:
                         if table[r] == HOLE:
                             score[r] -= 1
                             break
@@ -205,34 +236,22 @@ class _Engine:
         or None.  Forced assignments extend the trail."""
         table = self.table
         qt = self.qt
-        bits = self.bits
+        hole_cnt = self.hole_cnt
+        action = self.action
         while worklist:
             qi = worklist.popleft()
-            cnt = self.hole_cnt[qi]
-            if cnt >= 2:
+            if hole_cnt[qi] >= 2:
                 continue
-            r0, r1, r2, r3 = qt[qi]
-            v0, v1, v2, v3 = table[r0], table[r1], table[r2], table[r3]
-            if cnt == 0:
-                if not (bits >> mask_of(v0, v1, v2, v3)) & 1:
-                    return qi
+            b = qi << 2
+            act = action[
+                table[qt[b]] + 3 * table[qt[b + 1]] + 9 * table[qt[b + 2]]
+                + 27 * table[qt[b + 3]]
+            ]
+            if act == 0:
                 continue
-            # exactly one hole: find it and test both orientations
-            if v0 == HOLE:
-                hole_rank, pos, base = r0, 0, mask_of(MINUS, v1, v2, v3)
-            elif v1 == HOLE:
-                hole_rank, pos, base = r1, 1, mask_of(v0, MINUS, v2, v3)
-            elif v2 == HOLE:
-                hole_rank, pos, base = r2, 2, mask_of(v0, v1, MINUS, v3)
-            else:
-                hole_rank, pos, base = r3, 3, mask_of(v0, v1, v2, MINUS)
-            ok_minus = (bits >> base) & 1
-            ok_plus = (bits >> (base | (1 << pos))) & 1
-            if ok_plus and ok_minus:
-                continue
-            if not ok_plus and not ok_minus:
+            if act < 0:
                 return qi
-            self.assign(hole_rank, PLUS if ok_plus else MINUS, worklist)
+            self.assign(qt[b + (act >> 2)], act & 3, worklist)
         return None
 
     def pick_branch(self) -> int | None:
@@ -249,14 +268,15 @@ class _Engine:
         score = [0 if v == HOLE else -1 for v in table]
         for qi, cnt in enumerate(self.hole_cnt):
             if cnt == 1:
-                for r in qt[qi]:
+                b = qi << 2
+                for r in qt[b:b + 4]:
                     if table[r] == HOLE:
                         score[r] += 1
                         break
         return score
 
     def record_conflict(self, qi: int) -> None:
-        self.conflicts.add(self.quad_verts[qi])
+        self.conflicts.add(quad_vertices(self.n, qi))
 
     # -- searches ------------------------------------------------------------
 
@@ -340,7 +360,7 @@ def propagate(structure: HoleyHT, allowed) -> PropagationResult:
     engine = _Engine(structure, allowed)
     qi = engine.propagate(engine.seed_worklist())
     if qi is not None:
-        return PropagationResult(ok=False, conflict=engine.quad_verts[qi])
+        return PropagationResult(ok=False, conflict=quad_vertices(structure.n, qi))
     ts = triples(structure.n)
     forced = tuple((ts[r], engine.table[r]) for r in engine.trail)
     return PropagationResult(
@@ -358,9 +378,9 @@ def complete(structure: HoleyHT, allowed) -> SolveResult:
     branch first.
     """
     allowed = ConstraintSet.coerce(allowed)
-    _ensure_recursion_room(structure)
     engine = _Engine(structure, allowed)
-    table = engine.solve_first()
+    with _recursion_room(structure):
+        table = engine.solve_first()
     if table is None:
         return SolveResult(
             sat=False,
@@ -379,9 +399,9 @@ def all_completions(structure: HoleyHT, allowed, cap: int | None = None) -> list
             f"enumeration over {structure.hole_count()} holes refused; "
             f"set a cap or stay at <= {ENUMERATION_HOLE_GUARD} holes"
         )
-    _ensure_recursion_room(structure)
     engine = _Engine(structure, allowed)
-    tables = engine.solve_all(cap)
+    with _recursion_room(structure):
+        tables = engine.solve_all(cap)
     out = []
     for table in tables:
         res = _finish_sat(structure, allowed, engine, table)

@@ -14,11 +14,22 @@ unrepresentable.  A structure with no ``HOLE`` entries is a (full)
 
 Tables are flat ``bytes`` indexed by the colexicographic rank of the sorted
 triple, which keeps lookups O(1) and the solver cache-friendly.
+
+The 4-subset index that the solver and the class test read is two flat
+``array('I')`` tables, built by arithmetic on binomial coefficients and
+cached per n: `quad_triple_ranks` holds the four triple ranks of each
+4-subset (4-subsets in lexicographic order, four entries each), and
+`triple_quad_ids` holds the ids of the n-3 4-subsets through each triple
+(fixed stride n-3, so it needs no offsets).  Together they cost 32 bytes per
+4-subset, about 7 MB at 49 vertices; vertex tuples of 4-subsets are computed
+only when a witness needs one (`quad_vertices`).  Both tables, and
+`htfile.parse`, refuse more than VERTEX_GUARD vertices.
 """
 
 from __future__ import annotations
 
 import itertools
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
@@ -34,6 +45,9 @@ IN_R = PLUS
 REVERSED = MINUS
 
 ISO_GUARD = 10  # is_isomorphic refuses above this many vertices
+# htfile.parse and the 4-subset index refuse above this many vertices; the
+# index costs 32 bytes per 4-subset, about 125 MB at 100 vertices
+VERTEX_GUARD = 100
 
 _SIGN_CHAR = {PLUS: "+", MINUS: "-"}
 _COMPLEMENT_MAP = bytes.maketrans(bytes([HOLE, PLUS, MINUS]), bytes([HOLE, MINUS, PLUS]))
@@ -81,39 +95,86 @@ def triples(n: int) -> tuple[tuple[int, int, int], ...]:
 
 @lru_cache(maxsize=None)
 def quads(n: int) -> tuple[tuple[int, int, int, int], ...]:
-    """All sorted 4-subsets over 1..n in lexicographic order."""
+    """All sorted 4-subsets over 1..n in lexicographic order.
+
+    The library never builds this: it is the reference that the flat index
+    below is tested against.  `quad_vertices` gives one entry on demand."""
     return tuple(itertools.combinations(range(1, n + 1), 4))
 
 
 @lru_cache(maxsize=None)
-def quad_triple_ranks(n: int) -> tuple[tuple[int, int, int, int], ...]:
-    """For each 4-subset {a<b<c<d}: ranks of {abc}, {abd}, {acd}, {bcd}.
+def quad_triple_ranks(n: int) -> array:
+    """Flat table: entries 4*qi .. 4*qi+3 are the ranks of {abc}, {abd},
+    {acd}, {bcd} for the 4-subset {a<b<c<d} with id qi, 4-subsets numbered
+    in lexicographic order (the order of `quads`).
 
     The position of each triple in this sequence matches its position after
     the order-preserving relabeling of the 4-subset to {1, 2, 3, 4}, so the
     four table values can be classified directly (see classify.mask_of).
+    Built by arithmetic on the colex rank i + C(j,2) + C(k,3); 16 bytes per
+    4-subset.  Refuses n > VERTEX_GUARD.
     """
-    out = []
-    for a, b, c, d in quads(n):
-        out.append(
-            (
-                triple_rank(a, b, c),
-                triple_rank(a, b, d),
-                triple_rank(a, c, d),
-                triple_rank(b, c, d),
-            )
-        )
-    return tuple(out)
+    if n > VERTEX_GUARD:
+        raise GuardExceeded(f"the 4-subset index is limited to {VERTEX_GUARD} "
+                            f"vertices, got {n}")
+    c2 = [comb(x, 2) for x in range(n)]
+    c3 = [comb(x, 3) for x in range(n)]
+    out = array("I")
+    # 0-based a < b < c < d; the inner loop runs over d
+    for a, b, c in itertools.combinations(range(n - 1), 3):
+        ab = a + c2[b]
+        ac = a + c2[c]
+        bc = b + c2[c]
+        abc = ab + c3[c]
+        out.extend([
+            r for t in c3[c + 1:] for r in (abc, ab + t, ac + t, bc + t)
+        ])
+    return out
 
 
 @lru_cache(maxsize=None)
-def triple_quad_ids(n: int) -> tuple[tuple[int, ...], ...]:
-    """For each triple rank, the ascending ids of 4-subsets containing it."""
-    incidence: list[list[int]] = [[] for _ in range(comb(n, 3))]
-    for qi, ranks in enumerate(quad_triple_ranks(n)):
-        for r in ranks:
-            incidence[r].append(qi)
-    return tuple(tuple(lst) for lst in incidence)
+def triple_quad_ids(n: int) -> array:
+    """Flat table with stride n-3: entries r*(n-3) .. r*(n-3)+n-4 are the
+    ascending ids of the n-3 4-subsets containing the triple of rank r
+    (ids as in `quad_triple_ranks`, which this call builds too, so one call
+    warms the whole index).
+
+    Each triple {i<j<k} lies in {i,j,k,x} for every other vertex x, and the
+    ids ascend with x.  The lexicographic id of {a<b<c<d} over 0..n-1 is
+    C(n,4) - 1 - (C(n-1-a,4) + C(n-1-b,3) + C(n-1-c,2) + (n-1-d)), the colex
+    rank of the mirrored set counted from the end.  16 bytes per 4-subset.
+    Refuses n > VERTEX_GUARD.
+    """
+    quad_triple_ranks(n)
+    last = comb(n, 4) - 1
+    # minus the mirrored colex terms for a vertex in position 1, 2, 3, 4
+    m1 = [-comb(n - 1 - x, 4) for x in range(n)]
+    m2 = [-comb(n - 1 - x, 3) for x in range(n)]
+    m3 = [-comb(n - 1 - x, 2) for x in range(n)]
+    m4 = [x - (n - 1) for x in range(n)]
+    out = array("I")
+    for k in range(2, n):
+        for j in range(1, k):
+            for i in range(j):
+                # x before i, between i and j, between j and k, after k
+                base = last + m2[i] + m3[j] + m4[k]
+                out.extend([base + t for t in m1[:i]])
+                base = last + m1[i] + m3[j] + m4[k]
+                out.extend([base + t for t in m2[i + 1:j]])
+                base = last + m1[i] + m2[j] + m4[k]
+                out.extend([base + t for t in m3[j + 1:k]])
+                base = last + m1[i] + m2[j] + m3[k]
+                out.extend([base + t for t in m4[k + 1:]])
+    return out
+
+
+def quad_vertices(n: int, qi: int) -> tuple[int, int, int, int]:
+    """The 4-subset {a<b<c<d} with id qi, i.e. `quads(n)[qi]`, read off the
+    triples {abc} and {bcd} of the index."""
+    qt = quad_triple_ranks(n)
+    ts = triples(n)
+    a, b, c = ts[qt[4 * qi]]
+    return a, b, c, ts[qt[4 * qi + 3]][2]
 
 
 def check_order(order, n: int) -> tuple[int, ...]:

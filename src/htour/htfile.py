@@ -20,7 +20,9 @@ from .core import (
     HOLE,
     MINUS,
     PLUS,
+    VERTEX_GUARD,
     ContradictoryTriple,
+    GuardExceeded,
     HoleyHT,
     InputError,
     check_order,
@@ -89,6 +91,11 @@ def parse(text: str) -> Document:
                 raise InputError(f"line {lineno}: bad vertex count") from exc
             if n < 0:
                 raise InputError(f"line {lineno}: negative vertex count")
+            if n > VERTEX_GUARD:
+                raise GuardExceeded(
+                    f"line {lineno}: files are limited to {VERTEX_GUARD} "
+                    f"vertices, got {n}"
+                )
             table = bytearray(comb(n, 3))
             continue
         if parts[0] == "order:":

@@ -27,8 +27,9 @@ from .ramsey import OrderedHT, embeddings
 BRUTE_FORCE_HOLE_GUARD = 22
 
 
-def _full_quad_violates(table, ranks, bits) -> bool:
-    v0, v1, v2, v3 = table[ranks[0]], table[ranks[1]], table[ranks[2]], table[ranks[3]]
+def _full_quad_violates(table, qt, qi, bits) -> bool:
+    b = 4 * qi
+    v0, v1, v2, v3 = table[qt[b]], table[qt[b + 1]], table[qt[b + 2]], table[qt[b + 3]]
     if HOLE in (v0, v1, v2, v3):
         return False
     return not (bits >> mask_of(v0, v1, v2, v3)) & 1
@@ -56,6 +57,7 @@ def enumerate_completions(structure: HoleyHT, allowed) -> list[HoleyHT]:
     bits = allowed.mask_bits()
     qt = quad_triple_ranks(n)
     tq = triple_quad_ids(n)
+    stride = max(n - 3, 0)
     table = bytearray(structure.table)
     out: list[HoleyHT] = []
 
@@ -66,7 +68,8 @@ def enumerate_completions(structure: HoleyHT, allowed) -> list[HoleyHT]:
         r = holes[i]
         for v in (PLUS, MINUS):
             table[r] = v
-            if not any(_full_quad_violates(table, qt[qi], bits) for qi in tq[r]):
+            if not any(_full_quad_violates(table, qt, qi, bits)
+                       for qi in tq[r * stride:(r + 1) * stride]):
                 rec(i + 1)
         table[r] = HOLE
 

@@ -13,8 +13,9 @@ from htour.classify import (
     census4,
     class_member,
     four_type,
+    mask_of,
 )
-from htour.core import MINUS, PLUS, HoleyHT, HoleyInput, InputError, hat
+from htour.core import HOLE, MINUS, PLUS, HoleyHT, HoleyInput, InputError, hat
 from htour.families import gadget, gen_cyclic, LinkKind
 from htour.rand import random_full_ht, random_holey_ht
 
@@ -160,7 +161,46 @@ def test_quad_shortcut_matches_induced_classification():
     for _ in range(40):
         n = rng.randint(4, 8)
         A = random_full_ht(rng, n)
+        qt = quad_triple_ranks(n)
         for qi, q in enumerate(quads(n)):
-            ranks = quad_triple_ranks(n)[qi]
+            ranks = qt[4 * qi:4 * qi + 4]
             mask_type = four_type(HoleyHT(4, bytes(A.table[r] for r in ranks)))
             assert mask_type == four_type(A.induced(q))
+
+
+NONEMPTY_TYPE_SETS = [
+    types
+    for size in (1, 2, 3)
+    for types in itertools.combinations(sorted(FourType, key=str), size)
+]
+
+
+@pytest.mark.parametrize(
+    "types", NONEMPTY_TYPE_SETS, ids=lambda ts: ",".join(map(str, ts))
+)
+def test_action_and_ok_tables_agree_with_mask_of(types):
+    allowed = ConstraintSet.of(*types)
+    bits = allowed.mask_bits()
+    for code in range(81):
+        values = [code // 3**pos % 3 for pos in range(4)]
+        holes = [pos for pos, v in enumerate(values) if v == HOLE]
+        fills = []
+        for fill in itertools.product((PLUS, MINUS), repeat=len(holes)):
+            full = list(values)
+            for pos, v in zip(holes, fill):
+                full[pos] = v
+            fills.append(full)
+        good = [full for full in fills if (bits >> mask_of(*full)) & 1]
+        assert allowed.ok_table[code] == (1 if holes or good else 0)
+        act = allowed.action_table[code]
+        if len(holes) >= 2 or len(good) == len(fills):
+            assert act == 0
+        elif not good:
+            assert act == -1
+        else:
+            (full,) = good
+            assert act == holes[0] << 2 | full[holes[0]]
+    # one pair of tables per class, however the constraint set was built
+    again = ConstraintSet.parse(allowed.label())
+    assert again.action_table is allowed.action_table
+    assert again.ok_table is allowed.ok_table

@@ -135,6 +135,13 @@ def test_exit_code_guard():
     assert enum.returncode == 3
 
 
+def test_vertex_guard_refuses_huge_header(tmp_path, capsys):
+    path = tmp_path / "huge.ht"
+    path.write_text("htour 3000000\n")
+    assert cli.main(["validate", str(path)]) == 3
+    assert "refused" in capsys.readouterr().err
+
+
 def test_usage_error_exit_2():
     proc = run_cli(["no-such-command"])
     assert proc.returncode == 2

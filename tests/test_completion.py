@@ -1,5 +1,6 @@
 import hashlib
 import random
+import sys
 
 import pytest
 
@@ -359,11 +360,13 @@ def test_scores_match_recount_at_every_branch(monkeypatch, kind, allowed):
     def checked(engine):
         rank = original(engine)
         table, hole_cnt = engine.table, engine.hole_cnt
+        qt, tq, stride = engine.qt, engine.tq, engine.n - 3
         assert hole_cnt == [
-            sum(table[r] == HOLE for r in ranks) for ranks in engine.qt
+            sum(table[r] == HOLE for r in qt[b:b + 4]) for b in range(0, len(qt), 4)
         ]
         recount = [
-            sum(1 for qi in engine.tq[r] if hole_cnt[qi] == 1) if v == HOLE else -1
+            sum(1 for qi in tq[r * stride:(r + 1) * stride] if hole_cnt[qi] == 1)
+            if v == HOLE else -1
             for r, v in enumerate(table)
         ]
         assert engine.score == recount
@@ -387,3 +390,21 @@ def test_solve_all_keeps_no_scores():
     engine = _Engine(gen_on(6), H4_FREE)
     assert len(engine.solve_all(None)) == 9
     assert engine.score is None
+
+
+def test_solving_leaves_the_recursion_limit_alone():
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        # 1140 holes, and every one of them a decision: the search needs more
+        # than 1000 frames, so the limit is raised while it runs
+        res = complete(HoleyHT.empty(20), ALL_TYPES)
+        assert res.sat and res.nodes == 1141
+        assert sys.getrecursionlimit() == 1000
+        assert len(all_completions(HoleyHT.empty(20), ALL_TYPES, cap=2)) == 2
+        assert sys.getrecursionlimit() == 1000
+        # over 250 holes: the whole and each deletion raise the limit
+        assert is_minimal_obstruction(gen_bn(9), H4_FREE).is_minimal
+        assert sys.getrecursionlimit() == 1000
+    finally:
+        sys.setrecursionlimit(limit)

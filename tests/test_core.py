@@ -1,8 +1,10 @@
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
+from htour import core
 from htour.core import (
     HOLE,
     IN_R,
@@ -18,6 +20,10 @@ from htour.core import (
     complete_hypergraph,
     hat,
     is_isomorphic,
+    quad_triple_ranks,
+    quad_vertices,
+    quads,
+    triple_quad_ids,
     triple_rank,
     triples,
     tuple_parity,
@@ -242,3 +248,58 @@ def test_hypergraph_validation():
         Hypergraph3(4, frozenset({(1, 2, 5)}))
     h = Hypergraph3.from_edges(5, [(3, 1, 2)])
     assert (1, 2, 3) in h.hyperedges
+
+
+def test_flat_index_matches_its_definition():
+    for n in range(13):
+        qt = quad_triple_ranks(n)
+        expected = []
+        for a, b, c, d in itertools.combinations(range(1, n + 1), 4):
+            expected += [
+                triple_rank(a, b, c), triple_rank(a, b, d),
+                triple_rank(a, c, d), triple_rank(b, c, d),
+            ]
+        assert list(qt) == expected
+        # every triple lies in n-3 4-subsets, listed by ascending id
+        incidence = [[] for _ in triples(n)]
+        for qi in range(len(qt) // 4):
+            for r in qt[4 * qi:4 * qi + 4]:
+                incidence[r].append(qi)
+        assert all(len(ids) == max(n - 3, 0) for ids in incidence)
+        assert list(triple_quad_ids(n)) == [qi for ids in incidence for qi in ids]
+
+
+def test_quad_vertices_matches_quads():
+    for n in range(4, 10):
+        assert [quad_vertices(n, qi) for qi in range(len(quads(n)))] == list(quads(n))
+
+
+def _clear_index_caches():
+    for fn in (core.triples, core.quads, core.quad_triple_ranks, core.triple_quad_ids):
+        fn.cache_clear()
+
+
+def test_index_memory_stays_small():
+    # 27,405 4-subsets at 32 bytes each come to 0.9 MB; tables of tuples
+    # would take about 10 MB
+    _clear_index_caches()
+    tracemalloc.start()
+    try:
+        triple_quad_ids(30)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        _clear_index_caches()
+    assert peak < 2.5e6
+
+
+def test_index_guard_refuses_before_building():
+    tracemalloc.start()
+    try:
+        for build in (quad_triple_ranks, triple_quad_ids):
+            with pytest.raises(GuardExceeded):
+                build(core.VERTEX_GUARD + 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6

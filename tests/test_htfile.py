@@ -4,7 +4,9 @@ import pytest
 
 from htour import htfile
 from htour.core import (
+    VERTEX_GUARD,
     ContradictoryTriple,
+    GuardExceeded,
     HoleyHT,
     InputError,
     MINUS,
@@ -101,3 +103,11 @@ def test_parse_garbage_raises_input_error_not_crash():
             htfile.parse(text)
         except InputError:
             pass  # includes ContradictoryTriple
+
+
+def test_parse_guards_the_vertex_count():
+    # refused right after the header, before the table is allocated
+    for n in (VERTEX_GUARD + 1, 3_000_000):
+        with pytest.raises(GuardExceeded):
+            htfile.parse(f"htour {n}\n1 2 3 +\n")
+    assert htfile.parse(f"htour {VERTEX_GUARD}\n").n == VERTEX_GUARD
