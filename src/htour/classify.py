@@ -15,8 +15,18 @@ the subset.
 
 The hot paths judge a 4-subset by one lookup: its four table values (HOLE 0,
 PLUS 1, MINUS 2) form the code v0 + 3*v1 + 9*v2 + 27*v3, and each constraint
-set carries two 81-entry tables over these codes, derived from mask_of: the
-action table of unit propagation and the ok table of class_member.
+set carries two tables over these codes, derived from mask_of: the action
+table of unit propagation and the ok table of the class test.
+
+The class test (`first_offence`, and `class_member` on top of it) judges a
+whole batch of tables at once, column-wise.  The batch is transposed into
+one int per triple rank whose byte k is the value of that triple in table k,
+so one evaluation of the code formula on these ints yields the codes of a
+4-subset in every table, byte by byte; no byte carries, since a code is at
+most 80.  The codes of all 4-subsets, 4-subset-major, go through the ok
+table in one bytes.translate, and one find(0) names the least offending
+4-subset and the first table it offends in.  A batch of one skips the
+transposition and reads the table bytes directly.
 """
 
 from __future__ import annotations
@@ -100,9 +110,10 @@ def _action_table(bits: int) -> tuple[int, ...]:
 
 @lru_cache(maxsize=None)
 def _ok_table(bits: int) -> bytes:
-    return bytes(
+    ok = bytes(
         HOLE in values or (bits >> mask_of(*values)) & 1 for values in _CODES
     )
+    return ok + bytes(256 - len(ok))
 
 
 @dataclass(frozen=True)
@@ -169,7 +180,9 @@ class ConstraintSet:
 
     @cached_property
     def ok_table(self) -> bytes:
-        """1 at the codes of 4-subsets that are allowed or hold a hole."""
+        """1 at the codes of 4-subsets that are allowed or hold a hole, 0 at
+        the other codes; padded with 0 from code 81 to 256 entries, so that it
+        is a bytes.translate table."""
         return _ok_table(self.mask_bits())
 
     def label(self) -> str:
@@ -219,21 +232,46 @@ class Membership:
         return self.ok
 
 
+def first_offence(n: int, tables, allowed) -> tuple[int, int] | None:
+    """The least offending 4-subset over a batch of tables on n vertices, as
+    (4-subset id, index of the first table it offends in), or None when
+    every table lies in the class.
+
+    An offending 4-subset is fully assigned with a type outside `allowed`;
+    4-subsets containing a hole are not judged.  Ids are those of
+    core.quad_triple_ranks (lexicographic order).  The batch is judged
+    column-wise in one pass, as the module docstring describes, and takes
+    about one byte per table and 4-subset.
+    """
+    allowed = ConstraintSet.coerce(allowed)
+    width = len(tables)
+    if not width:
+        return None
+    if width == 1:
+        cols = tables[0]
+    else:
+        # byte k of cols[r] is the value of triple r in table k
+        cols = [int.from_bytes(bytes(col), "little") for col in zip(*tables)]
+    ranks = iter(quad_triple_ranks(n))
+    codes = (
+        cols[r0] + 3 * cols[r1] + 9 * cols[r2] + 27 * cols[r3]
+        for r0, r1, r2, r3 in zip(ranks, ranks, ranks, ranks)
+    )
+    if width == 1:
+        verdict = bytes(codes)
+    else:
+        verdict = b"".join(code.to_bytes(width, "little") for code in codes)
+    pos = verdict.translate(allowed.ok_table).find(0)
+    return None if pos < 0 else divmod(pos, width)
+
+
 def class_member(structure: HoleyHT, allowed) -> Membership:
     """Does every fully assigned 4-subset have a type in `allowed`?
 
     4-subsets containing a hole are not judged.  On failure the witness is
     the lexicographically least offending 4-subset.
     """
-    allowed = ConstraintSet.coerce(allowed)
-    ok = allowed.ok_table
-    table = structure.table
-    qt = quad_triple_ranks(structure.n)
-    for b in range(0, len(qt), 4):
-        code = (
-            table[qt[b]] + 3 * table[qt[b + 1]] + 9 * table[qt[b + 2]]
-            + 27 * table[qt[b + 3]]
-        )
-        if not ok[code]:
-            return Membership(False, quad_vertices(structure.n, b >> 2))
-    return Membership(True)
+    found = first_offence(structure.n, [structure.table], allowed)
+    if found is None:
+        return Membership(True)
+    return Membership(False, quad_vertices(structure.n, found[0]))

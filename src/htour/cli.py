@@ -24,6 +24,7 @@ from .core import (
     InputError,
     MINUS,
     PLUS,
+    VERTEX_GUARD,
     check_order,
     hat,
 )
@@ -98,29 +99,29 @@ def _cmd_gen(args) -> int:
     edges = None
     if family in fixed4:
         structure = fixed4[family]
-    elif family in ("on", "onneg", "bn"):
+    elif family in ("on", "onneg", "bn", "cyclic", "even"):
         if args.n is None:
             raise InputError(f"--family {family} needs --n")
-        structure = {"on": gen_on, "onneg": gen_onneg, "bn": gen_bn}[family](args.n)
-    elif family == "cyclic":
-        if args.n is None:
-            raise InputError("--family cyclic needs --n")
-        order = (
-            _parse_order_flag(args.order, args.n)
-            if args.order
-            else tuple(range(1, args.n + 1))
-        )
-        structure = gen_cyclic(args.n, order)
-    elif family == "even":
-        if args.n is None:
-            raise InputError("--family even needs --n")
-        order = (
-            _parse_order_flag(args.order, args.n)
-            if args.order
-            else tuple(range(1, args.n + 1))
-        )
-        edges = random_graph(random.Random(args.seed), args.n)
-        structure = gen_even(args.n, edges, order)
+        # refuse what no reader would accept, before building anything
+        vertices = 2 * args.n - 3 if family == "bn" else args.n
+        if vertices > VERTEX_GUARD:
+            raise GuardExceeded(
+                f"--family {family} --n {args.n} has {vertices} vertices; "
+                f"files are limited to {VERTEX_GUARD}"
+            )
+        if family in ("on", "onneg", "bn"):
+            structure = {"on": gen_on, "onneg": gen_onneg, "bn": gen_bn}[family](args.n)
+        else:
+            order = (
+                _parse_order_flag(args.order, args.n)
+                if args.order
+                else tuple(range(1, args.n + 1))
+            )
+            if family == "cyclic":
+                structure = gen_cyclic(args.n, order)
+            else:
+                edges = random_graph(random.Random(args.seed), args.n)
+                structure = gen_even(args.n, edges, order)
     else:
         raise InputError(f"unknown family {family!r}")
 

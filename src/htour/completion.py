@@ -30,6 +30,15 @@ direct offset.
 The search recurses once per decision, so `complete` and `all_completions`
 raise the interpreter's recursion limit for their own duration and restore
 it on the way out.
+
+Soundness is checked on every run, outside the search: every table that
+`complete` or `all_completions` returns must be hole-free, keep every
+assigned triple of the input (one masked int compare per table) and lie in
+the class, or a RuntimeError is raised.  The class test is
+classify.first_offence, which judges a whole batch of tables column-wise;
+`all_completions` hands it its completions in chunks of bounded size, so an
+enumeration pays one pass over the 4-subsets per chunk instead of one per
+completion.
 """
 
 from __future__ import annotations
@@ -40,8 +49,9 @@ import sys
 from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from math import comb
 
-from .classify import ConstraintSet, class_member
+from .classify import ConstraintSet, class_member, first_offence
 from .core import (
     HOLE,
     MINUS,
@@ -57,6 +67,11 @@ from .core import (
 )
 
 ENUMERATION_HOLE_GUARD = 30
+# the soundness check judges completions in chunks of at most this many
+# bytes of 4-subset codes, which bounds its memory at any vertex count
+_CHECK_BYTES = 1 << 20
+# translate table: 0xFF at assigned values, 0 at holes
+_ASSIGNED_MASK = bytes([0, 0xFF, 0xFF]) + bytes(253)
 
 
 @contextmanager
@@ -331,23 +346,22 @@ class _Engine:
         return found
 
 
-def _finish_sat(structure: HoleyHT, allowed: ConstraintSet, engine: _Engine,
-                table: bytes) -> SolveResult:
-    completed = HoleyHT(structure.n, table)
-    # soundness is asserted on every run: extends the input, no holes,
-    # all 4-subsets in class
-    if (
-        not completed.extends(structure)
-        or not completed.is_complete()
-        or not class_member(completed, allowed)
-    ):
-        raise RuntimeError("solver produced an unsound completion")
-    return SolveResult(
-        sat=True,
-        completion=completed,
-        conflicts=tuple(sorted(engine.conflicts)),
-        nodes=engine.nodes,
-    )
+def _check_sound(structure: HoleyHT, allowed: ConstraintSet, tables) -> None:
+    """Raise unless every table is a completion of `structure` in the class:
+    no hole, every assigned triple of `structure` kept, every 4-subset
+    allowed.  The class test runs on chunks of at most _CHECK_BYTES bytes of
+    codes (one byte per table and 4-subset)."""
+    given = structure.table
+    keep = int.from_bytes(given.translate(_ASSIGNED_MASK), "little")
+    want = int.from_bytes(given, "little")
+    for table in tables:
+        if HOLE in table or int.from_bytes(table, "little") & keep != want:
+            raise RuntimeError("solver produced an unsound completion")
+    n = structure.n
+    step = max(1, _CHECK_BYTES // max(comb(n, 4), 1))
+    for start in range(0, len(tables), step):
+        if first_offence(n, tables[start:start + step], allowed) is not None:
+            raise RuntimeError("solver produced an unsound completion")
 
 
 def propagate(structure: HoleyHT, allowed) -> PropagationResult:
@@ -381,13 +395,16 @@ def complete(structure: HoleyHT, allowed) -> SolveResult:
     engine = _Engine(structure, allowed)
     with _recursion_room(structure):
         table = engine.solve_first()
-    if table is None:
-        return SolveResult(
-            sat=False,
-            conflicts=tuple(sorted(engine.conflicts)),
-            nodes=engine.nodes,
-        )
-    return _finish_sat(structure, allowed, engine, table)
+    completion = None
+    if table is not None:
+        _check_sound(structure, allowed, [table])
+        completion = HoleyHT(structure.n, table)
+    return SolveResult(
+        sat=completion is not None,
+        completion=completion,
+        conflicts=tuple(sorted(engine.conflicts)),
+        nodes=engine.nodes,
+    )
 
 
 def all_completions(structure: HoleyHT, allowed, cap: int | None = None) -> list[HoleyHT]:
@@ -402,11 +419,8 @@ def all_completions(structure: HoleyHT, allowed, cap: int | None = None) -> list
     engine = _Engine(structure, allowed)
     with _recursion_room(structure):
         tables = engine.solve_all(cap)
-    out = []
-    for table in tables:
-        res = _finish_sat(structure, allowed, engine, table)
-        out.append(res.completion)
-    return out
+    _check_sound(structure, allowed, tables)
+    return [HoleyHT(structure.n, table) for table in tables]
 
 
 def _deletion_job(args) -> tuple[int, SolveResult]:

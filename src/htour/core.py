@@ -50,6 +50,7 @@ ISO_GUARD = 10  # is_isomorphic refuses above this many vertices
 VERTEX_GUARD = 100
 
 _SIGN_CHAR = {PLUS: "+", MINUS: "-"}
+_VALUES = bytes([HOLE, PLUS, MINUS])
 _COMPLEMENT_MAP = bytes.maketrans(bytes([HOLE, PLUS, MINUS]), bytes([HOLE, MINUS, PLUS]))
 
 
@@ -200,7 +201,8 @@ class HoleyHT:
         data = bytes(table)
         if len(data) != comb(n, 3):
             raise InputError(f"table length {len(data)} != C({n},3) = {comb(n, 3)}")
-        if any(v > MINUS for v in data):
+        # deleting the valid values leaves exactly the invalid ones
+        if data.translate(None, _VALUES):
             raise InputError("table values must be HOLE, PLUS or MINUS")
         self.n = n
         self.table = data

@@ -12,16 +12,34 @@ from htour.classify import (
     FourType,
     census4,
     class_member,
+    first_offence,
     four_type,
     mask_of,
 )
-from htour.core import HOLE, MINUS, PLUS, HoleyHT, HoleyInput, InputError, hat
-from htour.families import gadget, gen_cyclic, LinkKind
-from htour.rand import random_full_ht, random_holey_ht
+from htour.core import (
+    HOLE,
+    MINUS,
+    PLUS,
+    HoleyHT,
+    HoleyInput,
+    InputError,
+    hat,
+    quads,
+    triple_rank,
+)
+from htour.families import gadget, gen_cyclic, gen_even, LinkKind
+from htour.rand import random_full_ht, random_graph, random_holey_ht
 
 
 def ht4(*values):
     return HoleyHT(4, bytes(values))
+
+
+NONEMPTY_TYPE_SETS = [
+    types
+    for size in (1, 2, 3)
+    for types in itertools.combinations(sorted(FourType, key=str), size)
+]
 
 
 def test_four_type_examples():
@@ -82,8 +100,6 @@ def test_class_member_least_witness():
     A = gen_cyclic(6)
     table = bytearray(A.table)
     bad = ht4(PLUS, MINUS, PLUS, MINUS)
-    from htour.core import triple_rank
-
     for quad in ((2, 3, 4, 5), (1, 2, 3, 4)):
         a, b, c, d = quad
         for t, v in zip(
@@ -92,6 +108,67 @@ def test_class_member_least_witness():
             table[triple_rank(*t)] = v
     res = class_member(HoleyHT(6, bytes(table)), H4_FREE)
     assert res.witness == (1, 2, 3, 4)
+
+
+def scan_offences(table, n, allowed):
+    """Brute force: the ids of the offending 4-subsets, scanning quads(n)."""
+    bits = allowed.mask_bits()
+    out = []
+    for qi, (a, b, c, d) in enumerate(quads(n)):
+        values = [table[triple_rank(*t)]
+                  for t in ((a, b, c), (a, b, d), (a, c, d), (b, c, d))]
+        if HOLE not in values and not (bits >> mask_of(*values)) & 1:
+            out.append(qi)
+    return out
+
+
+def seeded_inputs(rng, n):
+    """Full and holey random structures on n vertices, plus cyclic and even
+    ones (members of every class containing C4, resp. C4 and H4)."""
+    yield random_full_ht(rng, n)
+    triples = n * (n - 1) * (n - 2) // 6
+    for holes in (1, triples // 4, triples // 2):
+        yield random_holey_ht(rng, n, holes)
+    order = rng.sample(range(1, n + 1), n)
+    yield gen_cyclic(n, order)
+    yield gen_even(n, random_graph(rng, n), order)
+
+
+@pytest.mark.parametrize(
+    "types", NONEMPTY_TYPE_SETS, ids=lambda ts: ",".join(map(str, ts))
+)
+def test_class_member_matches_brute_force(types):
+    allowed = ConstraintSet.of(*types)
+    rng = random.Random(14)
+    outcomes = set()
+    for n in range(10):
+        for A in seeded_inputs(rng, n):
+            offences = scan_offences(A.table, n, allowed)
+            res = class_member(A, allowed)
+            assert res.ok == (not offences)
+            assert res.witness == (quads(n)[offences[0]] if offences else None)
+            outcomes.add(res.ok)
+    # both verdicts occur, except under ALL_TYPES, which admits everything
+    assert outcomes == ({True} if allowed == ALL_TYPES else {True, False})
+
+
+@pytest.mark.parametrize(
+    "types", NONEMPTY_TYPE_SETS, ids=lambda ts: ",".join(map(str, ts))
+)
+def test_first_offence_over_a_batch(types):
+    # the least offending 4-subset over the batch, and the first table in it
+    allowed = ConstraintSet.of(*types)
+    rng = random.Random(15)
+    for n in range(10):
+        pool = [A.table for _ in range(2) for A in seeded_inputs(rng, n)]
+        for size in (1, 2, 3, 40):
+            tables = [rng.choice(pool) for _ in range(size)]
+            offences = [scan_offences(t, n, allowed) for t in tables]
+            least = min((qis[0] for qis in offences if qis), default=None)
+            expect = None if least is None else (
+                least, next(k for k, qis in enumerate(offences) if least in qis))
+            assert first_offence(n, tables, allowed) == expect
+    assert first_offence(5, [], allowed) is None
 
 
 def test_all_types_unconstrained():
@@ -167,12 +244,6 @@ def test_quad_shortcut_matches_induced_classification():
             mask_type = four_type(HoleyHT(4, bytes(A.table[r] for r in ranks)))
             assert mask_type == four_type(A.induced(q))
 
-
-NONEMPTY_TYPE_SETS = [
-    types
-    for size in (1, 2, 3)
-    for types in itertools.combinations(sorted(FourType, key=str), size)
-]
 
 
 @pytest.mark.parametrize(

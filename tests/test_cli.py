@@ -142,6 +142,19 @@ def test_vertex_guard_refuses_huge_header(tmp_path, capsys):
     assert "refused" in capsys.readouterr().err
 
 
+def test_gen_guards_the_vertex_count(monkeypatch, capsys):
+    def refuse(n):
+        raise AssertionError("generated before the guard")
+
+    for family in ("on", "bn"):
+        monkeypatch.setattr(cli, f"gen_{family}", refuse)
+    # bn(52) would have 2*52-3 = 101 vertices, on(101) 101
+    for family, n in (("bn", "52"), ("on", "101")):
+        assert cli.main(["gen", "--family", family, "--n", n]) == 3
+        out = capsys.readouterr()
+        assert out.out == "" and "101 vertices" in out.err
+
+
 def test_usage_error_exit_2():
     proc = run_cli(["no-such-command"])
     assert proc.returncode == 2

@@ -1,10 +1,21 @@
 import hashlib
+import itertools
 import random
 import sys
+from math import comb
 
 import pytest
 
-from htour.classify import ALL_TYPES, CYCLIC, EVEN, H4_FREE, class_member
+from htour import completion
+from htour.classify import (
+    ALL_TYPES,
+    CYCLIC,
+    EVEN,
+    H4_FREE,
+    ConstraintSet,
+    FourType,
+    class_member,
+)
 from htour.completion import (
     CompletionProblem,
     _Engine,
@@ -21,6 +32,7 @@ from htour.core import (
     GuardExceeded,
     HoleyHT,
     InputError,
+    triples,
     validate,
 )
 from htour.families import (
@@ -130,14 +142,73 @@ def test_sat_results_extend_and_belong():
             assert class_member(res.completion, H4_FREE)
 
 
+TYPE_SETS = [
+    ConstraintSet.of(*types)
+    for size in (1, 2, 3)
+    for types in itertools.combinations(sorted(FourType, key=str), size)
+]
+
+
 def test_solver_matches_oracle():
-    rng = random.Random(23)
-    for _ in range(150):
-        A = random_holey_ht(rng, rng.randint(4, 7), rng.randint(0, 10))
-        comps = enumerate_completions(A, H4_FREE)
-        res = complete(A, H4_FREE)
-        assert res.sat == bool(comps)
-        assert all_completions(A, H4_FREE) == comps
+    # every nonempty subset of {C4, H4, O4}, on the same seeded instances
+    for allowed in TYPE_SETS:
+        rng = random.Random(23)
+        for _ in range(150):
+            A = random_holey_ht(rng, rng.randint(4, 7), rng.randint(0, 10))
+            comps = enumerate_completions(A, allowed)
+            res = complete(A, allowed)
+            assert res.sat == bool(comps)
+            assert all_completions(A, allowed) == comps
+
+
+def unsound_tables(structure, allowed, good):
+    """Three tables that are no completion of `structure`, each caught by one
+    part of the soundness check alone: one keeps a hole; one lies in the
+    class but flips an assigned triple; one is hole-free and keeps every
+    assigned triple but leaves the class (a hole triple that takes one value
+    throughout `good`, flipped)."""
+    holes = [r for r, v in enumerate(structure.table) if v == HOLE]
+    forced = next(r for r in holes if len({t[r] for t in good}) == 1)
+    flip_forced = bytearray(good[0])
+    flip_forced[forced] = 3 - good[0][forced]
+    # a completion of the input with one assigned triple made a hole, that
+    # flips that triple
+    moved = next(
+        c.table
+        for r, v in enumerate(structure.table) if v != HOLE
+        for c in all_completions(
+            structure.with_value(*triples(structure.n)[r], HOLE), allowed)
+        if c.table[r] != v
+    )
+    bad = {
+        "hole": good[0][:holes[-1]] + bytes([HOLE]) + good[0][holes[-1] + 1:],
+        "assigned": moved,
+        "class": bytes(flip_forced),
+    }
+    assert not class_member(HoleyHT(structure.n, bad["class"]), allowed)
+    assert class_member(HoleyHT(structure.n, bad["assigned"]), allowed)
+    return bad
+
+
+def test_soundness_check_catches_bad_tables(monkeypatch):
+    structure = gen_on(7)
+    good = [c.table for c in all_completions(structure, H4_FREE, cap=60)]
+    chunk = 25
+    monkeypatch.setattr(completion, "_CHECK_BYTES", chunk * comb(7, 4))
+    unsound = "solver produced an unsound completion"
+    for kind, bad in unsound_tables(structure, H4_FREE, good).items():
+        monkeypatch.setattr(_Engine, "solve_first", lambda self: bad)
+        with pytest.raises(RuntimeError, match=unsound):
+            complete(structure, H4_FREE)
+        # first, either side of the first chunk boundary, and last
+        for pos in (0, chunk - 1, chunk, len(good)):
+            tables = good[:pos] + [bad] + good[pos:]
+            monkeypatch.setattr(_Engine, "solve_all", lambda self, cap: tables)
+            with pytest.raises(RuntimeError, match=unsound):
+                all_completions(structure, H4_FREE)
+    # the same batches without a bad table pass
+    monkeypatch.setattr(_Engine, "solve_all", lambda self, cap: good)
+    assert [c.table for c in all_completions(structure, H4_FREE)] == good
 
 
 def test_forced_values_in_every_completion():

@@ -227,6 +227,13 @@ def test_hat_unhat_match_their_definitions():
         )
 
 
+def test_table_values_are_checked():
+    assert HoleyHT(4, bytes([HOLE, PLUS, MINUS, PLUS])).table == bytes([0, 1, 2, 1])
+    for bad in range(3, 256):
+        with pytest.raises(InputError, match="HOLE, PLUS or MINUS"):
+            HoleyHT(4, bytes([PLUS, MINUS, bad, HOLE]))
+
+
 def test_filled_and_extends():
     g = validate([(1, 3, 4), (1, 4, 2)], 4)
     f = g.filled(MINUS)
