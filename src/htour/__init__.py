@@ -12,7 +12,6 @@ from .classify import (
     four_type,
 )
 from .completion import (
-    CompletionProblem,
     MinimalityReport,
     PropagationResult,
     SolveResult,
@@ -63,7 +62,6 @@ from .ramsey import (
     arrow_check,
     compatible_orders_cyclic,
     embeddings,
-    expand,
     fill_holes_ordered,
 )
 

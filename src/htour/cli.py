@@ -335,9 +335,7 @@ def _cmd_ramsey(args) -> int:
         inputs = {"files": args.files, "kind": args.kind}
     else:
         raise InputError("ramsey needs --sizes C,B,A or --files C B A")
-    verdict = arrow_check(
-        big, mid, small, prune=args.prune, max_embeddings=args.max_embeddings
-    )
+    verdict = arrow_check(big, mid, small, max_embeddings=args.max_embeddings)
     witness = {
         "embeddings": len(verdict.a_embeddings),
         "copies": verdict.b_copies,
@@ -458,9 +456,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="C,B,A sizes for ordered cyclic structures")
     p.add_argument("--files", nargs=3, default=None, metavar=("C", "B", "A"))
     p.add_argument("--kind", choices=["cyclic", "even", "all"], default="all")
-    p.add_argument("--prune", action="store_true",
-                   help="accepted for compatibility; selects nothing, the "
-                   "search always prunes")
     p.add_argument("--max-embeddings", type=int, default=25)
     p.add_argument("--timing", action="store_true")
     p.set_defaults(func=_cmd_ramsey)

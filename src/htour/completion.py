@@ -7,10 +7,16 @@ at the 4-subset level: whenever a 4-subset has a single unassigned triple,
 any orientation that would push it outside the class is excluded; if both
 are excluded the 4-subset is a conflict.
 
-Everything here is deterministic: branching always picks the hole occurring
-in the most one-hole 4-subsets (ties broken by triple rank), tries PLUS
-first, and propagation worklists are FIFO.  Identical inputs give identical
-results.
+There is one search loop, `_Engine.search`: a depth-first search over the
+assignment trail with an explicit stack of (rank, trail mark) frames, after
+MiniSat (Een and Sorensson, SAT 2003).  It yields the completions in search
+order, and its callers differ only in the branch rule and in when they stop.
+`complete` takes the first completion and branches on the hole occurring in
+the most one-hole 4-subsets (ties broken by triple rank); `all_completions`
+takes up to `cap` of them and branches on the least-rank hole, so they come
+out in lexicographic order.  Both try PLUS first, and propagation worklists
+are FIFO, so identical inputs give identical results.  The search is
+iterative and changes no interpreter-wide state.
 
 The branch scores (one-hole 4-subsets per hole) are maintained
 incrementally, in the manner of the watched-literal counters of Chaff
@@ -27,10 +33,6 @@ conflict, or which hole is forced to which value.  The 4-subset index is the
 pair of flat arrays of core (quad_triple_ranks, triple_quad_ids), read by
 direct offset.
 
-The search recurses once per decision, so `complete` and `all_completions`
-raise the interpreter's recursion limit for their own duration and restore
-it on the way out.
-
 Soundness is checked on every run, outside the search: every table that
 `complete` or `all_completions` returns must be hole-free, keep every
 assigned triple of the input (one masked int compare per table) and lie in
@@ -45,9 +47,8 @@ from __future__ import annotations
 
 import concurrent.futures
 import itertools
-import sys
 from collections import deque
-from contextlib import contextmanager
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 from math import comb
 
@@ -72,32 +73,6 @@ ENUMERATION_HOLE_GUARD = 30
 _CHECK_BYTES = 1 << 20
 # translate table: 0xFF at assigned values, 0 at holes
 _ASSIGNED_MASK = bytes([0, 0xFF, 0xFF]) + bytes(253)
-
-
-@contextmanager
-def _recursion_room(structure: HoleyHT):
-    """Raise the recursion limit for the duration of one search, then
-    restore it: the search recurses at most once per hole, plus slack."""
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(limit, 2 * structure.hole_count() + 500))
-    try:
-        yield
-    finally:
-        sys.setrecursionlimit(limit)
-
-
-@dataclass(frozen=True)
-class CompletionProblem:
-    """A holey structure together with the allowed set of 4-vertex types."""
-
-    structure: HoleyHT
-    allowed: ConstraintSet
-
-    def solve(self) -> SolveResult:
-        return complete(self.structure, self.allowed)
-
-    def enumerate(self, cap: int | None = None) -> list[HoleyHT]:
-        return all_completions(self.structure, self.allowed, cap=cap)
 
 
 @dataclass(frozen=True)
@@ -290,60 +265,39 @@ class _Engine:
                         break
         return score
 
-    def record_conflict(self, qi: int) -> None:
-        self.conflicts.add(quad_vertices(self.n, qi))
+    def least_hole(self) -> int | None:
+        """Least-rank hole, so completions come out in lexicographic order."""
+        rank = self.table.find(HOLE)
+        return None if rank < 0 else rank
 
-    # -- searches ------------------------------------------------------------
+    def search(self, branch: Callable[[], int | None]) -> Iterator[bytes]:
+        """Yield every completion, depth first, branching on the hole that
+        `branch()` returns (None once no hole is left), PLUS before MINUS.
 
-    def solve_first(self) -> bytes | None:
-        return self._dfs_first(self.seed_worklist())
-
-    def _dfs_first(self, worklist: deque) -> bytes | None:
-        self.nodes += 1
-        qi = self.propagate(worklist)
-        if qi is not None:
-            self.record_conflict(qi)
-            return None
-        rank = self.pick_branch()
-        if rank is None:
-            return bytes(self.table)
-        for value in (PLUS, MINUS):
-            mark = len(self.trail)
-            child = deque()
-            self.assign(rank, value, child)
-            found = self._dfs_first(child)
-            if found is not None:
-                return found
-            self.undo_to(mark)
-        return None
-
-    def solve_all(self, cap: int | None) -> list[bytes]:
-        found: list[bytes] = []
-
-        def rec(worklist: deque) -> bool:
+        One frame (rank, trail mark) is stacked per decision whose MINUS
+        branch is still to be tried; a conflict or a yielded completion pops
+        the latest frame, undoes the trail to its mark and assigns MINUS."""
+        stack: list[tuple[int, int]] = []
+        worklist = self.seed_worklist()
+        while True:
             self.nodes += 1
             qi = self.propagate(worklist)
             if qi is not None:
-                self.record_conflict(qi)
-                return True
-            # branch on the least-rank hole so results come out in
-            # lexicographic (rank-ordered, PLUS-first) order
-            rank = self.table.find(HOLE)
-            if rank < 0:
-                found.append(bytes(self.table))
-                return cap is None or len(found) < cap
-            for value in (PLUS, MINUS):
-                mark = len(self.trail)
-                child = deque()
-                self.assign(rank, value, child)
-                keep_going = rec(child)
-                self.undo_to(mark)
-                if not keep_going:
-                    return False
-            return True
-
-        rec(self.seed_worklist())
-        return found
+                self.conflicts.add(quad_vertices(self.n, qi))
+            else:
+                rank = branch()
+                if rank is not None:
+                    stack.append((rank, len(self.trail)))
+                    worklist = deque()
+                    self.assign(rank, PLUS, worklist)
+                    continue
+                yield bytes(self.table)
+            if not stack:
+                return
+            rank, mark = stack.pop()
+            self.undo_to(mark)
+            worklist = deque()
+            self.assign(rank, MINUS, worklist)
 
 
 def _check_sound(structure: HoleyHT, allowed: ConstraintSet, tables) -> None:
@@ -393,8 +347,7 @@ def complete(structure: HoleyHT, allowed) -> SolveResult:
     """
     allowed = ConstraintSet.coerce(allowed)
     engine = _Engine(structure, allowed)
-    with _recursion_room(structure):
-        table = engine.solve_first()
+    table = next(engine.search(engine.pick_branch), None)
     completion = None
     if table is not None:
         _check_sound(structure, allowed, [table])
@@ -411,14 +364,15 @@ def all_completions(structure: HoleyHT, allowed, cap: int | None = None) -> list
     """Every completion (or the first `cap` of them), in lexicographic order
     by the hole assignment vector (holes by rank, PLUS before MINUS)."""
     allowed = ConstraintSet.coerce(allowed)
+    if cap is not None and cap < 0:
+        raise InputError(f"cap must be at least 0, got {cap}")
     if cap is None and structure.hole_count() > ENUMERATION_HOLE_GUARD:
         raise GuardExceeded(
             f"enumeration over {structure.hole_count()} holes refused; "
             f"set a cap or stay at <= {ENUMERATION_HOLE_GUARD} holes"
         )
     engine = _Engine(structure, allowed)
-    with _recursion_room(structure):
-        tables = engine.solve_all(cap)
+    tables = list(itertools.islice(engine.search(engine.least_hole), cap))
     _check_sound(structure, allowed, tables)
     return [HoleyHT(structure.n, table) for table in tables]
 

@@ -97,12 +97,6 @@ class OrderedHT:
         return self.ht.n
 
 
-def expand(structure: HoleyHT, kind: ExpansionKind, order, graph=None) -> OrderedHT:
-    """Attach a witness order (and graph) to a structure; raises
-    ExpansionMismatch when the witness does not define the structure."""
-    return OrderedHT(structure, tuple(order), kind, graph)
-
-
 def fill_holes_ordered(ordered: OrderedHT) -> OrderedHT:
     """Assign PLUS to every hole of an ALL-kind ordered structure (the fixed
     arbitrary choice).  Embeddings of hole-free structures are preserved."""

@@ -56,6 +56,16 @@ def test_enumerate_report_lists_completions():
     assert len(report["witness"]["completions"]) == 3
 
 
+def test_enumerate_cap_zero_and_negative(tmp_path, capsys):
+    path = tmp_path / "on6.ht"
+    path.write_text(htfile.emit(gen_on(6)))
+    assert cli.main(["enumerate", str(path), "--cap", "0"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["verdict"] == 0 and report["witness"]["completions"] == []
+    assert cli.main(["enumerate", str(path), "--cap", "-1"]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_gen_classify_pipeline():
     out = chain([["gen", "--family", "c4"], ["classify4"]])
     assert json.loads(out)["verdict"] == "C4"
@@ -158,6 +168,9 @@ def test_gen_guards_the_vertex_count(monkeypatch, capsys):
 def test_usage_error_exit_2():
     proc = run_cli(["no-such-command"])
     assert proc.returncode == 2
+    # the option selected nothing and is gone
+    proc = run_cli(["ramsey", "--sizes", "4,3,2", "--prune"])
+    assert proc.returncode == 2 and "--prune" in proc.stderr
 
 
 def test_truncated_pipe_exits_quietly():

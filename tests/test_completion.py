@@ -17,7 +17,6 @@ from htour.classify import (
     class_member,
 )
 from htour.completion import (
-    CompletionProblem,
     _Engine,
     all_completions,
     amalgamate,
@@ -95,10 +94,10 @@ def test_complete_survives_deep_branching():
     assert res.sat and res.completion.is_complete()
 
 
-def test_completion_problem_wrapper():
-    problem = CompletionProblem(gadget(LinkKind.FWD), H4_FREE)
-    assert problem.solve().sat
-    assert len(problem.enumerate()) == 3
+def test_gadget_completes_three_ways():
+    g = gadget(LinkKind.FWD)
+    assert complete(g, H4_FREE).sat
+    assert len(all_completions(g, H4_FREE)) == 3
 
 
 def test_all_completions_gadget():
@@ -123,6 +122,10 @@ def test_all_completions_cap_is_prefix():
     g = gen_on(6)
     full = all_completions(g, H4_FREE)
     assert all_completions(g, H4_FREE, cap=4) == full[:4]
+    for cap in (0, 1, 5):
+        assert all_completions(g, H4_FREE, cap=cap) == full[:cap]
+    with pytest.raises(InputError):
+        all_completions(g, H4_FREE, cap=-1)
 
 
 def test_all_completions_guard():
@@ -197,17 +200,17 @@ def test_soundness_check_catches_bad_tables(monkeypatch):
     monkeypatch.setattr(completion, "_CHECK_BYTES", chunk * comb(7, 4))
     unsound = "solver produced an unsound completion"
     for kind, bad in unsound_tables(structure, H4_FREE, good).items():
-        monkeypatch.setattr(_Engine, "solve_first", lambda self: bad)
+        monkeypatch.setattr(_Engine, "search", lambda self, branch: iter([bad]))
         with pytest.raises(RuntimeError, match=unsound):
             complete(structure, H4_FREE)
         # first, either side of the first chunk boundary, and last
         for pos in (0, chunk - 1, chunk, len(good)):
             tables = good[:pos] + [bad] + good[pos:]
-            monkeypatch.setattr(_Engine, "solve_all", lambda self, cap: tables)
+            monkeypatch.setattr(_Engine, "search", lambda self, branch: iter(tables))
             with pytest.raises(RuntimeError, match=unsound):
                 all_completions(structure, H4_FREE)
     # the same batches without a bad table pass
-    monkeypatch.setattr(_Engine, "solve_all", lambda self, cap: good)
+    monkeypatch.setattr(_Engine, "search", lambda self, branch: iter(good))
     assert [c.table for c in all_completions(structure, H4_FREE)] == good
 
 
@@ -457,25 +460,35 @@ def test_scores_match_recount_at_every_branch(monkeypatch, kind, allowed):
     assert len(calls) > 3 * 10  # the searches branch, not just propagate
 
 
-def test_solve_all_keeps_no_scores():
+def test_enumeration_keeps_no_scores():
     engine = _Engine(gen_on(6), H4_FREE)
-    assert len(engine.solve_all(None)) == 9
+    assert len(list(engine.search(engine.least_hole))) == 9
     assert engine.score is None
 
 
-def test_solving_leaves_the_recursion_limit_alone():
+def test_solving_leaves_the_recursion_limit_alone(monkeypatch):
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(1000)
+
+    def refuse(limit):
+        raise AssertionError("the search changed the recursion limit")
+
+    monkeypatch.setattr(sys, "setrecursionlimit", refuse)
     try:
-        # 1140 holes, and every one of them a decision: the search needs more
-        # than 1000 frames, so the limit is raised while it runs
+        # 1140 and 2300 holes, and every one of them a decision: a search
+        # that recursed per decision would need more than 1000 frames; the
+        # loop needs none and never touches the limit
         res = complete(HoleyHT.empty(20), ALL_TYPES)
         assert res.sat and res.nodes == 1141
         assert sys.getrecursionlimit() == 1000
+        res = complete(HoleyHT.empty(25), ALL_TYPES)
+        assert res.sat and res.nodes == 2301
+        assert sys.getrecursionlimit() == 1000
         assert len(all_completions(HoleyHT.empty(20), ALL_TYPES, cap=2)) == 2
         assert sys.getrecursionlimit() == 1000
-        # over 250 holes: the whole and each deletion raise the limit
+        # over 250 holes: the whole and each deletion
         assert is_minimal_obstruction(gen_bn(9), H4_FREE).is_minimal
         assert sys.getrecursionlimit() == 1000
     finally:
+        monkeypatch.undo()
         sys.setrecursionlimit(limit)

@@ -20,7 +20,6 @@ from htour.ramsey import (
     arrow_check,
     compatible_orders_cyclic,
     embeddings,
-    expand,
     fill_holes_ordered,
 )
 
@@ -168,9 +167,9 @@ def test_compatible_orders_rejects_noncyclic():
 
 def test_expand_cyclic_valid_and_mismatch():
     A = gen_cyclic(5)
-    assert expand(A, ExpansionKind.CYCLIC, range(1, 6)).kind == ExpansionKind.CYCLIC
+    assert OrderedHT(A, (1, 2, 3, 4, 5), ExpansionKind.CYCLIC).kind == ExpansionKind.CYCLIC
     with pytest.raises(ExpansionMismatch):
-        expand(A, ExpansionKind.CYCLIC, (5, 4, 3, 2, 1))
+        OrderedHT(A, (5, 4, 3, 2, 1), ExpansionKind.CYCLIC)
 
 
 def test_expand_even_checks_parity_rule():
@@ -179,16 +178,16 @@ def test_expand_even_checks_parity_rule():
     graph = random_graph(rng, n)
     order = random_order(rng, n)
     E = gen_even(n, graph, order)
-    oht = expand(E, ExpansionKind.EVEN, order, graph)
+    oht = OrderedHT(E, order, ExpansionKind.EVEN, graph)
     assert oht.graph == graph
     wrong = E.complement()
     with pytest.raises(ExpansionMismatch):
-        expand(wrong, ExpansionKind.EVEN, order, graph)
+        OrderedHT(wrong, order, ExpansionKind.EVEN, graph)
 
 
 def test_expand_even_needs_graph():
     with pytest.raises(InputError):
-        expand(gen_cyclic(4), ExpansionKind.EVEN, range(1, 5))
+        OrderedHT(gen_cyclic(4), (1, 2, 3, 4), ExpansionKind.EVEN)
 
 
 def test_fill_holes_ordered():
