@@ -44,7 +44,6 @@ from .families import (
     ChainInconsistent,
     ChainSpec,
     LinkKind,
-    apply_link,
     gadget,
     gen_bn,
     gen_cyclic,

@@ -3,8 +3,12 @@
 Subcommands that generate structures print the text format (htfile); those
 that decide something print one JSON report object with a fixed field order:
 schema, command, inputs, verdict, witness, timing.  Exit codes: 0 for any
-definite verdict (Sat and Unsat both count), 2 for input errors, 3 for guard
+definite verdict (Sat and Unsat both count), 1 when `verify` finds a failure
+or the output pipe closes, 2 for input and usage errors, 3 for guard
 refusals.
+
+`main` alone reads the input file, parses `--allow`, reads the clock and
+writes the output; each `_cmd_*` handler only computes.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ import os
 import random
 import sys
 import time
+from collections import namedtuple
 
 from . import htfile
 from .classify import ConstraintSet, class_member, four_type
@@ -44,23 +49,9 @@ from .ramsey import ExpansionKind, OrderedHT, arrow_check, compatible_orders_cyc
 REPORT_SCHEMA = "htour.report/1"
 
 
-def _report(command: str, inputs: dict, verdict, witness, args, started: float,
-            timing: dict | None = None) -> str:
-    """The JSON report; `timing` adds fields to the timing object, which is
-    present only with --timing."""
-    doc = {
-        "schema": REPORT_SCHEMA,
-        "command": command,
-        "inputs": inputs,
-        "verdict": verdict,
-        "witness": witness,
-        "timing": (
-            {"seconds": round(time.perf_counter() - started, 6), **(timing or {})}
-            if getattr(args, "timing", False)
-            else None
-        ),
-    }
-    return json.dumps(doc, indent=2) + "\n"
+# A handler's report fields.  Only `verify` sets the last two: more fields of
+# the timing object (present only with --timing) and the exit code.
+_Report = namedtuple("_Report", "inputs verdict witness timing code", defaults=({}, 0))
 
 
 def _read_document(path: str) -> htfile.Document:
@@ -82,11 +73,18 @@ def _parse_order_flag(text: str, n: int) -> tuple[int, ...]:
     return check_order(parts, n)
 
 
+def _guard_vertices(what: str, vertices: int) -> None:
+    """Refuse what no reader would accept, before building anything."""
+    if vertices > VERTEX_GUARD:
+        raise GuardExceeded(
+            f"{what} has {vertices} vertices; files are limited to {VERTEX_GUARD}"
+        )
+
+
 # -- subcommand handlers -----------------------------------------------------
 
 
-def _cmd_gen(args) -> int:
-    started = time.perf_counter()
+def _cmd_gen(args, doc, allowed):
     family = args.family
     fixed4 = {
         "h4": HoleyHT(4, bytes([PLUS, MINUS, PLUS, MINUS])),
@@ -102,13 +100,8 @@ def _cmd_gen(args) -> int:
     elif family in ("on", "onneg", "bn", "cyclic", "even"):
         if args.n is None:
             raise InputError(f"--family {family} needs --n")
-        # refuse what no reader would accept, before building anything
-        vertices = 2 * args.n - 3 if family == "bn" else args.n
-        if vertices > VERTEX_GUARD:
-            raise GuardExceeded(
-                f"--family {family} --n {args.n} has {vertices} vertices; "
-                f"files are limited to {VERTEX_GUARD}"
-            )
+        _guard_vertices(f"--family {family} --n {args.n}",
+                        2 * args.n - 3 if family == "bn" else args.n)
         if family in ("on", "onneg", "bn"):
             structure = {"on": gen_on, "onneg": gen_onneg, "bn": gen_bn}[family](args.n)
         else:
@@ -125,80 +118,43 @@ def _cmd_gen(args) -> int:
     else:
         raise InputError(f"unknown family {family!r}")
 
-    if args.format == "report":
-        sys.stdout.write(
-            _report(
-                "gen",
-                {"family": family, "n": structure.n, "seed": args.seed},
-                "ok",
-                {
-                    "structure": _structure_lines(structure),
-                    "order": list(order) if order else None,
-                    "edges": sorted(edges) if edges else None,
-                },
-                args,
-                started,
-            )
-        )
-    else:
-        sys.stdout.write(htfile.emit(structure, order, edges))
-    return 0
-
-
-def _cmd_validate(args) -> int:
-    started = time.perf_counter()
-    doc = _read_document(args.file)
     if args.format == "ht":
-        sys.stdout.write(htfile.emit_document(doc))
-        return 0
-    sys.stdout.write(
-        _report(
-            "validate",
-            {"file": args.file, "n": doc.n},
-            "ok",
-            {
-                "assigned": doc.structure.assigned_count(),
-                "holes": doc.structure.hole_count(),
-                "canonical": htfile.emit_document(doc).splitlines(),
-            },
-            args,
-            started,
-        )
+        return htfile.emit(structure, order, edges)
+    return (
+        {"family": family, "n": structure.n, "seed": args.seed},
+        "ok",
+        {
+            "structure": _structure_lines(structure),
+            "order": list(order) if order else None,
+            "edges": sorted(edges) if edges else None,
+        },
     )
-    return 0
 
 
-def _cmd_classify4(args) -> int:
-    started = time.perf_counter()
-    doc = _read_document(args.file)
-    t = four_type(doc.structure)
-    sys.stdout.write(
-        _report("classify4", {"file": args.file}, t.value, None, args, started)
+def _cmd_validate(args, doc, allowed):
+    if args.format == "ht":
+        return htfile.emit_document(doc)
+    return (
+        {"n": doc.n},
+        "ok",
+        {
+            "assigned": doc.structure.assigned_count(),
+            "holes": doc.structure.hole_count(),
+            "canonical": htfile.emit_document(doc).splitlines(),
+        },
     )
-    return 0
 
 
-def _cmd_member(args) -> int:
-    started = time.perf_counter()
-    doc = _read_document(args.file)
-    allowed = ConstraintSet.parse(args.allow)
+def _cmd_classify4(args, doc, allowed):
+    return {}, four_type(doc.structure).value, None
+
+
+def _cmd_member(args, doc, allowed):
     res = class_member(doc.structure, allowed)
-    sys.stdout.write(
-        _report(
-            "member",
-            {"file": args.file, "allow": allowed.label()},
-            bool(res),
-            {"offending": list(res.witness)} if res.witness else None,
-            args,
-            started,
-        )
-    )
-    return 0
+    return {}, bool(res), {"offending": list(res.witness)} if res.witness else None
 
 
-def _cmd_hat(args) -> int:
-    started = time.perf_counter()
-    doc = _read_document(args.file)
+def _cmd_hat(args, doc, allowed):
     if args.order:
         order = _parse_order_flag(args.order, doc.n)
     elif doc.order is not None:
@@ -206,71 +162,38 @@ def _cmd_hat(args) -> int:
     else:
         order = tuple(range(1, doc.n + 1))
     hyper = hat(doc.structure, order)
-    sys.stdout.write(
-        _report(
-            "hat",
-            {"file": args.file, "order": list(order)},
-            "ok",
-            {"hyperedges": sorted(list(e) for e in hyper.hyperedges)},
-            args,
-            started,
-        )
+    return (
+        {"order": list(order)},
+        "ok",
+        {"hyperedges": sorted(list(e) for e in hyper.hyperedges)},
     )
-    return 0
 
 
-def _cmd_complete(args) -> int:
-    started = time.perf_counter()
-    doc = _read_document(args.file)
-    allowed = ConstraintSet.parse(args.allow)
+def _cmd_complete(args, doc, allowed):
     res = complete(doc.structure, allowed)
     if args.format == "ht" and res.sat:
-        sys.stdout.write(htfile.emit(res.completion))
-        return 0
+        return htfile.emit(res.completion)
     witness = (
         {"completion": _structure_lines(res.completion)}
         if res.sat
         else {"conflicts": [list(q) for q in res.conflicts]}
     )
     witness["nodes"] = res.nodes
-    sys.stdout.write(
-        _report(
-            "complete",
-            {"file": args.file, "allow": allowed.label()},
-            res.verdict,
-            witness,
-            args,
-            started,
-        )
-    )
-    return 0
+    return {}, res.verdict, witness
 
 
-def _cmd_enumerate(args) -> int:
-    started = time.perf_counter()
-    doc = _read_document(args.file)
-    allowed = ConstraintSet.parse(args.allow)
+def _cmd_enumerate(args, doc, allowed):
     comps = all_completions(doc.structure, allowed, cap=args.cap)
     if args.format == "ht":
-        sys.stdout.write("\n".join(htfile.emit(c) for c in comps))
-        return 0
-    sys.stdout.write(
-        _report(
-            "enumerate",
-            {"file": args.file, "allow": allowed.label(), "cap": args.cap},
-            len(comps),
-            {"completions": [_structure_lines(c) for c in comps]},
-            args,
-            started,
-        )
+        return "\n".join(htfile.emit(c) for c in comps)
+    return (
+        {"cap": args.cap},
+        len(comps),
+        {"completions": [_structure_lines(c) for c in comps]},
     )
-    return 0
 
 
-def _cmd_minimal_obstruction(args) -> int:
-    started = time.perf_counter()
-    doc = _read_document(args.file)
-    allowed = ConstraintSet.parse(args.allow)
+def _cmd_minimal_obstruction(args, doc, allowed):
     rep = is_minimal_obstruction(doc.structure, allowed, jobs=args.jobs)
     per_vertex = {
         str(v): {
@@ -279,34 +202,12 @@ def _cmd_minimal_obstruction(args) -> int:
         }
         for v, r in sorted(rep.deletions.items())
     }
-    sys.stdout.write(
-        _report(
-            "minimal-obstruction",
-            {"file": args.file, "allow": allowed.label()},
-            rep.is_minimal,
-            {"whole": rep.whole.verdict, "deletions": per_vertex},
-            args,
-            started,
-        )
-    )
-    return 0
+    return {}, rep.is_minimal, {"whole": rep.whole.verdict, "deletions": per_vertex}
 
 
-def _cmd_orders_count(args) -> int:
-    started = time.perf_counter()
-    doc = _read_document(args.file)
+def _cmd_orders_count(args, doc, allowed):
     orders = compatible_orders_cyclic(doc.structure)
-    sys.stdout.write(
-        _report(
-            "orders-count",
-            {"file": args.file, "n": doc.n},
-            len(orders),
-            {"orders": [list(o) for o in orders]},
-            args,
-            started,
-        )
-    )
-    return 0
+    return {"n": doc.n}, len(orders), {"orders": [list(o) for o in orders]}
 
 
 def _ordered_from_doc(doc: htfile.Document, kind: ExpansionKind) -> OrderedHT:
@@ -315,19 +216,21 @@ def _ordered_from_doc(doc: htfile.Document, kind: ExpansionKind) -> OrderedHT:
     return OrderedHT(doc.structure, doc.order, kind, doc.edges)
 
 
-def _cmd_ramsey(args) -> int:
-    started = time.perf_counter()
+def _cmd_ramsey(args, doc, allowed):
     if args.sizes:
         try:
-            nc, nb, na = (int(p) for p in args.sizes.replace(",", " ").split())
+            sizes = [int(p) for p in args.sizes.replace(",", " ").split()]
+            nc, nb, na = sizes
         except ValueError as exc:
             raise InputError(f"--sizes wants three integers, got {args.sizes!r}") from exc
+        for n in sizes:
+            _guard_vertices(f"--sizes entry {n}", n)
 
         def mk(n):
             return OrderedHT(gen_cyclic(n), tuple(range(1, n + 1)), ExpansionKind.CYCLIC)
 
         big, mid, small = mk(nc), mk(nb), mk(na)
-        inputs = {"sizes": [nc, nb, na], "kind": "cyclic"}
+        inputs = {"sizes": sizes, "kind": "cyclic"}
     elif args.files:
         kind = ExpansionKind(args.kind)
         docs = [_read_document(p) for p in args.files]
@@ -349,34 +252,30 @@ def _cmd_ramsey(args) -> int:
                 for e, c in zip(verdict.a_embeddings, verdict.counterexample)
             ],
         }
-    sys.stdout.write(
-        _report("ramsey", inputs, verdict.holds, witness, args, started)
-    )
-    return 0
+    return inputs, verdict.holds, witness
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args, doc, allowed):
     from .verify import run_verify
 
-    started = time.perf_counter()
     summary = run_verify(args.level, jobs=args.jobs, out=sys.stderr)
     # per-item runtimes differ from run to run, so they go under timing
     item_seconds = {item["name"]: item.pop("seconds") for item in summary["items"]}
-    sys.stdout.write(
-        _report(
-            "verify",
-            {"level": args.level},
-            summary["ok"],
-            summary,
-            args,
-            started,
-            {"items": item_seconds},
-        )
-    )
-    return 0 if summary["ok"] else 1
+    return _Report({"level": args.level}, summary["ok"], summary,
+                   {"items": item_seconds}, 0 if summary["ok"] else 1)
 
 
 # -- parser --------------------------------------------------------------
+
+
+def _jobs(text: str) -> int:
+    try:
+        jobs = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"needs at least 1, got {jobs}")
+    return jobs
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -386,16 +285,22 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, file_arg=True):
-        if file_arg:
-            p.add_argument(
-                "file", nargs="?", default="-",
-                help="input file in htour text format ('-' = stdin)",
-            )
+    def add(name, handler, help, file=True, formats=(), allow=False):
+        p = sub.add_parser(name, help=help)
+        if file:
+            p.add_argument("file", nargs="?", default="-",
+                           help="input file in htour text format ('-' = stdin)")
+        if allow:
+            p.add_argument("--allow", default="C4,O4")
+        if formats:
+            p.add_argument("--format", choices=formats, default=formats[0])
         p.add_argument("--timing", action="store_true",
                        help="include wall-clock timing in the report")
+        p.set_defaults(func=handler)
+        return p
 
-    p = sub.add_parser("gen", help="generate a named structure")
+    p = add("gen", _cmd_gen, "generate a named structure", file=False,
+            formats=["ht", "report"])
     p.add_argument("--family", required=True,
                    choices=["h4", "o4", "c4", "g", "gneg", "on", "onneg", "bn",
                             "cyclic", "even"])
@@ -404,76 +309,61 @@ def build_parser() -> argparse.ArgumentParser:
                    help="seed for the random graph of --family even")
     p.add_argument("--order", default=None,
                    help="comma-separated order for cyclic/even")
-    p.add_argument("--format", choices=["ht", "report"], default="ht")
-    p.add_argument("--timing", action="store_true")
-    p.set_defaults(func=_cmd_gen)
-
-    p = sub.add_parser("validate", help="parse and canonicalize a structure")
-    add_common(p)
-    p.add_argument("--format", choices=["report", "ht"], default="report")
-    p.set_defaults(func=_cmd_validate)
-
-    p = sub.add_parser("classify4", help="type of a 4-vertex structure")
-    add_common(p)
-    p.set_defaults(func=_cmd_classify4)
-
-    p = sub.add_parser("member", help="4-constrained class membership")
-    add_common(p)
-    p.add_argument("--allow", default="C4,O4")
-    p.set_defaults(func=_cmd_member)
-
-    p = sub.add_parser("hat", help="hypergraph of a structure under an order")
-    add_common(p)
+    add("validate", _cmd_validate, "parse and canonicalize a structure",
+        formats=["report", "ht"])
+    add("classify4", _cmd_classify4, "type of a 4-vertex structure")
+    add("member", _cmd_member, "4-constrained class membership", allow=True)
+    p = add("hat", _cmd_hat, "hypergraph of a structure under an order")
     p.add_argument("--order", default=None)
-    p.set_defaults(func=_cmd_hat)
-
-    p = sub.add_parser("complete", help="find a completion inside a class")
-    add_common(p)
-    p.add_argument("--allow", default="C4,O4")
-    p.add_argument("--format", choices=["report", "ht"], default="report")
-    p.set_defaults(func=_cmd_complete)
-
-    p = sub.add_parser("enumerate", help="list all completions")
-    add_common(p)
-    p.add_argument("--allow", default="C4,O4")
+    add("complete", _cmd_complete, "find a completion inside a class",
+        formats=["report", "ht"], allow=True)
+    p = add("enumerate", _cmd_enumerate, "list all completions",
+            formats=["report", "ht"], allow=True)
     p.add_argument("--cap", type=int, default=None)
-    p.add_argument("--format", choices=["report", "ht"], default="report")
-    p.set_defaults(func=_cmd_enumerate)
-
-    p = sub.add_parser("minimal-obstruction",
-                       help="no completion, all single-vertex deletions completable")
-    add_common(p)
-    p.add_argument("--allow", default="C4,O4")
-    p.add_argument("--jobs", type=int, default=1)
-    p.set_defaults(func=_cmd_minimal_obstruction)
-
-    p = sub.add_parser("orders-count", help="orders compatible with a cyclic structure")
-    add_common(p)
-    p.set_defaults(func=_cmd_orders_count)
-
-    p = sub.add_parser("ramsey", help="exhaustive arrow check C -> (B)^A_2")
+    p = add("minimal-obstruction", _cmd_minimal_obstruction,
+            "no completion, all single-vertex deletions completable", allow=True)
+    p.add_argument("--jobs", type=_jobs, default=1)
+    add("orders-count", _cmd_orders_count, "orders compatible with a cyclic structure")
+    p = add("ramsey", _cmd_ramsey, "exhaustive arrow check C -> (B)^A_2", file=False)
     p.add_argument("--sizes", default=None,
                    help="C,B,A sizes for ordered cyclic structures")
     p.add_argument("--files", nargs=3, default=None, metavar=("C", "B", "A"))
     p.add_argument("--kind", choices=["cyclic", "even", "all"], default="all")
     p.add_argument("--max-embeddings", type=int, default=25)
-    p.add_argument("--timing", action="store_true")
-    p.set_defaults(func=_cmd_ramsey)
-
-    p = sub.add_parser("verify", help="run the acceptance checks")
+    p = add("verify", _cmd_verify, "run the acceptance checks", file=False)
     p.add_argument("--level", choices=["quick", "full"], default="quick")
-    p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--timing", action="store_true")
-    p.set_defaults(func=_cmd_verify)
-
+    p.add_argument("--jobs", type=_jobs, default=1)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    started = time.perf_counter()
     try:
-        return args.func(args)
+        doc = _read_document(args.file) if "file" in args else None
+        allowed = ConstraintSet.parse(args.allow) if "allow" in args else None
+        result = args.func(args, doc, allowed)
+        if isinstance(result, str):
+            sys.stdout.write(result)
+            return 0
+        report = _Report(*result)
+        inputs = {"file": args.file} if doc is not None else {}
+        if allowed is not None:
+            inputs["allow"] = allowed.label()
+        timing = (
+            {"seconds": round(time.perf_counter() - started, 6), **report.timing}
+            if args.timing
+            else None
+        )
+        sys.stdout.write(json.dumps({
+            "schema": REPORT_SCHEMA,
+            "command": args.command,
+            "inputs": {**inputs, **report.inputs},
+            "verdict": report.verdict,
+            "witness": report.witness,
+            "timing": timing,
+        }, indent=2) + "\n")
+        return report.code
     except GuardExceeded as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return 3

@@ -396,8 +396,10 @@ def is_minimal_obstruction(structure: HoleyHT, allowed, jobs: int = 1) -> Minima
     if whole.sat:
         return MinimalityReport(False, whole, deletions)
     args = [(structure, allowed, v) for v in structure.vertices]
-    if jobs > 1 and structure.n > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+    # the pool starts all its workers at once: no more than there are deletions
+    workers = min(jobs, structure.n)
+    if workers > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_deletion_job, args))
     else:
         results = [_deletion_job(a) for a in args]

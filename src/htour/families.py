@@ -127,11 +127,6 @@ class ChainBuilder:
         return HoleyHT(self.n, bytes(self.table))
 
 
-def apply_link(builder: ChainBuilder, kind: LinkKind, verts) -> ChainBuilder:
-    """Function form of ChainBuilder.apply_link."""
-    return builder.apply_link(kind, verts)
-
-
 @dataclass(frozen=True)
 class ChainSpec:
     """A chain as data: the vertex count and the ordered link list.

@@ -1,12 +1,15 @@
+import hashlib
 import json
 import subprocess
 import sys
 import time
 
+import pytest
+
 from htour import cli, htfile, verify
 from htour.classify import H4_FREE
 from htour.completion import complete
-from htour.families import gen_on
+from htour.families import gen_bn, gen_cyclic, gen_on
 
 
 def run_cli(args, stdin=None):
@@ -152,6 +155,16 @@ def test_vertex_guard_refuses_huge_header(tmp_path, capsys):
     assert "refused" in capsys.readouterr().err
 
 
+def test_ramsey_sizes_guard_the_vertex_count(monkeypatch, capsys):
+    def refuse(n):
+        raise AssertionError("generated before the guard")
+
+    monkeypatch.setattr(cli, "gen_cyclic", refuse)
+    assert cli.main(["ramsey", "--sizes", "101,3,2"]) == 3
+    out = capsys.readouterr()
+    assert out.out == "" and "101 vertices" in out.err
+
+
 def test_gen_guards_the_vertex_count(monkeypatch, capsys):
     def refuse(n):
         raise AssertionError("generated before the guard")
@@ -171,6 +184,9 @@ def test_usage_error_exit_2():
     # the option selected nothing and is gone
     proc = run_cli(["ramsey", "--sizes", "4,3,2", "--prune"])
     assert proc.returncode == 2 and "--prune" in proc.stderr
+    for command in ("minimal-obstruction", "verify"):
+        proc = run_cli([command, "--jobs", "0"], stdin="htour 3\n")
+        assert proc.returncode == 2 and "--jobs" in proc.stderr
 
 
 def test_truncated_pipe_exits_quietly():
@@ -232,3 +248,64 @@ def test_verify_report_is_byte_deterministic(monkeypatch, capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["timing"]["items"]["c1-sleepy"] >= 0.02
     assert "seconds" not in report["witness"]["items"][1]
+
+
+def _golden_files() -> dict:
+    cyclic = {n: htfile.emit(gen_cyclic(n), tuple(range(1, n + 1))) for n in (2, 3, 5, 6)}
+    return {
+        "on6.ht": htfile.emit(gen_on(6)),
+        "bn7.ht": htfile.emit(gen_bn(7)),
+        "c4.ht": "htour 4\n1 2 3 +\n1 2 4 +\n1 3 4 +\n2 3 4 +\n",
+        "h4.ht": "htour 4\n1 2 3 +\n1 2 4 -\n1 3 4 +\n2 3 4 -\n",
+        "bad.ht": "htour 4\n1 2 3 +\n1 2 3 -\n",
+        "messy.ht": "# note\nhtour 4\n1 3 4 +\n\n1 2 4 -\n",
+        **{f"cyc{n}.ht": text for n, text in cyclic.items()},
+    }
+
+
+def _golden_items(level, jobs=1):
+    def fails():
+        raise AssertionError("planted failure")
+
+    second = ("c2-xfail", fails, True) if level == "quick" else ("c2-fail", fails, False)
+    return [("c1-pass", lambda: "fine", False), second]
+
+
+# sha256 prefix of stdout and the exit code of each call, recorded before the
+# handlers shared one report path; every subcommand, both output forms, an
+# input error and a guard refusal
+GOLDEN_CALLS = [
+    (["gen", "--family", "bn", "--n", "6"], "a24b9f7200eb0954", 0),
+    (["gen", "--family", "even", "--n", "6", "--seed", "3", "--format", "report"],
+     "dd7cdf5ea69d92fd", 0),
+    (["validate", "messy.ht"], "dbd78e0fda5936bf", 0),
+    (["validate", "messy.ht", "--format", "ht"], "35d760590dd55127", 0),
+    (["classify4", "c4.ht"], "15e409f0464b6e9a", 0),
+    (["member", "h4.ht", "--allow", "C4,O4"], "f0df5ddf616b2b52", 0),
+    (["hat", "cyc5.ht", "--order", "2,1,3,5,4"], "c5c99001e6004676", 0),
+    (["complete", "on6.ht"], "52dc3b5b8977f9de", 0),
+    (["complete", "on6.ht", "--format", "ht"], "195ec981eebc3a01", 0),
+    (["complete", "bn7.ht", "--format", "ht"], "095678a821effbe4", 0),
+    (["enumerate", "on6.ht", "--cap", "3"], "c23c2b4c3a53abd3", 0),
+    (["enumerate", "on6.ht", "--format", "ht"], "422d3a400e8dfe45", 0),
+    (["minimal-obstruction", "bn7.ht"], "2c593251797ba7b0", 0),
+    (["orders-count", "cyc5.ht"], "8bd9176970446af8", 0),
+    (["ramsey", "--sizes", "5,3,2"], "b5a987824d9dfbd2", 0),
+    (["ramsey", "--files", "cyc6.ht", "cyc3.ht", "cyc2.ht", "--kind", "cyclic"],
+     "dd744e5b97af9af1", 0),
+    (["verify"], "14bc35e59ae01888", 0),
+    (["verify", "--level", "full"], "3409594d1425ea46", 1),
+    (["classify4", "bad.ht"], "e3b0c44298fc1c14", 2),
+    (["gen", "--family", "bn", "--n", "52"], "e3b0c44298fc1c14", 3),
+]
+
+
+@pytest.mark.parametrize("argv, digest, code", GOLDEN_CALLS,
+                         ids=[" ".join(c[0]) for c in GOLDEN_CALLS])
+def test_report_bytes_are_golden(argv, digest, code, tmp_path, monkeypatch, capsys):
+    for name, text in _golden_files().items():
+        (tmp_path / name).write_text(text)
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(verify, "build_items", _golden_items)
+    assert cli.main(argv) == code
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()[:16] == digest

@@ -269,6 +269,30 @@ def test_minimal_obstruction_jobs_agree():
     }
 
 
+def test_minimal_obstruction_bounds_the_pool(monkeypatch):
+    asked = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(completion.concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    # a pool forks all its workers at once; bn(7) has 11 deletions to run
+    huge = is_minimal_obstruction(gen_bn(7), H4_FREE, jobs=10**6)
+    assert asked == [11]
+    assert huge == is_minimal_obstruction(gen_bn(7), H4_FREE, jobs=1)
+    assert asked == [11]
+
+
 def test_restriction_lemma():
     rng = random.Random(25)
     done = 0
