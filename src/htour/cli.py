@@ -4,8 +4,8 @@ Subcommands that generate structures print the text format (htfile); those
 that decide something print one JSON report object with a fixed field order:
 schema, command, inputs, verdict, witness, timing.  Exit codes: 0 for any
 definite verdict (Sat and Unsat both count), 1 when `verify` finds a failure
-or the output pipe closes, 2 for input and usage errors, 3 for guard
-refusals.
+or the output pipe closes, 2 for input and usage errors (an unreadable
+input file among them), 3 for guard refusals.
 
 `main` alone reads the input file, parses `--allow`, reads the clock and
 writes the output; each `_cmd_*` handler only computes.
@@ -55,10 +55,16 @@ _Report = namedtuple("_Report", "inputs verdict witness timing code", defaults=(
 
 
 def _read_document(path: str) -> htfile.Document:
-    if path == "-":
-        return htfile.parse(sys.stdin.read())
-    with open(path, "r", encoding="utf-8") as fh:
-        return htfile.parse(fh.read())
+    try:
+        if path == "-":
+            text = sys.stdin.read()
+        else:
+            with open(path, "r", encoding="utf-8") as fh:
+                text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        raise InputError(f"cannot read {path}: {reason}") from exc
+    return htfile.parse(text)
 
 
 def _structure_lines(structure: HoleyHT) -> list[str]:

@@ -21,10 +21,22 @@ iterative and changes no interpreter-wide state.
 The branch scores (one-hole 4-subsets per hole) are maintained
 incrementally, in the manner of the watched-literal counters of Chaff
 (Moskewicz et al., DAC 2001): `assign` and `undo_to` adjust them in O(1)
-per incident 4-subset, so picking a branch is one argmax over the triples
-instead of a rescan of every hole's 4-subsets.  They are built at the first
+per incident 4-subset.  The pick reads them through a lazy heap, after
+MiniSat's variable-order heap: a min-heap of ints rank - score * (T + 1),
+T the number of triples, so the least key is the highest score at the least
+rank.  Every change of a score to a positive value pushes a fresh key, and
+nothing is removed on change; a key is stale once its score is no longer
+the triple's (an assigned triple scores -1), and the pick pops stale keys
+until a current one is on top.  If none is left, every hole scores 0 and
+the least-rank hole is the pick.  When the heap grows past 2T keys it is
+rebuilt with one current key per scoring hole, so its memory stays bounded
+at O(1) amortised cost per push.  Scores and heap are built at the first
 branch, after root propagation, so searches that propagate to a verdict pay
-no upkeep; enumeration branches on the least-rank hole and keeps none.
+no upkeep; enumeration branches on the least-rank hole and keeps neither.
+The propagation worklist starts from the 4-subsets with at most one hole,
+and the scores from those with exactly one, each found by one scan of the
+hole counts as bytes (`_Engine._quads_with`) rather than a Python loop over
+every 4-subset.
 
 Propagation judges a 4-subset by one lookup in the constraint set's 81-entry
 action table (see classify.ConstraintSet.action_table), keyed by the code
@@ -47,9 +59,11 @@ from __future__ import annotations
 
 import concurrent.futures
 import itertools
+import re
 from collections import deque
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
+from heapq import heapify, heappop, heappush
 from math import comb
 
 from .classify import ConstraintSet, class_member, first_offence
@@ -73,6 +87,10 @@ ENUMERATION_HOLE_GUARD = 30
 _CHECK_BYTES = 1 << 20
 # translate table: 0xFF at assigned values, 0 at holes
 _ASSIGNED_MASK = bytes([0, 0xFF, 0xFF]) + bytes(253)
+# translate tables over hole counts, 1 at the wanted counts, and the mark
+_AT_MOST_ONE_HOLE = bytes([1, 1]) + bytes(254)
+_ONE_HOLE = bytes([0, 1]) + bytes(254)
+_MARK = re.compile(b"\x01")
 
 
 @dataclass(frozen=True)
@@ -129,6 +147,7 @@ class _Engine:
         "action",
         "hole_cnt",
         "score",
+        "heap",
         "trail",
         "conflicts",
         "nodes",
@@ -159,14 +178,26 @@ class _Engine:
         # per triple: the number of one-hole 4-subsets it is the hole of,
         # -1 once assigned; built by the first pick_branch, None until then
         self.score: list[int] | None = None
+        # lazy min-heap of branch keys rank - score * (len(table) + 1), one
+        # pushed whenever a score changes to a positive value; built with
+        # the scores
+        self.heap: list[int] = []
         self.trail: list[int] = []
         self.conflicts: set = set()
         self.nodes = 0
 
+    def _quads_with(self, wanted: bytes) -> list[int]:
+        """Ascending ids of the 4-subsets whose hole count `wanted` (a
+        translate table) maps to 1.  A C-level search of the marks finds
+        them at about 0.25 us a match; past one match in five 4-subsets,
+        compressing the whole range is cheaper."""
+        marks = bytes(self.hole_cnt).translate(wanted)
+        if 5 * marks.count(1) > len(marks):
+            return list(itertools.compress(range(len(marks)), marks))
+        return [m.start() for m in _MARK.finditer(marks)]
+
     def seed_worklist(self) -> deque:
-        return deque(
-            qi for qi, cnt in enumerate(self.hole_cnt) if cnt <= 1
-        )
+        return deque(self._quads_with(_AT_MOST_ONE_HOLE))
 
     def assign(self, rank: int, value: int, worklist: deque) -> None:
         table = self.table
@@ -177,6 +208,8 @@ class _Engine:
         score = self.score
         if score is not None:
             score[rank] = -1
+            heap = self.heap
+            big = len(table) + 1
         start = rank * self.stride
         for qi in self.tq[start:start + self.stride]:
             cnt = hole_cnt[qi] - 1
@@ -188,7 +221,9 @@ class _Engine:
                     b = qi << 2
                     for r in qt[b:b + 4]:
                         if table[r] == HOLE:
-                            score[r] += 1
+                            s = score[r] + 1
+                            score[r] = s
+                            heappush(heap, r - s * big)
                             break
 
     def undo_to(self, mark: int) -> None:
@@ -201,6 +236,9 @@ class _Engine:
         qt = self.qt
         stride = self.stride
         score = self.score
+        if score is not None:
+            heap = self.heap
+            big = len(table) + 1
         while len(trail) > mark:
             rank = trail.pop()
             own = 0
@@ -215,11 +253,16 @@ class _Engine:
                     b = qi << 2
                     for r in qt[b:b + 4]:
                         if table[r] == HOLE:
-                            score[r] -= 1
+                            s = score[r] - 1
+                            score[r] = s
+                            if s:
+                                heappush(heap, r - s * big)
                             break
             table[rank] = HOLE
             if score is not None:
                 score[rank] = own
+                if own:
+                    heappush(heap, rank - own * big)
 
     def propagate(self, worklist: deque) -> int | None:
         """Run unit propagation to fixpoint; return a conflicting quad id
@@ -245,25 +288,51 @@ class _Engine:
         return None
 
     def pick_branch(self) -> int | None:
-        """Hole occurring in the most one-hole 4-subsets; ties by rank."""
+        """Hole occurring in the most one-hole 4-subsets; ties by rank.
+
+        Every hole with a positive score has a current key in the heap, and
+        the least key is the highest score at the least rank.  A key whose
+        score is no longer the triple's (assigned triples score -1) is stale
+        and popped.  With no current key left, every hole scores 0 and the
+        least-rank hole is the pick."""
         score = self.score
         if score is None:
-            score = self.score = self._build_scores()
-        best = max(score, default=-1)
-        return None if best < 0 else score.index(best)
+            score = self._build_scores()
+        heap = self.heap
+        big = len(score) + 1
+        if len(heap) > 2 * len(score):
+            self._reheap(key % big for key in heap)
+            heap = self.heap
+        while heap:
+            neg, rank = divmod(heap[0], big)
+            if score[rank] == -neg:
+                return rank
+            heappop(heap)
+        return self.least_hole()
 
     def _build_scores(self) -> list[int]:
         table = self.table
         qt = self.qt
-        score = [0 if v == HOLE else -1 for v in table]
-        for qi, cnt in enumerate(self.hole_cnt):
-            if cnt == 1:
-                b = qi << 2
-                for r in qt[b:b + 4]:
-                    if table[r] == HOLE:
-                        score[r] += 1
-                        break
+        score = self.score = [0 if v == HOLE else -1 for v in table]
+        scored = []
+        for qi in self._quads_with(_ONE_HOLE):
+            b = qi << 2
+            for r in qt[b:b + 4]:
+                if table[r] == HOLE:
+                    score[r] += 1
+                    scored.append(r)
+                    break
+        self._reheap(scored)
         return score
+
+    def _reheap(self, ranks) -> None:
+        """Make the heap one current key per rank in `ranks` that scores
+        above 0; `ranks` must hold every such hole."""
+        score = self.score
+        big = len(score) + 1
+        heap = [r - score[r] * big for r in set(ranks) if score[r] > 0]
+        heapify(heap)
+        self.heap = heap
 
     def least_hole(self) -> int | None:
         """Least-rank hole, so completions come out in lexicographic order."""

@@ -155,6 +155,25 @@ def test_vertex_guard_refuses_huge_header(tmp_path, capsys):
     assert "refused" in capsys.readouterr().err
 
 
+def test_unreadable_input_exits_2(tmp_path, capsys):
+    missing = str(tmp_path / "nosuch.ht")
+    bad = tmp_path / "bad.ht"
+    bad.write_bytes(b"htour 4\n\xff\xfe\n")
+    good = tmp_path / "on6.ht"
+    good.write_text(htfile.emit(gen_on(6)))
+    for argv, reason in (
+        (["classify4", missing], "No such file or directory"),
+        (["validate", str(tmp_path)], "Is a directory"),
+        (["validate", str(bad)], "can't decode byte 0xff"),
+        (["ramsey", "--files", str(good), str(good), missing], "No such file or directory"),
+    ):
+        assert cli.main(argv) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith("error: cannot read ") and reason in out.err
+        assert "Traceback" not in out.err
+
+
 def test_ramsey_sizes_guard_the_vertex_count(monkeypatch, capsys):
     def refuse(n):
         raise AssertionError("generated before the guard")

@@ -1,4 +1,5 @@
 import hashlib
+import heapq
 import itertools
 import random
 import sys
@@ -403,6 +404,8 @@ GOLDEN_DELETION_NODES = {
     8: (3, [183, 176, 186, 157, 163, 164, 156, 163, 156, 149, 151, 149, 159]),
     9: (3, [318, 306, 317, 285, 291, 292, 295, 286, 293, 281, 278, 276, 277,
             274, 289]),
+    12: (3, [1064, 1045, 1061, 1017, 1022, 1022, 1022, 1024, 1025, 1031, 1018,
+             1028, 1004, 997, 998, 998, 1000, 997, 998, 995, 1022]),
 }
 
 
@@ -432,32 +435,42 @@ def test_golden_deletion_nodes(n):
 # -- incremental branch scores ----------------------------------------------
 
 
-def _planted(rng, n, kind):
-    """A seeded even or cyclic structure with about 90% of its triples made
-    holes; it completes by design."""
+def _planted(rng, n, kind, holes=0.9):
+    """A seeded even or cyclic structure with the fraction `holes` of its
+    triples made holes; it completes by design."""
     order = random_order(rng, n)
     if kind == "even":
         full = gen_even(n, random_graph(rng, n), order)
     else:
         full = gen_cyclic(n, order)
     table = bytearray(full.table)
-    for r in rng.sample(range(len(table)), round(0.9 * len(table))):
+    for r in rng.sample(range(len(table)), round(holes * len(table))):
         table[r] = HOLE
     return HoleyHT(n, bytes(table))
 
 
-@pytest.mark.parametrize(
-    "kind,allowed",
-    [("even", EVEN), ("cyclic", CYCLIC), ("cyclic", H4_FREE)],
-    ids=["even", "cyclic", "cyclic-h4free"],
-)
-def test_scores_match_recount_at_every_branch(monkeypatch, kind, allowed):
+@pytest.fixture
+def checked_branches(monkeypatch):
+    """Recount the hole counts and scores at every branch and check them, the
+    pick and the heap against the recount; returns the list of picks."""
     original = _Engine.pick_branch
     calls = []
+    pushes = [0]
+
+    def counted_push(heap, key):
+        pushes[0] += 1
+        heapq.heappush(heap, key)
 
     def checked(engine):
+        table, heap = engine.table, engine.heap
+        # at most twice the triples after the last pick, plus the pushes of
+        # one search step (the rebuild slack)
+        assert len(heap) <= 2 * len(table) + pushes[0]
         rank = original(engine)
-        table, hole_cnt = engine.table, engine.hole_cnt
+        pushes[0] = 0
+        heap = engine.heap
+        assert len(heap) <= 2 * len(table)
+        hole_cnt = engine.hole_cnt
         qt, tq, stride = engine.qt, engine.tq, engine.n - 3
         assert hole_cnt == [
             sum(table[r] == HOLE for r in qt[b:b + 4]) for b in range(0, len(qt), 4)
@@ -468,6 +481,10 @@ def test_scores_match_recount_at_every_branch(monkeypatch, kind, allowed):
             for r, v in enumerate(table)
         ]
         assert engine.score == recount
+        # every hole that scores above 0 has a current key in the heap
+        big = len(table) + 1
+        current = {k % big for k in heap if recount[k % big] == -(k // big)}
+        assert current == {r for r, s in enumerate(recount) if s > 0}
         holes = [r for r, v in enumerate(table) if v == HOLE]
         # most one-hole 4-subsets, least rank among ties
         expected = min(holes, key=lambda r: (-recount[r], r)) if holes else None
@@ -476,18 +493,59 @@ def test_scores_match_recount_at_every_branch(monkeypatch, kind, allowed):
         return rank
 
     monkeypatch.setattr(_Engine, "pick_branch", checked)
+    monkeypatch.setattr(completion, "heappush", counted_push)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "kind,allowed",
+    [("even", EVEN), ("cyclic", CYCLIC), ("cyclic", H4_FREE)],
+    ids=["even", "cyclic", "cyclic-h4free"],
+)
+def test_scores_match_recount_at_every_branch(checked_branches, kind, allowed):
     rng = random.Random(31)
     for n in (12, 13, 14):
         structure = _planted(rng, n, kind)
         res = complete(structure, allowed)
         assert res.sat and res.completion.extends(structure)
-    assert len(calls) > 3 * 10  # the searches branch, not just propagate
+    assert len(checked_branches) > 3 * 10  # the searches branch, not just propagate
+
+
+def test_scores_match_recount_under_backtracking(checked_branches, monkeypatch):
+    calls = {"undo_to": 0, "_reheap": 0}
+    for name in calls:
+        def counted(engine, arg, name=name, original=getattr(_Engine, name)):
+            calls[name] += 1
+            original(engine, arg)
+        monkeypatch.setattr(_Engine, name, counted)
+    # 97% holes: the search backtracks out of dozens of conflicting 4-subsets,
+    # and the heap outgrows its bound and is rebuilt
+    structure = _planted(random.Random(1), 13, "cyclic", holes=0.97)
+    res = complete(structure, CYCLIC)
+    assert res.sat and res.completion.extends(structure)
+    assert (res.nodes, len(res.conflicts)) == (2100, 57)
+    assert calls["undo_to"] > 1000
+    assert calls["_reheap"] > 1  # the first build, then at least one rebuild
+    assert is_minimal_obstruction(gen_bn(8), H4_FREE).is_minimal
+
+
+def test_quad_scan_matches_a_walk():
+    # the scan searches for sparse matches and compresses dense ones
+    rng = random.Random(5)
+    for holes in (0.0, 0.3, 0.6, 0.9, 1.0):
+        engine = _Engine(_planted(rng, 12, "cyclic", holes), CYCLIC)
+        hole_cnt = engine.hole_cnt
+        for wanted, counts in ((completion._AT_MOST_ONE_HOLE, (0, 1)),
+                               (completion._ONE_HOLE, (1,))):
+            assert engine._quads_with(wanted) == [
+                qi for qi, cnt in enumerate(hole_cnt) if cnt in counts
+            ]
 
 
 def test_enumeration_keeps_no_scores():
     engine = _Engine(gen_on(6), H4_FREE)
     assert len(list(engine.search(engine.least_hole))) == 9
-    assert engine.score is None
+    assert engine.score is None and engine.heap == []
 
 
 def test_solving_leaves_the_recursion_limit_alone(monkeypatch):
