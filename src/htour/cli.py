@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import random
 import sys
 import time
 from collections import namedtuple
@@ -43,8 +42,6 @@ from .families import (
     gen_on,
     gen_onneg,
 )
-from .rand import random_graph
-from .ramsey import ExpansionKind, OrderedHT, arrow_check, compatible_orders_cyclic
 
 REPORT_SCHEMA = "htour.report/1"
 
@@ -119,6 +116,10 @@ def _cmd_gen(args, doc, allowed):
             if family == "cyclic":
                 structure = gen_cyclic(args.n, order)
             else:
+                import random
+
+                from .rand import random_graph
+
                 edges = random_graph(random.Random(args.seed), args.n)
                 structure = gen_even(args.n, edges, order)
     else:
@@ -212,17 +213,23 @@ def _cmd_minimal_obstruction(args, doc, allowed):
 
 
 def _cmd_orders_count(args, doc, allowed):
+    from .ramsey import compatible_orders_cyclic
+
     orders = compatible_orders_cyclic(doc.structure)
     return {"n": doc.n}, len(orders), {"orders": [list(o) for o in orders]}
 
 
-def _ordered_from_doc(doc: htfile.Document, kind: ExpansionKind) -> OrderedHT:
+def _ordered_from_doc(doc: htfile.Document, kind):
+    from .ramsey import OrderedHT
+
     if doc.order is None:
         raise InputError("ramsey inputs need an 'order:' section")
     return OrderedHT(doc.structure, doc.order, kind, doc.edges)
 
 
 def _cmd_ramsey(args, doc, allowed):
+    from .ramsey import ExpansionKind, OrderedHT, arrow_check
+
     if args.sizes:
         try:
             sizes = [int(p) for p in args.sizes.replace(",", " ").split()]

@@ -57,7 +57,6 @@ completion.
 
 from __future__ import annotations
 
-import concurrent.futures
 import itertools
 import re
 from collections import deque
@@ -468,6 +467,8 @@ def is_minimal_obstruction(structure: HoleyHT, allowed, jobs: int = 1) -> Minima
     # the pool starts all its workers at once: no more than there are deletions
     workers = min(jobs, structure.n)
     if workers > 1:
+        import concurrent.futures
+
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_deletion_job, args))
     else:

@@ -16,19 +16,22 @@ Tables are flat ``bytes`` indexed by the colexicographic rank of the sorted
 triple, which keeps lookups O(1) and the solver cache-friendly.
 
 The 4-subset index that the solver and the class test read is two flat
-``array('I')`` tables, built by arithmetic on binomial coefficients and
-cached per n: `quad_triple_ranks` holds the four triple ranks of each
-4-subset (4-subsets in lexicographic order, four entries each), and
-`triple_quad_ids` holds the ids of the n-3 4-subsets through each triple
-(fixed stride n-3, so it needs no offsets).  Together they cost 32 bytes per
-4-subset, about 7 MB at 49 vertices; vertex tuples of 4-subsets are computed
-only when a witness needs one (`quad_vertices`).  Both tables, and
+``array('I')`` tables, cached per n: `quad_triple_ranks` holds the four
+triple ranks of each 4-subset (4-subsets in lexicographic order, four
+entries each), and `triple_quad_ids` holds the ids of the n-3 4-subsets
+through each triple (fixed stride n-3, so it needs no offsets).  Together
+they cost 32 bytes per 4-subset, about 7 MB at 49 vertices; vertex tuples
+of 4-subsets are computed only when a witness needs one (`quad_vertices`).
+Each table is built in blocks of consecutive entries: a block is a fixed
+template plus per-block constants, added by one big-int add with the int
+read as 32-bit lanes, and appended to the array whole.  Both tables, and
 `htfile.parse`, refuse more than VERTEX_GUARD vertices.
 """
 
 from __future__ import annotations
 
 import itertools
+import sys
 from array import array
 from dataclasses import dataclass
 from functools import lru_cache
@@ -48,6 +51,9 @@ ISO_GUARD = 10  # is_isomorphic refuses above this many vertices
 # htfile.parse and the 4-subset index refuse above this many vertices; the
 # index costs 32 bytes per 4-subset, about 125 MB at 100 vertices
 VERTEX_GUARD = 100
+
+# array("I") is native-endian; the index builders read it as one big int
+_ORDER = sys.byteorder
 
 _SIGN_CHAR = {PLUS: "+", MINUS: "-"}
 _VALUES = bytes([HOLE, PLUS, MINUS])
@@ -103,6 +109,18 @@ def quads(n: int) -> tuple[tuple[int, int, int, int], ...]:
     return tuple(itertools.combinations(range(1, n + 1), 4))
 
 
+def _add_lanes(block: bytes, pattern: bytes, sign: int = 1) -> bytes:
+    """`block` read as native 32-bit lanes, plus (or, with sign -1, minus)
+    `pattern` repeated over its length, by one big-int add (the
+    int-as-byte-lanes idiom of classify.first_offence).  Callers keep every
+    lane of the result inside 0 .. 2**32-1, so no carry or borrow crosses a
+    lane."""
+    size = len(block)
+    total = int.from_bytes(block, _ORDER) + sign * int.from_bytes(
+        pattern * (size // len(pattern)), _ORDER)
+    return total.to_bytes(size, _ORDER)
+
+
 @lru_cache(maxsize=None)
 def quad_triple_ranks(n: int) -> array:
     """Flat table: entries 4*qi .. 4*qi+3 are the ranks of {abc}, {abd},
@@ -112,24 +130,37 @@ def quad_triple_ranks(n: int) -> array:
     The position of each triple in this sequence matches its position after
     the order-preserving relabeling of the 4-subset to {1, 2, 3, 4}, so the
     four table values can be classified directly (see classify.mask_of).
-    Built by arithmetic on the colex rank i + C(j,2) + C(k,3); 16 bytes per
-    4-subset.  Refuses n > VERTEX_GUARD.
+    Built in blocks, one per first vertex: with 0-based vertices and the
+    colex rank i + C(j,2) + C(k,3), the lanes of {a<b<c<d} are
+    [C(c,3), C(d,3), C(c,2)+C(d,3), C(c,2)+C(d,3)] plus the constants
+    [a+C(b,2), a+C(b,2), a, b].  The 4-subsets with a fixed b are a suffix of
+    one template over the pairs c<d, plus the b terms; those with a fixed a
+    are a suffix of the concatenation of these, plus `a` times [1, 1, 1, 0].
+    Each block is one big-int add on 32-bit lanes, appended whole.  16 bytes
+    per 4-subset.  Refuses n > VERTEX_GUARD.
     """
     if n > VERTEX_GUARD:
         raise GuardExceeded(f"the 4-subset index is limited to {VERTEX_GUARD} "
                             f"vertices, got {n}")
     c2 = [comb(x, 2) for x in range(n)]
     c3 = [comb(x, 3) for x in range(n)]
+    pairs = array("I", [
+        r for c in range(1, n) for d in range(c + 1, n)
+        for r in (c3[c], c3[d], c2[c] + c3[d], c2[c] + c3[d])
+    ]).tobytes()
+    # every {b<c<d} with 0 < b, less its a terms
+    rows = bytearray()
+    for b in range(1, n - 2):
+        tail = pairs[len(pairs) - 16 * comb(n - 1 - b, 2):]
+        rows += _add_lanes(tail, array("I", (c2[b], c2[b], 0, b)).tobytes())
+    total = len(rows)
+    step = int.from_bytes(array("I", (1, 1, 1, 0)).tobytes() * (total // 16), _ORDER)
     out = array("I")
-    # 0-based a < b < c < d; the inner loop runs over d
-    for a, b, c in itertools.combinations(range(n - 1), 3):
-        ab = a + c2[b]
-        ac = a + c2[c]
-        bc = b + c2[c]
-        abc = ab + c3[c]
-        out.extend([
-            r for t in c3[c + 1:] for r in (abc, ab + t, ac + t, bc + t)
-        ])
+    for a in range(n - 3):
+        size = 16 * comb(n - 1 - a, 3)
+        # step repeats every 16 bytes, so its top bytes are a shorter step
+        block = int.from_bytes(rows[total - size:], _ORDER) + a * (step >> 8 * (total - size))
+        out.frombytes(block.to_bytes(size, _ORDER))
     return out
 
 
@@ -143,29 +174,43 @@ def triple_quad_ids(n: int) -> array:
     Each triple {i<j<k} lies in {i,j,k,x} for every other vertex x, and the
     ids ascend with x.  The lexicographic id of {a<b<c<d} over 0..n-1 is
     C(n,4) - 1 - (C(n-1-a,4) + C(n-1-b,3) + C(n-1-c,2) + (n-1-d)), the colex
-    rank of the mirrored set counted from the end.  16 bytes per 4-subset.
-    Refuses n > VERTEX_GUARD.
+    rank of the mirrored set counted from the end.
+
+    Built in blocks, one per largest vertex k: the rows of the triples
+    {i<j<k} are consecutive in colex order.  A template row for {i<j} reads
+    every x > j as if it stayed below k, in position 3; the terms it lacks
+    then depend on k alone.  So the block for k is a prefix of the template
+    less one row of k terms repeated over all C(k,2) rows: one big-int add
+    on 32-bit lanes, appended whole.  16 bytes per 4-subset.  Refuses
+    n > VERTEX_GUARD.
     """
     quad_triple_ranks(n)
+    if n < 4:
+        return array("I")  # no 4-subsets: every row is empty
     last = comb(n, 4) - 1
-    # minus the mirrored colex terms for a vertex in position 1, 2, 3, 4
-    m1 = [-comb(n - 1 - x, 4) for x in range(n)]
-    m2 = [-comb(n - 1 - x, 3) for x in range(n)]
-    m3 = [-comb(n - 1 - x, 2) for x in range(n)]
-    m4 = [x - (n - 1) for x in range(n)]
+    # the mirrored colex terms of a vertex in position 1, 2, 3, 4
+    u1 = [comb(n - 1 - x, 4) for x in range(n)]
+    u2 = [comb(n - 1 - x, 3) for x in range(n)]
+    u3 = [comb(n - 1 - x, 2) for x in range(n)]
+    u4 = [n - 1 - x for x in range(n)]
+    # the row of {i<j<k} less its k terms, with every x > j in position 3
+    template = array("I")
+    for j in range(1, n - 1):
+        above = [last - u2[j] - u3[x] for x in range(j + 1, n - 1)]
+        for i in range(j):
+            template.extend([last - u1[x] - u2[i] - u3[j] for x in range(i)])
+            template.extend([last - u1[i] - u2[x] - u3[j] for x in range(i + 1, j)])
+            template.extend([t - u1[i] for t in above])
+    template = template.tobytes()
     out = array("I")
     for k in range(2, n):
-        for j in range(1, k):
-            for i in range(j):
-                # x before i, between i and j, between j and k, after k
-                base = last + m2[i] + m3[j] + m4[k]
-                out.extend([base + t for t in m1[:i]])
-                base = last + m1[i] + m3[j] + m4[k]
-                out.extend([base + t for t in m2[i + 1:j]])
-                base = last + m1[i] + m2[j] + m4[k]
-                out.extend([base + t for t in m3[j + 1:k]])
-                base = last + m1[i] + m2[j] + m3[k]
-                out.extend([base + t for t in m4[k + 1:]])
+        # the k terms, one row for every {i<j<k}: in the lanes of x < k the
+        # template lacks k in position 4; in the lane of each v > k it has
+        # v-1 in position 3 where the 4-subset has k in 3 and v in 4
+        terms = array("I", [u4[k]] * (k - 2) + [
+            u3[k] + u4[v] - u3[v - 1] for v in range(k + 1, n)
+        ]).tobytes()
+        out.frombytes(_add_lanes(template[:len(terms) * comb(k, 2)], terms, -1))
     return out
 
 

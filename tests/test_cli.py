@@ -1,4 +1,5 @@
 import hashlib
+import importlib
 import json
 import subprocess
 import sys
@@ -195,6 +196,48 @@ def test_gen_guards_the_vertex_count(monkeypatch, capsys):
         assert cli.main(["gen", "--family", family, "--n", n]) == 3
         out = capsys.readouterr()
         assert out.out == "" and "101 vertices" in out.err
+
+
+# what complete, enumerate, member and validate never run: the arrow
+# search, the random generators, the acceptance driver and its oracles, and
+# the process pool of minimal-obstruction --jobs
+_UNUSED_MODULES = ("htour.ramsey", "htour.rand", "htour.verify", "htour.oracles",
+                   "concurrent.futures", "multiprocessing")
+
+
+def _unused_modules_loaded(code):
+    """The entries of _UNUSED_MODULES that a fresh interpreter has loaded
+    after running `code`."""
+    probe = (f"{code}\nimport json, sys\n"
+             f"print(json.dumps([m for m in {_UNUSED_MODULES!r} if m in sys.modules]))")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_importing_the_cli_loads_no_unused_module():
+    assert _unused_modules_loaded("import htour.cli") == []
+
+
+def test_complete_loads_no_unused_module(tmp_path):
+    path = tmp_path / "bn8.ht"
+    path.write_text(htfile.emit(gen_bn(8)))
+    code = f"from htour import cli\nassert cli.main(['complete', {str(path)!r}]) == 0"
+    assert _unused_modules_loaded(code) == []
+
+
+def test_package_names_resolve_to_the_submodule_objects():
+    import htour
+
+    star = {}
+    exec("from htour import *", star)
+    for name in htour.__all__:
+        defined = getattr(importlib.import_module(f"htour.{htour._SOURCE[name]}"), name)
+        assert getattr(htour, name) is defined
+        assert star[name] is defined
+    assert set(htour.__all__) <= set(dir(htour))
+    with pytest.raises(AttributeError, match="no_such_name"):
+        htour.no_such_name
 
 
 def test_usage_error_exit_2():

@@ -1,3 +1,4 @@
+import concurrent.futures
 import hashlib
 import heapq
 import itertools
@@ -286,7 +287,7 @@ def test_minimal_obstruction_bounds_the_pool(monkeypatch):
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(completion.concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     # a pool forks all its workers at once; bn(7) has 11 deletions to run
     huge = is_minimal_obstruction(gen_bn(7), H4_FREE, jobs=10**6)
     assert asked == [11]

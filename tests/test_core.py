@@ -1,6 +1,9 @@
+import hashlib
 import itertools
 import random
+import sys
 import tracemalloc
+from array import array
 
 import pytest
 
@@ -258,7 +261,9 @@ def test_hypergraph_validation():
 
 
 def test_flat_index_matches_its_definition():
-    for n in range(13):
+    # the block builders change template at every b and j: cover sizes on
+    # both sides of several of those boundaries
+    for n in [*range(13), 16, 23, 24, 31]:
         qt = quad_triple_ranks(n)
         expected = []
         for a, b, c, d in itertools.combinations(range(1, n + 1), 4):
@@ -274,6 +279,29 @@ def test_flat_index_matches_its_definition():
                 incidence[r].append(qi)
         assert all(len(ids) == max(n - 3, 0) for ids in incidence)
         assert list(triple_quad_ids(n)) == [qi for ids in incidence for qi in ids]
+
+
+# sha256 of the little-endian bytes of quad_triple_ranks(n) and
+# triple_quad_ids(n), pinned from the earlier per-element builders
+_INDEX_SHA256 = {
+    37: ("f3f22c7d3778b581bd201c3d5e7c9818817d75dfe4b133caaf4e1445df12b6fe",
+         "08489c8b20b3e9aaaf7d01a993952092789208f22505024c34b1471782940cac"),
+    49: ("cc15a66a20ceff97cf4ebc1d4c97c01b23c2437408337a25344faa9f175a19e1",
+         "2c68b5a9cc405355700431dfc0b29cb1f54c5127cc61cd323cadbb64f57d79e6"),
+}
+
+
+@pytest.mark.parametrize("n", sorted(_INDEX_SHA256))
+def test_index_bytes_are_golden(n):
+    try:
+        for table, digest in zip((quad_triple_ranks(n), triple_quad_ids(n)),
+                                 _INDEX_SHA256[n]):
+            if sys.byteorder == "big":
+                table = array("I", table)
+                table.byteswap()
+            assert hashlib.sha256(table.tobytes()).hexdigest() == digest
+    finally:
+        _clear_index_caches()
 
 
 def test_quad_vertices_matches_quads():
