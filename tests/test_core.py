@@ -263,7 +263,7 @@ def test_hypergraph_validation():
 def test_flat_index_matches_its_definition():
     # the block builders change template at every b and j: cover sizes on
     # both sides of several of those boundaries
-    for n in [*range(13), 16, 23, 24, 31]:
+    for n in [*range(14), 16, 23, 24, 31]:
         qt = quad_triple_ranks(n)
         expected = []
         for a, b, c, d in itertools.combinations(range(1, n + 1), 4):
