@@ -23,7 +23,7 @@ _SOURCE = {
         "complete_hypergraph", "hat", "is_isomorphic", "unhat", "validate",
     ), "core"),
     **dict.fromkeys((
-        "ChainBuilder", "ChainInconsistent", "ChainSpec", "LinkKind", "gadget",
+        "ChainBuilder", "ChainInconsistent", "LinkKind", "gadget",
         "gen_bn", "gen_cyclic", "gen_even", "gen_on", "gen_onneg",
         "on_deletion_tuples", "onneg_deletion_tuples",
     ), "families"),

@@ -33,15 +33,6 @@ from .core import (
     hat,
 )
 from .completion import all_completions, complete, is_minimal_obstruction
-from .families import (
-    LinkKind,
-    gadget,
-    gen_bn,
-    gen_cyclic,
-    gen_even,
-    gen_on,
-    gen_onneg,
-)
 
 REPORT_SCHEMA = "htour.report/1"
 
@@ -88,13 +79,15 @@ def _guard_vertices(what: str, vertices: int) -> None:
 
 
 def _cmd_gen(args, doc, allowed):
+    from . import families
+
     family = args.family
     fixed4 = {
         "h4": HoleyHT(4, bytes([PLUS, MINUS, PLUS, MINUS])),
         "o4": HoleyHT(4, bytes([PLUS, MINUS, MINUS, MINUS])),
         "c4": HoleyHT(4, bytes([PLUS, PLUS, PLUS, PLUS])),
-        "g": gadget(LinkKind.FWD),
-        "gneg": gadget(LinkKind.FWD_NEG),
+        "g": families.gadget(families.LinkKind.FWD),
+        "gneg": families.gadget(families.LinkKind.FWD_NEG),
     }
     order = None
     edges = None
@@ -106,7 +99,8 @@ def _cmd_gen(args, doc, allowed):
         _guard_vertices(f"--family {family} --n {args.n}",
                         2 * args.n - 3 if family == "bn" else args.n)
         if family in ("on", "onneg", "bn"):
-            structure = {"on": gen_on, "onneg": gen_onneg, "bn": gen_bn}[family](args.n)
+            gen = {"on": families.gen_on, "onneg": families.gen_onneg, "bn": families.gen_bn}
+            structure = gen[family](args.n)
         else:
             order = (
                 _parse_order_flag(args.order, args.n)
@@ -114,14 +108,14 @@ def _cmd_gen(args, doc, allowed):
                 else tuple(range(1, args.n + 1))
             )
             if family == "cyclic":
-                structure = gen_cyclic(args.n, order)
+                structure = families.gen_cyclic(args.n, order)
             else:
                 import random
 
                 from .rand import random_graph
 
                 edges = random_graph(random.Random(args.seed), args.n)
-                structure = gen_even(args.n, edges, order)
+                structure = families.gen_even(args.n, edges, order)
     else:
         raise InputError(f"unknown family {family!r}")
 
@@ -228,6 +222,7 @@ def _ordered_from_doc(doc: htfile.Document, kind):
 
 
 def _cmd_ramsey(args, doc, allowed):
+    from . import families
     from .ramsey import ExpansionKind, OrderedHT, arrow_check
 
     if args.sizes:
@@ -240,7 +235,8 @@ def _cmd_ramsey(args, doc, allowed):
             _guard_vertices(f"--sizes entry {n}", n)
 
         def mk(n):
-            return OrderedHT(gen_cyclic(n), tuple(range(1, n + 1)), ExpansionKind.CYCLIC)
+            return OrderedHT(families.gen_cyclic(n), tuple(range(1, n + 1)),
+                             ExpansionKind.CYCLIC)
 
         big, mid, small = mk(nc), mk(nb), mk(na)
         inputs = {"sizes": sizes, "kind": "cyclic"}

@@ -73,11 +73,11 @@ from .core import (
     GuardExceeded,
     HoleyHT,
     InputError,
+    glue,
     quad_triple_ranks,
     quad_vertices,
     triple_quad_ids,
     triples,
-    validate,
 )
 
 ENUMERATION_HOLE_GUARD = 30
@@ -481,42 +481,13 @@ def is_minimal_obstruction(structure: HoleyHT, allowed, jobs: int = 1) -> Minima
 
 
 def amalgamate(first: HoleyHT, second: HoleyHT, base, allowed) -> SolveResult:
-    """Free gluing over a shared vertex set, then completion.
+    """Free gluing over a shared vertex set (`core.glue`, which fixes the
+    vertex ids and checks the base), then completion inside the class.
 
-    Vertices in `base` are identified across the two structures by equal id;
-    both must induce the same table on them.  The glued structure keeps the
-    first factor's ids 1..n1 and relabels the second factor's remaining
-    vertices to n1+1, ... in ascending order.  Cross triples start as holes
-    (strong amalgamation adds no identifications), and the result is
-    completed inside the class.
+    Both factors must lie in the class.
     """
     allowed = ConstraintSet.coerce(allowed)
-    base_ids = sorted(set(base))
-    for v in base_ids:
-        if not (1 <= v <= first.n and 1 <= v <= second.n):
-            raise InputError(f"base vertex {v} missing from a factor")
+    glued = glue(first, second, base)
     if not class_member(first, allowed) or not class_member(second, allowed):
         raise InputError("amalgamation factors must lie in the class")
-    for t in itertools.combinations(base_ids, 3):
-        if first.triple_value(*t) != second.triple_value(*t):
-            raise InputError(f"factors disagree on base triple {t}")
-
-    base_set = set(base_ids)
-    extra = [v for v in second.vertices if v not in base_set]
-    relabel = {v: v for v in base_ids}
-    for i, v in enumerate(extra):
-        relabel[v] = first.n + 1 + i
-    total = first.n + len(extra)
-
-    # collect the in-relation tuple of every assigned triple; the second
-    # factor's relabeling need not be monotone, so orientations travel as
-    # ordered tuples, not table values
-    asserted = []
-    for (a, b, c), v in zip(triples(first.n), first.table):
-        if v != HOLE:
-            asserted.append((a, b, c) if v == PLUS else (a, c, b))
-    for (a, b, c), v in zip(triples(second.n), second.table):
-        if v != HOLE:
-            x, y, z = relabel[a], relabel[b], relabel[c]
-            asserted.append((x, y, z) if v == PLUS else (x, z, y))
-    return complete(validate(asserted, total), allowed)
+    return complete(glued, allowed)

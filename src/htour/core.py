@@ -257,15 +257,6 @@ class HoleyHT:
         """The structure on 1..n where every triple is a hole."""
         return cls(n, bytes(comb(n, 3)))
 
-    @classmethod
-    def from_values(cls, n: int, values: dict) -> HoleyHT:
-        """Build from a {sorted triple: PLUS/MINUS/HOLE} mapping; rest holes."""
-        table = bytearray(comb(n, 3))
-        for (a, b, c), v in values.items():
-            cls._check_vertex_range(n, (a, b, c))
-            table[triple_rank(a, b, c)] = v
-        return cls(n, bytes(table))
-
     @staticmethod
     def _check_vertex_range(n: int, vs) -> None:
         for v in vs:
@@ -417,6 +408,41 @@ def validate(tuples_in_r, n: int) -> HoleyHT:
                 f"both orientations of {{{a}, {b}, {c}}} asserted"
             )
     return HoleyHT(n, bytes(table))
+
+
+def glue(first: HoleyHT, second: HoleyHT, base) -> HoleyHT:
+    """Free gluing of two structures over a shared vertex set.
+
+    Vertices in `base` are identified across the two structures by equal id;
+    both must induce the same table on them.  The glued structure keeps the
+    first factor's ids 1..n1 and relabels the second factor's remaining
+    vertices to n1+1, ... in ascending order.  Cross triples, those meeting
+    both factors outside `base`, are holes: strong amalgamation adds no
+    identifications.
+    """
+    base_ids = sorted(set(base))
+    for v in base_ids:
+        if not (1 <= v <= first.n and 1 <= v <= second.n):
+            raise InputError(f"base vertex {v} missing from a factor")
+    for t in itertools.combinations(base_ids, 3):
+        if first.triple_value(*t) != second.triple_value(*t):
+            raise InputError(f"factors disagree on base triple {t}")
+    base_set = set(base_ids)
+    extra = [v for v in second.vertices if v not in base_set]
+    relabel = {v: v for v in base_ids}
+    relabel.update(zip(extra, itertools.count(first.n + 1)))
+    total = first.n + len(extra)
+    # triples of 1..n1 come first in colex order, so the first factor is a
+    # prefix of the glued table
+    table = bytearray(first.table) + bytes(comb(total, 3) - len(first.table))
+    # base ids may interleave with the fresh ones, so the second factor's
+    # relabeling need not be monotone: a value flips with its parity
+    for (a, b, c), v in zip(triples(second.n), second.table):
+        if v != HOLE:
+            x, y, z = relabel[a], relabel[b], relabel[c]
+            i, j, k = sorted((x, y, z))
+            table[triple_rank(i, j, k)] = 3 - v if tuple_parity(x, y, z) else v
+    return HoleyHT(total, bytes(table))
 
 
 def is_isomorphic(first: HoleyHT, second: HoleyHT) -> tuple[int, ...] | None:

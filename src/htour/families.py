@@ -3,17 +3,18 @@ their glued obstruction, cyclic structures, and parity-defined even ones.
 
 The forcing gadgets are 4-vertex holey structures with two assigned triples
 and two holes, built so that inside the H4-free class one orientation of the
-first hole forces an orientation of the second.  Chains of overlapping
-gadget embeddings yield the families on(n) and onneg(n), whose completions
-pin down the orientation of {1, 2, 3}; gluing the two over {1, 2, 3} gives
-bn(n), which has no completion at all.  For n >= 7 every vertex-deleted
+first hole forces an orientation of the second.  `ChainBuilder` embeds
+overlapping gadgets one link at a time; the link list `on_links(n)` yields
+on(n), whose completions all have {1, 2, 3} MINUS.  Its complement onneg(n)
+is the chain of the complemented gadgets, so its completions all have
+{1, 2, 3} PLUS.  Gluing the two over {1, 2, 3} (`core.glue`) gives bn(n),
+which has no completion at all.  For n >= 7 every vertex-deleted
 substructure of bn(n) completes, making it a minimal obstruction; at n = 6
 wrap-around overlaps between the links defeat that (see the tests).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from math import comb
 
@@ -23,6 +24,7 @@ from .core import (
     PLUS,
     HoleyHT,
     InputError,
+    glue,
     tuple_parity,
     triple_rank,
     triples,
@@ -127,24 +129,6 @@ class ChainBuilder:
         return HoleyHT(self.n, bytes(self.table))
 
 
-@dataclass(frozen=True)
-class ChainSpec:
-    """A chain as data: the vertex count and the ordered link list.
-
-    build() checks link-overlap consistency mechanically (ChainInconsistent
-    on any contradiction or violated hole requirement).
-    """
-
-    n: int
-    links: tuple
-
-    def build(self) -> HoleyHT:
-        builder = ChainBuilder(self.n)
-        for kind, verts in self.links:
-            builder.apply_link(kind, verts)
-        return builder.build()
-
-
 def on_links(n: int) -> list[tuple[LinkKind, tuple[int, int, int, int]]]:
     """The link sequence of on(n): a forward run followed by the three
     wrap-around links that force {1, 2, 3} negative."""
@@ -157,25 +141,21 @@ def on_links(n: int) -> list[tuple[LinkKind, tuple[int, int, int, int]]]:
     return links
 
 
-def onneg_links(n: int) -> list[tuple[LinkKind, tuple[int, int, int, int]]]:
-    """The complemented link sequence: forces {1, 2, 3} positive."""
-    if n < 6:
-        raise InputError(f"onneg(n) needs n >= 6, got {n}")
-    links = [(LinkKind.CO_FWD, (i, i + 1, i + 2, i + 3)) for i in range(1, n - 2)]
-    links.append((LinkKind.CO_FWD_NEG, (n - 2, n - 1, n, 1)))
-    links.append((LinkKind.FWD, (n - 2, n, 1, 2)))
-    links.append((LinkKind.FWD, (n, 1, 2, 3)))
-    return links
-
-
 def gen_on(n: int) -> HoleyHT:
     """Chain structure on 1..n whose completions all have {1, 2, 3} MINUS."""
-    return ChainSpec(n, tuple(on_links(n))).build()
+    links = on_links(n)  # before the builder: its n >= 6 message comes first
+    builder = ChainBuilder(n)
+    for kind, verts in links:
+        builder.apply_link(kind, verts)
+    return builder.build()
 
 
 def gen_onneg(n: int) -> HoleyHT:
-    """Complement chain: completions all have {1, 2, 3} PLUS."""
-    return ChainSpec(n, tuple(onneg_links(n))).build()
+    """Complement chain: completions all have {1, 2, 3} PLUS.  It is the
+    chain of on(n)'s links with each gadget complemented."""
+    if n < 6:
+        raise InputError(f"onneg(n) needs n >= 6, got {n}")
+    return gen_on(n).complement()
 
 
 def gen_bn(n: int) -> HoleyHT:
@@ -187,22 +167,7 @@ def gen_bn(n: int) -> HoleyHT:
     """
     if n < 6:
         raise InputError(f"bn(n) needs n >= 6, got {n}")
-    first = gen_on(n)
-    second = gen_onneg(n)
-    total = 2 * n - 3
-    table = bytearray(comb(total, 3))
-    for t, v in zip(triples(n), first.table):
-        if v != HOLE:
-            table[triple_rank(*t)] = v
-    # the relabeling 1,2,3 -> 1,2,3 and j -> n+j-3 is monotone, so stored
-    # values carry over unchanged
-    relabel = {1: 1, 2: 2, 3: 3}
-    for j in range(4, n + 1):
-        relabel[j] = n + j - 3
-    for (a, b, c), v in zip(triples(n), second.table):
-        if v != HOLE:
-            table[triple_rank(relabel[a], relabel[b], relabel[c])] = v
-    return HoleyHT(total, bytes(table))
+    return glue(gen_on(n), gen_onneg(n), (1, 2, 3))
 
 
 def gen_cyclic(n: int, order=None) -> HoleyHT:

@@ -21,6 +21,7 @@ import itertools
 from dataclasses import dataclass
 from enum import Enum
 from functools import cmp_to_key
+from math import comb
 
 from .classify import CYCLIC as CYCLIC_SET
 from .classify import class_member
@@ -35,6 +36,9 @@ from .core import (
 from .families import gen_even, normalize_edges
 
 MAX_ARROW_EMBEDDINGS = 25
+# arrow_check refuses before its three embedding searches when together they
+# would take more steps than this (see _search_steps): a few seconds at most
+MAX_ARROW_STEPS = 10**6
 
 
 class ExpansionKind(Enum):
@@ -178,6 +182,13 @@ def _copy_masks(big: OrderedHT, mid: OrderedHT, small: OrderedHT,
     return masks
 
 
+def _search_steps(small: OrderedHT, big: OrderedHT) -> int:
+    """An upper bound on the steps of embeddings(small, big): one per
+    candidate injection, of which there are C(big.n, small.n), plus one per
+    triple it compares, at most C(small.n, 3)."""
+    return comb(big.n, small.n) * (1 + comb(small.n, 3))
+
+
 def arrow_check(big: OrderedHT, mid: OrderedHT, small: OrderedHT,
                 colors: int = 2, prune: bool = False,
                 max_embeddings: int = MAX_ARROW_EMBEDDINGS) -> ArrowVerdict:
@@ -189,7 +200,18 @@ def arrow_check(big: OrderedHT, mid: OrderedHT, small: OrderedHT,
     colored copy is monochromatic, so the counterexample it reports is the
     least one.  `prune` is accepted for compatibility and selects nothing:
     the search always prunes.
+
+    Refuses (GuardExceeded) before any enumeration when the embedding
+    searches would take more than MAX_ARROW_STEPS steps, and after the first
+    one when `small` has more than `max_embeddings` embeddings into `big`.
     """
+    steps = (_search_steps(small, big) + _search_steps(mid, big)
+             + _search_steps(small, mid))
+    if steps > MAX_ARROW_STEPS:
+        raise GuardExceeded(
+            f"the embedding searches on {big.n}, {mid.n} and {small.n} vertices "
+            f"would take more than {MAX_ARROW_STEPS} steps"
+        )
     embs = embeddings(small, big)
     k = len(embs)
     if k > max_embeddings:

@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from htour import cli, htfile, verify
+from htour import cli, families, htfile, verify
 from htour.classify import H4_FREE
 from htour.completion import complete
 from htour.families import gen_bn, gen_cyclic, gen_on
@@ -179,10 +179,21 @@ def test_ramsey_sizes_guard_the_vertex_count(monkeypatch, capsys):
     def refuse(n):
         raise AssertionError("generated before the guard")
 
-    monkeypatch.setattr(cli, "gen_cyclic", refuse)
+    monkeypatch.setattr(families, "gen_cyclic", refuse)
     assert cli.main(["ramsey", "--sizes", "101,3,2"]) == 3
     out = capsys.readouterr()
     assert out.out == "" and "101 vertices" in out.err
+
+
+@pytest.mark.parametrize("sizes", ["40,20,10", "40,20,0", "100,50,50"])
+def test_ramsey_sizes_refuse_before_enumerating(sizes, capsys):
+    # one of the three embedding searches would try C(40,10), C(40,20) or
+    # C(100,50) candidate injections
+    started = time.perf_counter()
+    assert cli.main(["ramsey", "--sizes", sizes]) == 3
+    assert time.perf_counter() - started < 1
+    out = capsys.readouterr()
+    assert out.out == "" and "refused: the embedding searches" in out.err
 
 
 def test_gen_guards_the_vertex_count(monkeypatch, capsys):
@@ -190,7 +201,7 @@ def test_gen_guards_the_vertex_count(monkeypatch, capsys):
         raise AssertionError("generated before the guard")
 
     for family in ("on", "bn"):
-        monkeypatch.setattr(cli, f"gen_{family}", refuse)
+        monkeypatch.setattr(families, f"gen_{family}", refuse)
     # bn(52) would have 2*52-3 = 101 vertices, on(101) 101
     for family, n in (("bn", "52"), ("on", "101")):
         assert cli.main(["gen", "--family", family, "--n", n]) == 3
@@ -198,11 +209,11 @@ def test_gen_guards_the_vertex_count(monkeypatch, capsys):
         assert out.out == "" and "101 vertices" in out.err
 
 
-# what complete, enumerate, member and validate never run: the arrow
-# search, the random generators, the acceptance driver and its oracles, and
-# the process pool of minimal-obstruction --jobs
-_UNUSED_MODULES = ("htour.ramsey", "htour.rand", "htour.verify", "htour.oracles",
-                   "concurrent.futures", "multiprocessing")
+# what complete, enumerate, member and validate never run: the generators of
+# the named families, the arrow search, the random generators, the acceptance
+# driver and its oracles, and the process pool of minimal-obstruction --jobs
+_UNUSED_MODULES = ("htour.families", "htour.ramsey", "htour.rand", "htour.verify",
+                   "htour.oracles", "concurrent.futures", "multiprocessing")
 
 
 def _unused_modules_loaded(code):
@@ -286,7 +297,7 @@ def test_verify_timing_covers_the_run(monkeypatch, capsys):
 
 
 def test_gen_timing_covers_the_build(monkeypatch, capsys):
-    monkeypatch.setattr(cli, "gen_on", _slow(gen_on(6)))
+    monkeypatch.setattr(families, "gen_on", _slow(gen_on(6)))
     assert cli.main(["gen", "--family", "on", "--n", "6", "--format", "report",
                      "--timing"]) == 0
     assert json.loads(capsys.readouterr().out)["timing"]["seconds"] >= 0.05

@@ -21,6 +21,7 @@ from htour.core import (
     Hypergraph3,
     InputError,
     complete_hypergraph,
+    glue,
     hat,
     is_isomorphic,
     quad_triple_ranks,
@@ -137,6 +138,16 @@ def test_complement_commutes_with_induced():
         A = random_holey_ht(rng, 7, rng.randint(0, 15))
         subset = sorted(rng.sample(range(1, 8), rng.randint(1, 7)))
         assert A.complement().induced(subset) == A.induced(subset).complement()
+
+
+def test_glue_refuses_a_base_vertex_missing_from_a_factor():
+    four, five = all_plus(4), all_plus(5)
+    assert glue(four, five, [1, 4]).n == 7
+    for first, second in ((four, five), (five, four)):
+        with pytest.raises(InputError, match="base vertex 5 missing from a factor"):
+            glue(first, second, [1, 5])
+    with pytest.raises(InputError, match="base vertex 0 missing"):
+        glue(five, five, [0, 1])
 
 
 def test_is_isomorphic_identity_and_distinct_types():

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import pytest
@@ -73,17 +74,37 @@ def test_chains_build_consistently():
         gen_onneg(n)
 
 
-def test_chain_spec_builds_and_rejects():
-    from htour.families import ChainSpec
-
-    spec = ChainSpec(6, tuple(on_links(6)))
-    assert spec.build() == gen_on(6)
-    clash = ChainSpec(6, (
-        (LinkKind.FWD, (1, 2, 3, 4)),
-        (LinkKind.CO_FWD, (1, 2, 3, 4)),
-    ))
+def test_chain_builder_builds_and_rejects():
+    builder = ChainBuilder(6)
+    for kind, verts in on_links(6):
+        builder.apply_link(kind, verts)
+    assert builder.build() == gen_on(6)
+    clash = ChainBuilder(6).apply_link(LinkKind.FWD, (1, 2, 3, 4))
     with pytest.raises(ChainInconsistent):
-        clash.build()
+        clash.apply_link(LinkKind.CO_FWD, (1, 2, 3, 4))
+
+
+# sha256 prefixes of the tables, recorded before onneg(n) became the
+# complement of on(n) and bn(n) a core.glue of the two
+FAMILY_TABLE_DIGESTS = {
+    "on": {6: "401c1c66c9585fd2", 7: "9150e21059b5e354", 8: "5914bee1c102e35b",
+           9: "75e2d038ef47b107", 10: "06d6c0f9a1256b7e", 11: "f6441c907749c06b",
+           12: "72a80a91a9e6a2f2", 20: "0a6b2d97dffb65dd", 26: "dab6a0e9d9016e37"},
+    "onneg": {6: "26c69bb0935193f2", 7: "9860ee2870876481", 8: "ded0e9083bc19fa0",
+              9: "392983d00e2c0f30", 10: "c842bd1edea302b4", 11: "b3e657fca4b92cbe",
+              12: "c858fdf7e1d0a5a9", 20: "3302f1665d097d5e", 26: "dad76b53cfd919cb"},
+    "bn": {6: "0ebc795faf0c1101", 7: "a0fc03f300d6ffbe", 8: "806baff0584a50ff",
+           9: "db7ecf3d0662759e", 10: "2e324f2902e66f22", 11: "64b9a32bce807d67",
+           12: "3f110736ea3d7b1a", 20: "77d2a0087e7abd5b", 26: "79a1d876337b9903"},
+}
+
+
+@pytest.mark.parametrize("family", sorted(FAMILY_TABLE_DIGESTS))
+def test_family_tables_are_golden(family):
+    gen = {"on": gen_on, "onneg": gen_onneg, "bn": gen_bn}[family]
+    got = {n: hashlib.sha256(gen(n).table).hexdigest()[:16]
+           for n in FAMILY_TABLE_DIGESTS[family]}
+    assert got == FAMILY_TABLE_DIGESTS[family]
 
 
 def test_on6_pinned_table():
