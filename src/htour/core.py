@@ -312,12 +312,11 @@ class HoleyHT:
             raise InputError("induced substructure needs a nonempty vertex set")
         self._check_vertex_range(self.n, kept)
         m = len(kept)
-        table = bytearray(comb(m, 3))
-        for i, j, k in triples(m):
-            table[triple_rank(i, j, k)] = self.table[
-                triple_rank(kept[i - 1], kept[j - 1], kept[k - 1])
-            ]
-        return HoleyHT(m, bytes(table))
+        # triples(m) lists the ranks in order, and so do the kept triples
+        return HoleyHT(m, bytes(
+            self.table[triple_rank(kept[i - 1], kept[j - 1], kept[k - 1])]
+            for i, j, k in triples(m)
+        ))
 
     def complement(self) -> HoleyHT:
         """Reverse every assigned orientation; holes stay holes. Involution."""

@@ -1,10 +1,12 @@
 """Brute-force reference procedures.
 
 These enumerate candidate completions directly over the hole assignments,
-judging 4-subsets through the public classification path only, and sweep
-every coloring of an arrow check in plain counter order.  They share no
-pruning or ordering machinery with the solver or the arrow search and exist
-so that their results can be checked against an independent computation.
+judging 4-subsets through the public classification path only, enumerate
+embeddings by comparing orientation_of on every order-preserving injection,
+and sweep every coloring of an arrow check in plain counter order.  They
+share no pruning, ordering or position-table machinery with the solver or
+the arrow search and exist so that their results can be checked against an
+independent computation.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from .core import (
     quad_triple_ranks,
     triple_quad_ids,
 )
-from .ramsey import OrderedHT, embeddings
+from .ramsey import OrderedHT
 
 BRUTE_FORCE_HOLE_GUARD = 22
 
@@ -74,6 +76,25 @@ def enumerate_completions(structure: HoleyHT, allowed) -> list[HoleyHT]:
         table[r] = HOLE
 
     rec(0)
+    return out
+
+
+def embeddings(small: OrderedHT, big: OrderedHT) -> list[tuple[int, ...]]:
+    """Every order-preserving injection of `small` into `big` that keeps
+    orientation_of on each triple (and, for EVEN, adjacency on each pair),
+    as a tuple f with f[i-1] = image of small's vertex i, lexicographic in
+    the chosen order positions of `big`."""
+    out = []
+    for chosen in itertools.combinations(big.order, small.n):
+        f = dict(zip(small.order, chosen))
+        if any(small.ht.orientation_of(a, b, c) != big.ht.orientation_of(f[a], f[b], f[c])
+               for a, b, c in itertools.combinations(small.ht.vertices, 3)):
+            continue
+        if small.graph is not None and any(
+                ((a, b) in small.graph) != (tuple(sorted((f[a], f[b]))) in big.graph)
+                for a, b in itertools.combinations(small.ht.vertices, 2)):
+            continue
+        out.append(tuple(f[v] for v in small.ht.vertices))
     return out
 
 

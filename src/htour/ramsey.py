@@ -9,6 +9,11 @@ order, tagged by the expansion kind that fixes what else must hold:
   graph by the parity rule (even edge count inside the triple).
 * ALL: nothing beyond the order (holes permitted).
 
+Each ordered structure is read through its position table, built once:
+the structure relabeled so that each vertex becomes its 1-based place in the
+order.  A CYCLIC structure is valid iff that table is all PLUS; an embedding
+is a set of positions on which the big table induces the small one.
+
 arrow_check(C, B, A, colors) decides, by a pruned exhaustive search over the
 colorings of the embeddings of A into C, whether every coloring with
 `colors` colors admits a copy of B all of whose A-embeddings share one
@@ -18,7 +23,7 @@ color.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import cmp_to_key
 from math import comb
@@ -51,14 +56,9 @@ class ExpansionMismatch(InputError):
     """The witness (order / graph) does not produce the given structure."""
 
 
-def _is_cyclic_for(structure: HoleyHT, order) -> bool:
-    n = structure.n
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                if structure.orientation_of(order[i], order[j], order[k]) != IN_R:
-                    return False
-    return True
+def _position_table(structure: HoleyHT, order) -> HoleyHT:
+    """`structure` with each vertex relabeled to its 1-based place in `order`."""
+    return structure.relabel([order.index(v) + 1 for v in structure.vertices])
 
 
 @dataclass(frozen=True)
@@ -66,20 +66,22 @@ class OrderedHT:
     """A structure with a linear order (and, for EVEN, a graph).
 
     Validation happens on construction, so holding an OrderedHT means its
-    kind invariant is true.
+    kind invariant is true.  `by_position` is its position table.
     """
 
     ht: HoleyHT
     order: tuple
     kind: ExpansionKind
     graph: frozenset | None = None
+    by_position: HoleyHT = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "order", check_order(self.order, self.ht.n))
+        object.__setattr__(self, "by_position", _position_table(self.ht, self.order))
         if self.kind == ExpansionKind.CYCLIC:
             if self.graph is not None:
                 raise InputError("cyclic expansions carry no graph")
-            if not self.ht.is_complete() or not _is_cyclic_for(self.ht, self.order):
+            if not set(self.by_position.table) <= {PLUS}:
                 raise ExpansionMismatch(
                     "structure is not oriented along the given order"
                 )
@@ -111,9 +113,20 @@ def fill_holes_ordered(ordered: OrderedHT) -> OrderedHT:
     return OrderedHT(ordered.ht.filled(PLUS), ordered.order, ExpansionKind.ALL)
 
 
+def _graph_by_position(edges, order) -> frozenset | None:
+    """The edges among the vertices of `order`, each end relabeled to its
+    1-based place in `order` (None without a graph)."""
+    if edges is None:
+        return None
+    place = {v: p for p, v in enumerate(order, 1)}
+    return frozenset(tuple(sorted((place[a], place[b])))
+                     for a, b in edges if a in place and b in place)
+
+
 def embeddings(small: OrderedHT, big: OrderedHT) -> list[tuple[int, ...]]:
     """All embeddings of `small` into `big`: order-preserving injections
-    preserving orientation_of (and the graph, for EVEN).
+    preserving orientation_of (and the graph, for EVEN), found as the sets of
+    `big`'s positions on which its position table (and graph) induce `small`'s.
 
     Each embedding is a tuple f with f[i-1] = image of small's vertex i.
     The list is complete, duplicate-free and lexicographic in the selected
@@ -121,31 +134,16 @@ def embeddings(small: OrderedHT, big: OrderedHT) -> list[tuple[int, ...]]:
     """
     if small.kind != big.kind:
         raise InputError(f"kind mismatch: {small.kind} vs {big.kind}")
-    k = small.n
-    small_by_pos = small.order
-    a_triples = list(itertools.combinations(range(k), 3))
-    a_pairs = list(itertools.combinations(range(k), 2))
+    graph = _graph_by_position(small.graph, small.order)
     out = []
-    for chosen in itertools.combinations(big.order, k):
-        ok = True
-        for i, j, l in a_triples:
-            if small.ht.orientation_of(
-                small_by_pos[i], small_by_pos[j], small_by_pos[l]
-            ) != big.ht.orientation_of(chosen[i], chosen[j], chosen[l]):
-                ok = False
-                break
-        if ok and small.kind == ExpansionKind.EVEN:
-            for i, j in a_pairs:
-                e_small = tuple(sorted((small_by_pos[i], small_by_pos[j])))
-                e_big = tuple(sorted((chosen[i], chosen[j])))
-                if (e_small in small.graph) != (e_big in big.graph):
-                    ok = False
-                    break
-        if ok:
-            image = [0] * k
-            for pos in range(k):
-                image[small_by_pos[pos] - 1] = chosen[pos]
-            out.append(tuple(image))
+    for chosen in itertools.combinations(range(1, big.n + 1), small.n):
+        # below 3 vertices there is no triple to compare (and `induced`
+        # refuses the empty set)
+        if small.by_position.table and big.by_position.induced(chosen) != small.by_position:
+            continue
+        image = [big.order[p - 1] for p in chosen]
+        if _graph_by_position(big.graph, image) == graph:
+            out.append(tuple(w for _, w in sorted(zip(small.order, image))))
     return out
 
 
@@ -249,29 +247,30 @@ def _least_refuting(k: int, masks: list[int], colors: int) -> tuple | None:
     """DFS over colorings that assigns embedding k-1 first and tries colors
     in ascending order, so leaves come in counter order.  A copy is checked
     when its lowest embedding gets its color, which completes it.  Returns
-    the least coloring with no monochromatic copy, or None."""
+    the least coloring with no monochromatic copy, or None.  A loop, not a
+    recursion, so any number of embeddings fits."""
     closing: list[list[int]] = [[] for _ in range(k)]
     for mask in masks:
         closing[(mask & -mask).bit_length() - 1].append(mask)
-    coloring = [0] * k
+    coloring = [-1] * k  # -1: not colored yet
     # by_color[c]: bitmask of the embeddings colored c so far
     by_color = [0] * colors
-
-    def rec(i: int) -> bool:
-        if i < 0:
-            return True
+    i = k - 1
+    while 0 <= i < k:
         bit = 1 << i
-        for color in range(colors):
+        if coloring[i] >= 0:  # back from below: take the color off again
+            by_color[coloring[i]] ^= bit
+        for color in range(coloring[i] + 1, colors):
             same = by_color[color] | bit
             if not any(same & mask == mask for mask in closing[i]):
                 by_color[color] = same
                 coloring[i] = color
-                if rec(i - 1):
-                    return True
-                by_color[color] = same ^ bit
-        return False
-
-    return tuple(coloring) if rec(k - 1) else None
+                i -= 1
+                break
+        else:
+            coloring[i] = -1
+            i += 1
+    return tuple(coloring) if i < 0 else None
 
 
 def compatible_orders_cyclic(structure: HoleyHT) -> list[tuple[int, ...]]:
@@ -291,6 +290,6 @@ def compatible_orders_cyclic(structure: HoleyHT) -> list[tuple[int, ...]]:
             return -1 if structure.orientation_of(v, x, y) == IN_R else 1
 
         candidate = (v, *sorted(rest, key=cmp_to_key(after)))
-        if _is_cyclic_for(structure, candidate):
+        if set(_position_table(structure, candidate).table) <= {PLUS}:
             out.append(candidate)
     return out

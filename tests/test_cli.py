@@ -10,7 +10,8 @@ import pytest
 from htour import cli, families, htfile, verify
 from htour.classify import H4_FREE
 from htour.completion import complete
-from htour.families import gen_bn, gen_cyclic, gen_on
+from htour.core import HOLE, HoleyHT
+from htour.families import gen_bn, gen_cyclic, gen_even, gen_on
 
 
 def run_cli(args, stdin=None):
@@ -325,6 +326,16 @@ def test_verify_report_is_byte_deterministic(monkeypatch, capsys):
 
 def _golden_files() -> dict:
     cyclic = {n: htfile.emit(gen_cyclic(n), tuple(range(1, n + 1))) for n in (2, 3, 5, 6)}
+    # even and holey free inputs with nonempty graphs and non-identity orders
+    even = {
+        "even6.ht": (6, {(1, 2), (1, 5), (2, 3), (3, 6), (4, 5), (2, 6)}, (3, 1, 5, 2, 6, 4)),
+        "even4.ht": (4, {(1, 2), (3, 4)}, (2, 4, 1, 3)),
+        "even3.ht": (3, {(1, 2)}, (2, 3, 1)),
+    }
+    holey = HoleyHT(6, bytes(
+        HOLE if r in (0, 3, 7, 12, 15, 19) else v
+        for r, v in enumerate(gen_cyclic(6, (2, 5, 1, 6, 3, 4)).table)
+    ))
     return {
         "on6.ht": htfile.emit(gen_on(6)),
         "bn7.ht": htfile.emit(gen_bn(7)),
@@ -333,6 +344,11 @@ def _golden_files() -> dict:
         "bad.ht": "htour 4\n1 2 3 +\n1 2 3 -\n",
         "messy.ht": "# note\nhtour 4\n1 3 4 +\n\n1 2 4 -\n",
         **{f"cyc{n}.ht": text for n, text in cyclic.items()},
+        **{name: htfile.emit(gen_even(n, edges, order), order, edges)
+           for name, (n, edges, order) in even.items()},
+        "holey6.ht": htfile.emit(holey, (4, 1, 6, 2, 5, 3)),
+        "holey4.ht": htfile.emit(holey.induced((1, 2, 3, 6)), (3, 1, 4, 2)),
+        "hole3.ht": htfile.emit(HoleyHT.empty(3), (2, 3, 1)),
     }
 
 
@@ -366,6 +382,11 @@ GOLDEN_CALLS = [
     (["ramsey", "--sizes", "5,3,2"], "b5a987824d9dfbd2", 0),
     (["ramsey", "--files", "cyc6.ht", "cyc3.ht", "cyc2.ht", "--kind", "cyclic"],
      "dd744e5b97af9af1", 0),
+    (["ramsey", "--sizes", "3,2,0"], "607574914fcc0001", 0),
+    (["ramsey", "--files", "even6.ht", "even4.ht", "even3.ht", "--kind", "even"],
+     "7677da1d4fcef04d", 0),
+    (["ramsey", "--files", "holey6.ht", "holey4.ht", "hole3.ht", "--kind", "all"],
+     "6463f663f49574c4", 0),
     (["verify"], "14bc35e59ae01888", 0),
     (["verify", "--level", "full"], "3409594d1425ea46", 1),
     (["classify4", "bad.ht"], "e3b0c44298fc1c14", 2),

@@ -1,9 +1,12 @@
 import itertools
 import random
+from math import comb
 
 import pytest
 
+from htour import oracles
 from htour.core import (
+    HOLE,
     GuardExceeded,
     HoleyHT,
     InputError,
@@ -11,7 +14,6 @@ from htour.core import (
     PLUS,
 )
 from htour.families import gen_cyclic, gen_even
-from htour.oracles import least_refuting_coloring
 from htour.rand import random_graph, random_holey_ht, random_order
 from htour.ramsey import (
     ExpansionKind,
@@ -83,10 +85,55 @@ SWEEP_CASES = [
 def test_arrow_matches_plain_sweep(sizes, colors):
     big, mid, small = (cyc(n) for n in sizes)
     verdict = arrow_check(big, mid, small, colors=colors, max_embeddings=21)
-    found = least_refuting_coloring(big, mid, small, colors=colors)
+    found = oracles.least_refuting_coloring(big, mid, small, colors=colors)
     assert verdict.holds == (found is None)
     if found is not None:
         assert (verdict.coloring_index, verdict.counterexample) == found
+
+
+def test_arrow_search_is_not_bounded_by_recursion():
+    # 1,035 embeddings, one copy holding them all: the least refutation
+    # recolors embedding 0 only
+    verdict = arrow_check(cyc(46), cyc(46), cyc(2), max_embeddings=2000)
+    assert not verdict.holds and verdict.coloring_index == 1
+    assert len(verdict.a_embeddings) == 1035
+
+
+def _random_ordered(rng, kind, n):
+    order = random_order(rng, n)
+    if kind == ExpansionKind.CYCLIC:
+        return OrderedHT(gen_cyclic(n, order), order, kind)
+    if kind == ExpansionKind.EVEN:
+        graph = random_graph(rng, n)
+        return OrderedHT(gen_even(n, graph, order), order, kind, graph)
+    return OrderedHT(random_holey_ht(rng, n, rng.randint(0, comb(n, 3))), order, kind)
+
+
+def _sub_ordered(rng, big, k):
+    """`big` restricted to k random vertices and relabeled at random: it
+    embeds into `big` at least once."""
+    kept = sorted(rng.sample(big.ht.vertices, k))
+    perm = random_order(rng, k)
+    new = {v: perm[i] for i, v in enumerate(kept)}
+    graph = None if big.graph is None else frozenset(
+        tuple(sorted((new[a], new[b]))) for a, b in big.graph if a in new and b in new)
+    order = tuple(new[v] for v in big.order if v in new)
+    return OrderedHT(big.ht.induced(kept).relabel(perm), order, big.kind, graph)
+
+
+@pytest.mark.parametrize("kind", list(ExpansionKind), ids=lambda k: k.value)
+def test_embeddings_match_reference(kind):
+    rng = random.Random(11)
+    found = 0
+    for trial in range(100):
+        n = rng.randint(0, 8)
+        big = _random_ordered(rng, kind, n)
+        k = n if trial % 4 == 0 else rng.randint(0, n)
+        small = _sub_ordered(rng, big, k) if k and trial % 2 else _random_ordered(rng, kind, k)
+        got = embeddings(small, big)
+        assert got == oracles.embeddings(small, big), (small, big)
+        found += len(got)
+    assert found  # not a comparison of empty lists
 
 
 def test_arrow_monotone_in_target():
@@ -170,6 +217,8 @@ def test_expand_cyclic_valid_and_mismatch():
     assert OrderedHT(A, (1, 2, 3, 4, 5), ExpansionKind.CYCLIC).kind == ExpansionKind.CYCLIC
     with pytest.raises(ExpansionMismatch):
         OrderedHT(A, (5, 4, 3, 2, 1), ExpansionKind.CYCLIC)
+    with pytest.raises(ExpansionMismatch):
+        OrderedHT(A.with_value(2, 3, 5, HOLE), (1, 2, 3, 4, 5), ExpansionKind.CYCLIC)
 
 
 def test_expand_even_checks_parity_rule():
