@@ -84,6 +84,9 @@ ENUMERATION_HOLE_GUARD = 30
 # the soundness check judges completions in chunks of at most this many
 # bytes of 4-subset codes, which bounds its memory at any vertex count
 _CHECK_BYTES = 1 << 20
+# all_completions holds at most this many bytes of tables, cap or not:
+# enumerate --cap 40000 on on(8) holds 2.2 MB
+_ENUMERATION_BYTES = 1 << 22
 # translate table: 0xFF at assigned values, 0 at holes
 _ASSIGNED_MASK = bytes([0, 0xFF, 0xFF]) + bytes(253)
 # translate tables over hole counts, 1 at the wanted counts, and the mark
@@ -265,15 +268,13 @@ class _Engine:
 
     def propagate(self, worklist: deque) -> int | None:
         """Run unit propagation to fixpoint; return a conflicting quad id
-        or None.  Forced assignments extend the trail."""
+        or None.  Forced assignments extend the trail.  A queued quad has at
+        most one hole: counts only fall until undo_to drops the worklist."""
         table = self.table
         qt = self.qt
-        hole_cnt = self.hole_cnt
         action = self.action
         while worklist:
             qi = worklist.popleft()
-            if hole_cnt[qi] >= 2:
-                continue
             b = qi << 2
             act = action[
                 table[qt[b]] + 3 * table[qt[b + 1]] + 9 * table[qt[b + 2]]
@@ -430,7 +431,9 @@ def complete(structure: HoleyHT, allowed) -> SolveResult:
 
 def all_completions(structure: HoleyHT, allowed, cap: int | None = None) -> list[HoleyHT]:
     """Every completion (or the first `cap` of them), in lexicographic order
-    by the hole assignment vector (holes by rank, PLUS before MINUS)."""
+    by the hole assignment vector (holes by rank, PLUS before MINUS).
+    Refuses (GuardExceeded) past ENUMERATION_HOLE_GUARD holes without a cap,
+    and past _ENUMERATION_BYTES bytes of tables (one per triple) in any case."""
     allowed = ConstraintSet.coerce(allowed)
     if cap is not None and cap < 0:
         raise InputError(f"cap must be at least 0, got {cap}")
@@ -439,8 +442,15 @@ def all_completions(structure: HoleyHT, allowed, cap: int | None = None) -> list
             f"enumeration over {structure.hole_count()} holes refused; "
             f"set a cap or stay at <= {ENUMERATION_HOLE_GUARD} holes"
         )
+    limit = _ENUMERATION_BYTES // max(comb(structure.n, 3), 1)
     engine = _Engine(structure, allowed)
-    tables = list(itertools.islice(engine.search(engine.least_hole), cap))
+    want = limit + 1 if cap is None else min(cap, limit + 1)
+    tables = list(itertools.islice(engine.search(engine.least_hole), want))
+    if len(tables) > limit:
+        raise GuardExceeded(
+            f"more than {limit} completions on {structure.n} vertices exceed the "
+            f"enumeration budget of {_ENUMERATION_BYTES} bytes; cap at most {limit}"
+        )
     _check_sound(structure, allowed, tables)
     return [HoleyHT(structure.n, table) for table in tables]
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 from operator import itemgetter
+from typing import TYPE_CHECKING
 
 from .classify import ConstraintSet, class_member, mask_of
 from .core import (
@@ -24,7 +25,9 @@ from .core import (
     quad_triple_ranks,
     triple_quad_ids,
 )
-from .ramsey import OrderedHT
+
+if TYPE_CHECKING:  # annotations only, so the arrow search is not loaded
+    from .ramsey import OrderedHT
 
 BRUTE_FORCE_HOLE_GUARD = 22
 

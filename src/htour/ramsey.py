@@ -17,7 +17,8 @@ is a set of positions on which the big table induces the small one.
 arrow_check(C, B, A, colors) decides, by a pruned exhaustive search over the
 colorings of the embeddings of A into C, whether every coloring with
 `colors` colors admits a copy of B all of whose A-embeddings share one
-color.
+color.  A copy of B is an isomorphism onto its image, so its A-embeddings
+are those of A into C inside that image: two searches, A and B into C.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from .core import (
 from .families import gen_even, normalize_edges
 
 MAX_ARROW_EMBEDDINGS = 25
-# arrow_check refuses before its three embedding searches when together they
+# arrow_check refuses before its two embedding searches when together they
 # would take more steps than this (see _search_steps): a few seconds at most
 MAX_ARROW_STEPS = 10**6
 
@@ -167,23 +168,10 @@ class ArrowVerdict:
     coloring_index: int | None = None
 
 
-def _copy_masks(big: OrderedHT, mid: OrderedHT, small: OrderedHT,
-                emb_index: dict) -> list[int]:
-    masks = []
-    inner = embeddings(small, mid)
-    for g in embeddings(mid, big):
-        mask = 0
-        for e in inner:
-            composed = tuple(g[v - 1] for v in e)
-            mask |= 1 << emb_index[composed]
-        masks.append(mask)
-    return masks
-
-
 def _search_steps(small: OrderedHT, big: OrderedHT) -> int:
-    """An upper bound on the steps of embeddings(small, big): one per
-    candidate injection, of which there are C(big.n, small.n), plus one per
-    triple it compares, at most C(small.n, 3)."""
+    """An upper bound on the steps of embeddings(small, big), either search
+    of arrow_check: one per candidate injection, C(big.n, small.n) of them,
+    plus one per triple it compares, at most C(small.n, 3)."""
     return comb(big.n, small.n) * (1 + comb(small.n, 3))
 
 
@@ -197,14 +185,15 @@ def arrow_check(big: OrderedHT, mid: OrderedHT, small: OrderedHT,
     color of embedding i) and abandons a partial coloring as soon as a fully
     colored copy is monochromatic, so the counterexample it reports is the
     least one.  `prune` is accepted for compatibility and selects nothing:
-    the search always prunes.
+    the search always prunes.  A copy's embeddings of `small` are those into
+    `big` inside the copy's image; with no copy, the zero coloring refutes.
 
-    Refuses (GuardExceeded) before any enumeration when the embedding
-    searches would take more than MAX_ARROW_STEPS steps, and after the first
-    one when `small` has more than `max_embeddings` embeddings into `big`.
+    Refuses (GuardExceeded) before any enumeration when its two embedding
+    searches, `small` and `mid` into `big`, would take more than
+    MAX_ARROW_STEPS steps, and after the first one when `small` has more
+    than `max_embeddings` embeddings into `big`.
     """
-    steps = (_search_steps(small, big) + _search_steps(mid, big)
-             + _search_steps(small, mid))
+    steps = _search_steps(small, big) + _search_steps(mid, big)
     if steps > MAX_ARROW_STEPS:
         raise GuardExceeded(
             f"the embedding searches on {big.n}, {mid.n} and {small.n} vertices "
@@ -217,20 +206,13 @@ def arrow_check(big: OrderedHT, mid: OrderedHT, small: OrderedHT,
             f"{k} embeddings exceed the exhaustive-coloring guard "
             f"({max_embeddings}); pass a larger max_embeddings to override"
         )
-    emb_index = {e: i for i, e in enumerate(embs)}
-    masks = _copy_masks(big, mid, small, emb_index)
+    images = [sum(1 << v for v in e) for e in embs]
+    masks = []
+    for g in embeddings(mid, big):
+        image = sum(1 << v for v in g)
+        masks.append(sum(1 << i for i, e in enumerate(images) if e & image == e))
     total = colors ** k
 
-    if not masks:
-        # no copy of mid at all: any coloring (even of nothing) refutes
-        return ArrowVerdict(
-            holds=False,
-            a_embeddings=tuple(embs),
-            b_copies=0,
-            colorings=total,
-            counterexample=(0,) * k,
-            coloring_index=0,
-        )
     if any(mask == 0 for mask in masks):
         # a copy containing no embedding of `small` at all is monochromatic
         # under every coloring

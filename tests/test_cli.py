@@ -150,6 +150,18 @@ def test_exit_code_guard():
     assert enum.returncode == 3
 
 
+def test_enumerate_budget_refuses_thirty_holes(tmp_path, capsys):
+    # 30 holes pass the hole guard, and under C4,O4,H4 every one of the 2^30
+    # assignments is a completion: the table budget refuses
+    path = tmp_path / "holes30.ht"
+    path.write_text("htour 7\n" + "".join(f"1 2 {c} +\n" for c in range(3, 8)))
+    started = time.perf_counter()
+    assert cli.main(["enumerate", str(path), "--allow", "C4,O4,H4"]) == 3
+    assert time.perf_counter() - started < 10
+    out = capsys.readouterr()
+    assert out.out == "" and "exceed the enumeration budget" in out.err
+
+
 def test_vertex_guard_refuses_huge_header(tmp_path, capsys):
     path = tmp_path / "huge.ht"
     path.write_text("htour 3000000\n")
@@ -188,8 +200,8 @@ def test_ramsey_sizes_guard_the_vertex_count(monkeypatch, capsys):
 
 @pytest.mark.parametrize("sizes", ["40,20,10", "40,20,0", "100,50,50"])
 def test_ramsey_sizes_refuse_before_enumerating(sizes, capsys):
-    # one of the three embedding searches would try C(40,10), C(40,20) or
-    # C(100,50) candidate injections
+    # one of the two embedding searches, A into C and B into C, would try
+    # C(40,10), C(40,20) or C(100,50) candidate injections
     started = time.perf_counter()
     assert cli.main(["ramsey", "--sizes", sizes]) == 3
     assert time.perf_counter() - started < 1
@@ -229,6 +241,11 @@ def _unused_modules_loaded(code):
 
 def test_importing_the_cli_loads_no_unused_module():
     assert _unused_modules_loaded("import htour.cli") == []
+
+
+def test_importing_the_oracles_loads_no_search():
+    # the oracles name OrderedHT in annotations only
+    assert _unused_modules_loaded("import htour.oracles") == ["htour.oracles"]
 
 
 def test_complete_loads_no_unused_module(tmp_path):
@@ -383,6 +400,7 @@ GOLDEN_CALLS = [
     (["ramsey", "--files", "cyc6.ht", "cyc3.ht", "cyc2.ht", "--kind", "cyclic"],
      "dd744e5b97af9af1", 0),
     (["ramsey", "--sizes", "3,2,0"], "607574914fcc0001", 0),
+    (["ramsey", "--sizes", "4,5,2"], "878f3f58abdce859", 0),
     (["ramsey", "--files", "even6.ht", "even4.ht", "even3.ht", "--kind", "even"],
      "7677da1d4fcef04d", 0),
     (["ramsey", "--files", "holey6.ht", "holey4.ht", "hole3.ht", "--kind", "all"],

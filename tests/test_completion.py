@@ -136,6 +136,40 @@ def test_all_completions_guard():
     assert len(all_completions(HoleyHT.empty(9), H4_FREE, cap=2)) == 2
 
 
+def _thirty_holes():
+    """7 vertices, 30 holes (within the hole guard): under ALL_TYPES each
+    of the 2^30 assignments is a completion."""
+    structure = HoleyHT.empty(7)
+    for c in range(3, 8):
+        structure = structure.with_value(1, 2, c, PLUS)
+    return structure
+
+
+def test_all_completions_budget_bounds_an_explicit_cap():
+    structure = _thirty_holes()
+    assert structure.hole_count() == completion.ENUMERATION_HOLE_GUARD
+    limit = completion._ENUMERATION_BYTES // comb(7, 3)
+    with pytest.raises(GuardExceeded, match=f"more than {limit} completions"):
+        all_completions(structure, ALL_TYPES, cap=2**30)
+
+
+def test_all_completions_budget_counts_results(monkeypatch):
+    # 100 bytes hold two 35-byte tables of 7 vertices
+    monkeypatch.setattr(completion, "_ENUMERATION_BYTES", 100)
+    structure = _thirty_holes()
+    assert len(all_completions(structure, ALL_TYPES, cap=2)) == 2
+    for cap in (None, 3, 2**30):
+        with pytest.raises(GuardExceeded, match="more than 2 completions"):
+            all_completions(structure, ALL_TYPES, cap=cap)
+    # on(6) has 9 completions of 20 bytes each, exactly the budget
+    monkeypatch.setattr(completion, "_ENUMERATION_BYTES", 180)
+    assert len(all_completions(gen_on(6), H4_FREE)) == 9
+    monkeypatch.setattr(completion, "_ENUMERATION_BYTES", 179)
+    with pytest.raises(GuardExceeded):
+        all_completions(gen_on(6), H4_FREE)
+    assert len(all_completions(gen_on(6), H4_FREE, cap=8)) == 8
+
+
 def test_sat_results_extend_and_belong():
     rng = random.Random(22)
     for _ in range(80):

@@ -4,7 +4,7 @@ from math import comb
 
 import pytest
 
-from htour import oracles
+from htour import oracles, ramsey
 from htour.core import (
     HOLE,
     GuardExceeded,
@@ -75,6 +75,7 @@ SWEEP_CASES = [
     ((4, 3, 2), 2), ((5, 3, 2), 2), ((6, 3, 2), 2), ((7, 3, 2), 2),
     ((6, 4, 3), 2), ((7, 6, 5), 2), ((6, 2, 3), 2),
     ((5, 3, 2), 3), ((3, 2, 1), 3), ((4, 2, 1), 3),
+    ((4, 5, 2), 2),  # no copy of B at all: the all-zero coloring refutes
 ]
 
 
@@ -134,6 +135,42 @@ def test_embeddings_match_reference(kind):
         assert got == oracles.embeddings(small, big), (small, big)
         found += len(got)
     assert found  # not a comparison of empty lists
+
+
+@pytest.mark.parametrize("kind", [ExpansionKind.EVEN, ExpansionKind.ALL],
+                         ids=lambda k: k.value)
+def test_arrow_matches_plain_sweep_seeded(kind):
+    # B restricted from C (so it has copies) or drawn afresh (so it may have
+    # none), A restricted from B; ALL structures carry holes
+    rng = random.Random(12)
+    outcomes = set()
+    for trial in range(60):
+        big = _random_ordered(rng, kind, rng.randint(3, 7))
+        nb = rng.randint(1, big.n)
+        mid = _sub_ordered(rng, big, nb) if trial % 3 else _random_ordered(rng, kind, nb)
+        small = _sub_ordered(rng, mid, rng.randint(1, nb))
+        colors = 2 if trial % 4 else 3
+        if colors ** len(embeddings(small, big)) > 4096:
+            continue
+        verdict = arrow_check(big, mid, small, colors=colors, max_embeddings=12)
+        found = oracles.least_refuting_coloring(big, mid, small, colors=colors)
+        assert verdict.holds == (found is None), (big, mid, small)
+        if found is not None:
+            assert (verdict.coloring_index, verdict.counterexample) == found
+        outcomes.add((verdict.holds, verdict.b_copies > 0))
+    assert outcomes == {(True, True), (False, True), (False, False)}
+
+
+def test_arrow_check_runs_two_embedding_searches(monkeypatch):
+    calls = []
+
+    def counted(small, big):
+        calls.append((small.n, big.n))
+        return embeddings(small, big)
+
+    monkeypatch.setattr(ramsey, "embeddings", counted)
+    arrow_check(cyc(5), cyc(3), cyc(2))
+    assert calls == [(2, 5), (3, 5)]  # A into C, B into C
 
 
 def test_arrow_monotone_in_target():
