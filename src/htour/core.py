@@ -15,6 +15,10 @@ unrepresentable.  A structure with no ``HOLE`` entries is a (full)
 Tables are flat ``bytes`` indexed by the colexicographic rank of the sorted
 triple, which keeps lookups O(1) and the solver cache-friendly.
 
+One method, `HoleyHT.along`, reads a structure through a sequence of its
+vertices: a restriction (`induced`), a relabeling (`relabel`), a structure
+along its order (a position table) and a candidate isomorphism.
+
 The 4-subset index that the solver and the class test read is two flat
 ``array('I')`` tables, cached per n: `quad_triple_ranks` holds the four
 triple ranks of each 4-subset (4-subsets in lexicographic order, four
@@ -107,6 +111,14 @@ def quads(n: int) -> tuple[tuple[int, int, int, int], ...]:
     The library never builds this: it is the reference that the flat index
     below is tested against.  `quad_vertices` gives one entry on demand."""
     return tuple(itertools.combinations(range(1, n + 1), 4))
+
+
+@lru_cache(maxsize=None)
+def _rank_terms(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Tuples t2, t3 over 0..n with triple_rank(a, b, c) = a + t2[b] + t3[c]."""
+    vs = range(n + 1)
+    return (tuple((v - 1) * (v - 2) // 2 - 1 for v in vs),
+            tuple((v - 1) * (v - 2) * (v - 3) // 6 for v in vs))
 
 
 def _add_lanes(block: bytes, pattern: bytes, sign: int = 1) -> bytes:
@@ -304,35 +316,51 @@ class HoleyHT:
 
     # -- derived structures --------------------------------------------------
 
+    def along(self, f) -> HoleyHT:
+        """The structure read along the distinct vertices `f`: new vertex i
+        is old vertex f[i-1], and every triple keeps its relation, so a
+        stored value flips with the parity of the sort (see orientation_of)."""
+        f = tuple(f)
+        self._check_vertex_range(self.n, f)
+        if len(set(f)) != len(f):
+            raise InputError(f"repeated vertex in {f}")
+        t2, t3 = _rank_terms(self.n)
+        same, flipped = self.table, self.table.translate(_COMPLEMENT_MAP)
+        out = bytearray()
+        # new triples {i < j < k} in colex order: the place of f[i] against
+        # f[j] and f[k] picks the sorted rank, and the sort is odd exactly
+        # when f[j] > f[k] xor f[i] lies between them
+        for k in range(2, len(f)):
+            c = f[k]
+            for j in range(1, k):
+                b = f[j]
+                if b < c:
+                    lo, hi, keep, swap = b, c, same, flipped
+                else:
+                    lo, hi, keep, swap = c, b, flipped, same
+                below = t2[lo] + t3[hi]
+                for a in f[:j]:
+                    out.append(keep[a + below] if a < lo
+                               else swap[lo + t2[a] + t3[hi]] if a < hi
+                               else keep[lo + t2[hi] + t3[a]])
+        return HoleyHT(len(f), out)
+
     def induced(self, vertices) -> HoleyHT:
         """Substructure on a vertex subset, relabeled 1..|S| preserving the
         relative order of the kept vertices (old vertex sorted(S)[i-1] becomes i)."""
         kept = sorted(set(vertices))
         if not kept:
             raise InputError("induced substructure needs a nonempty vertex set")
-        self._check_vertex_range(self.n, kept)
-        m = len(kept)
-        # triples(m) lists the ranks in order, and so do the kept triples
-        return HoleyHT(m, bytes(
-            self.table[triple_rank(kept[i - 1], kept[j - 1], kept[k - 1])]
-            for i, j, k in triples(m)
-        ))
+        return self.along(kept)
 
     def complement(self) -> HoleyHT:
         """Reverse every assigned orientation; holes stay holes. Involution."""
         return HoleyHT(self.n, self.table.translate(_COMPLEMENT_MAP))
 
     def relabel(self, perm) -> HoleyHT:
-        """Image under the vertex bijection i -> perm[i-1]."""
+        """Image under the vertex bijection i -> perm[i-1], read along its inverse."""
         p = check_order(perm, self.n)
-        table = bytearray(len(self.table))
-        for (a, b, c), v in zip(triples(self.n), self.table):
-            if v == HOLE:
-                continue
-            x, y, z = p[a - 1], p[b - 1], p[c - 1]
-            i, j, k = sorted((x, y, z))
-            table[triple_rank(i, j, k)] = v if not tuple_parity(x, y, z) else 3 - v
-        return HoleyHT(self.n, bytes(table))
+        return self.along(sorted(self.vertices, key=lambda i: p[i - 1]))
 
     def with_value(self, a: int, b: int, c: int, value: int) -> HoleyHT:
         """Copy with one triple set to `value` (functional update)."""
@@ -448,8 +476,9 @@ def is_isomorphic(first: HoleyHT, second: HoleyHT) -> tuple[int, ...] | None:
     """Search for a vertex bijection preserving orientation_of on all tuples.
 
     Returns the witness as a tuple p with p[i-1] = image of vertex i (the
-    lexicographically least witness), or None.  Exhaustive over all
-    permutations via backtracking; refuses n > ISO_GUARD.
+    lexicographically least witness), or None.  A least-first search over
+    image prefixes p, kept while `second` read along p is `first` on
+    1..len(p); refuses n > ISO_GUARD.
     """
     if first.n != second.n:
         return None
@@ -460,34 +489,15 @@ def is_isomorphic(first: HoleyHT, second: HoleyHT) -> tuple[int, ...] | None:
     # parity of the relabeling, so their multiset is not preserved
     if first.table.count(HOLE) != second.table.count(HOLE):
         return None
-
-    image = [0] * (n + 1)
-    used = [False] * (n + 1)
-
-    def consistent(v: int, w: int) -> bool:
-        # check triples whose third vertex is v against their images
-        for x in range(1, v):
-            for y in range(x + 1, v):
-                if first.orientation_of(x, y, v) != second.orientation_of(
-                    image[x], image[y], w
-                ):
-                    return False
-        return True
-
-    def extend(v: int) -> bool:
-        if v > n:
-            return True
-        for w in range(1, n + 1):
-            if not used[w] and consistent(v, w):
-                image[v] = w
-                used[w] = True
-                if extend(v + 1):
-                    return True
-                used[w] = False
-        return False
-
-    if extend(1):
-        return tuple(image[1:])
+    stack = [()]
+    while stack:
+        prefix = stack.pop()
+        if second.along(prefix).table != first.table[:comb(len(prefix), 3)]:
+            continue
+        if len(prefix) == n:
+            return prefix
+        # pushed in descending order, so the least image is tried first
+        stack.extend(prefix + (w,) for w in range(n, 0, -1) if w not in prefix)
     return None
 
 

@@ -62,13 +62,6 @@ _GADGET_TUPLES = {
     LinkKind.CO_FWD_NEG: ((2, 3, 4), (1, 2, 4)),
 }
 
-_GADGET_HOLES = {
-    LinkKind.FWD: ((1, 2, 3), (2, 3, 4)),
-    LinkKind.FWD_NEG: ((1, 2, 3), (1, 3, 4)),
-    LinkKind.CO_FWD: ((1, 2, 3), (2, 3, 4)),
-    LinkKind.CO_FWD_NEG: ((1, 2, 3), (1, 3, 4)),
-}
-
 
 def gadget(kind: LinkKind) -> HoleyHT:
     """The 4-vertex holey structure of a link kind: two assigned triples,
@@ -115,7 +108,7 @@ class ChainBuilder:
                 raise ChainInconsistent(
                     f"link {kind.value}@{verts} contradicts {(a, b, c)}"
                 )
-        for t in _GADGET_HOLES[kind]:
+        for t in gadget(kind).holes():
             a, b, c = sorted(image[i] for i in t)
             rank = triple_rank(a, b, c)
             if self.table[rank] != HOLE:

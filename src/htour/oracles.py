@@ -1,7 +1,8 @@
 """Brute-force reference procedures.
 
 These enumerate candidate completions directly over the hole assignments,
-judging 4-subsets through the public classification path only, enumerate
+judging 4-subsets through itertools.combinations, triple_rank and mask_of
+(not the solver's flat index or class test), enumerate
 embeddings by comparing orientation_of on every order-preserving injection,
 and sweep every coloring of an arrow check in plain counter order.  They
 share no pruning, ordering or position-table machinery with the solver or
@@ -15,16 +16,8 @@ import itertools
 from operator import itemgetter
 from typing import TYPE_CHECKING
 
-from .classify import ConstraintSet, class_member, mask_of
-from .core import (
-    HOLE,
-    MINUS,
-    PLUS,
-    GuardExceeded,
-    HoleyHT,
-    quad_triple_ranks,
-    triple_quad_ids,
-)
+from .classify import ConstraintSet, mask_of
+from .core import HOLE, MINUS, PLUS, GuardExceeded, HoleyHT, triple_rank
 
 if TYPE_CHECKING:  # annotations only, so the arrow search is not loaded
     from .ramsey import OrderedHT
@@ -32,12 +25,11 @@ if TYPE_CHECKING:  # annotations only, so the arrow search is not loaded
 BRUTE_FORCE_HOLE_GUARD = 22
 
 
-def _full_quad_violates(table, qt, qi, bits) -> bool:
-    b = 4 * qi
-    v0, v1, v2, v3 = table[qt[b]], table[qt[b + 1]], table[qt[b + 2]], table[qt[b + 3]]
-    if HOLE in (v0, v1, v2, v3):
-        return False
-    return not (bits >> mask_of(v0, v1, v2, v3)) & 1
+def _violates(table, ranks, bits) -> bool:
+    """Is the 4-subset with these four triple ranks fully assigned, with a
+    type outside `bits`?"""
+    values = [table[r] for r in ranks]
+    return HOLE not in values and not (bits >> mask_of(*values)) & 1
 
 
 def enumerate_completions(structure: HoleyHT, allowed) -> list[HoleyHT]:
@@ -55,15 +47,17 @@ def enumerate_completions(structure: HoleyHT, allowed) -> list[HoleyHT]:
         raise GuardExceeded(
             f"brute-force enumeration limited to {BRUTE_FORCE_HOLE_GUARD} holes"
         )
-    if not class_member(structure, allowed):
-        return []
-
     n = structure.n
     bits = allowed.mask_bits()
-    qt = quad_triple_ranks(n)
-    tq = triple_quad_ids(n)
-    stride = max(n - 3, 0)
+    # the ranks of {abc}, {abd}, {acd}, {bcd}: the order mask_of reads
+    quads = [
+        (triple_rank(a, b, c), triple_rank(a, b, d), triple_rank(a, c, d), triple_rank(b, c, d))
+        for a, b, c, d in itertools.combinations(range(1, n + 1), 4)
+    ]
     table = bytearray(structure.table)
+    if any(_violates(table, q, bits) for q in quads):
+        return []
+    through = [[q for q in quads if r in q] for r in holes]
     out: list[HoleyHT] = []
 
     def rec(i: int) -> None:
@@ -73,8 +67,7 @@ def enumerate_completions(structure: HoleyHT, allowed) -> list[HoleyHT]:
         r = holes[i]
         for v in (PLUS, MINUS):
             table[r] = v
-            if not any(_full_quad_violates(table, qt, qi, bits)
-                       for qi in tq[r * stride:(r + 1) * stride]):
+            if not any(_violates(table, q, bits) for q in through[i]):
                 rec(i + 1)
         table[r] = HOLE
 

@@ -10,9 +10,10 @@ order, tagged by the expansion kind that fixes what else must hold:
 * ALL: nothing beyond the order (holes permitted).
 
 Each ordered structure is read through its position table, built once:
-the structure relabeled so that each vertex becomes its 1-based place in the
-order.  A CYCLIC structure is valid iff that table is all PLUS; an embedding
-is a set of positions on which the big table induces the small one.
+`ht.along(order)`, the structure in which each vertex becomes its 1-based
+place in the order.  A CYCLIC structure is valid iff that table is all PLUS;
+an embedding is a set of positions along which the big table reads as the
+small one.
 
 arrow_check(C, B, A, colors) decides, by a pruned exhaustive search over the
 colorings of the embeddings of A into C, whether every coloring with
@@ -57,11 +58,6 @@ class ExpansionMismatch(InputError):
     """The witness (order / graph) does not produce the given structure."""
 
 
-def _position_table(structure: HoleyHT, order) -> HoleyHT:
-    """`structure` with each vertex relabeled to its 1-based place in `order`."""
-    return structure.relabel([order.index(v) + 1 for v in structure.vertices])
-
-
 @dataclass(frozen=True)
 class OrderedHT:
     """A structure with a linear order (and, for EVEN, a graph).
@@ -78,7 +74,7 @@ class OrderedHT:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "order", check_order(self.order, self.ht.n))
-        object.__setattr__(self, "by_position", _position_table(self.ht, self.order))
+        object.__setattr__(self, "by_position", self.ht.along(self.order))
         if self.kind == ExpansionKind.CYCLIC:
             if self.graph is not None:
                 raise InputError("cyclic expansions carry no graph")
@@ -127,7 +123,8 @@ def _graph_by_position(edges, order) -> frozenset | None:
 def embeddings(small: OrderedHT, big: OrderedHT) -> list[tuple[int, ...]]:
     """All embeddings of `small` into `big`: order-preserving injections
     preserving orientation_of (and the graph, for EVEN), found as the sets of
-    `big`'s positions on which its position table (and graph) induce `small`'s.
+    `big`'s positions along which its position table (and graph) read as
+    `small`'s.
 
     Each embedding is a tuple f with f[i-1] = image of small's vertex i.
     The list is complete, duplicate-free and lexicographic in the selected
@@ -138,9 +135,7 @@ def embeddings(small: OrderedHT, big: OrderedHT) -> list[tuple[int, ...]]:
     graph = _graph_by_position(small.graph, small.order)
     out = []
     for chosen in itertools.combinations(range(1, big.n + 1), small.n):
-        # below 3 vertices there is no triple to compare (and `induced`
-        # refuses the empty set)
-        if small.by_position.table and big.by_position.induced(chosen) != small.by_position:
+        if big.by_position.along(chosen) != small.by_position:
             continue
         image = [big.order[p - 1] for p in chosen]
         if _graph_by_position(big.graph, image) == graph:
@@ -191,8 +186,11 @@ def arrow_check(big: OrderedHT, mid: OrderedHT, small: OrderedHT,
     Refuses (GuardExceeded) before any enumeration when its two embedding
     searches, `small` and `mid` into `big`, would take more than
     MAX_ARROW_STEPS steps, and after the first one when `small` has more
-    than `max_embeddings` embeddings into `big`.
+    than `max_embeddings` embeddings into `big`.  A negative
+    `max_embeddings` is an InputError.
     """
+    if max_embeddings < 0:
+        raise InputError(f"max_embeddings must be at least 0, got {max_embeddings}")
     steps = _search_steps(small, big) + _search_steps(mid, big)
     if steps > MAX_ARROW_STEPS:
         raise GuardExceeded(
@@ -272,6 +270,6 @@ def compatible_orders_cyclic(structure: HoleyHT) -> list[tuple[int, ...]]:
             return -1 if structure.orientation_of(v, x, y) == IN_R else 1
 
         candidate = (v, *sorted(rest, key=cmp_to_key(after)))
-        if set(_position_table(structure, candidate).table) <= {PLUS}:
+        if set(structure.along(candidate).table) <= {PLUS}:
             out.append(candidate)
     return out

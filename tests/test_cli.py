@@ -209,6 +209,13 @@ def test_ramsey_sizes_refuse_before_enumerating(sizes, capsys):
     assert out.out == "" and "refused: the embedding searches" in out.err
 
 
+def test_ramsey_refuses_a_negative_embedding_guard(capsys):
+    assert cli.main(["ramsey", "--sizes", "3,2,0", "--max-embeddings", "-1"]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "error: max_embeddings must be at least 0, got -1" in out.err
+
+
 def test_gen_guards_the_vertex_count(monkeypatch, capsys):
     def refuse(n):
         raise AssertionError("generated before the guard")

@@ -8,7 +8,7 @@ from math import comb
 
 import pytest
 
-from htour import completion
+from htour import classify, completion, core, oracles
 from htour.classify import (
     ALL_TYPES,
     CYCLIC,
@@ -248,6 +248,28 @@ def test_soundness_check_catches_bad_tables(monkeypatch):
     # the same batches without a bad table pass
     monkeypatch.setattr(_Engine, "search", lambda self, branch: iter(good))
     assert [c.table for c in all_completions(structure, H4_FREE)] == good
+
+
+def test_oracle_does_not_read_the_flat_index(monkeypatch):
+    # a fault in the block-built 4-subset index must not reach the oracle
+    # that the solver is checked against
+    on7, h4 = gen_on(7), HoleyHT(5, bytes([PLUS, MINUS, PLUS, MINUS] + [HOLE] * 6))
+    expected = all_completions(on7, H4_FREE)
+
+    def refuse(n):
+        raise AssertionError("the oracle read the flat index")
+
+    for module in (core, classify, completion, oracles):
+        for name in ("quad_triple_ranks", "triple_quad_ids"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    with pytest.raises(AssertionError, match="read the flat index"):
+        complete(on7, H4_FREE)
+    assert enumerate_completions(on7, H4_FREE) == expected
+    assert len(expected) == 1228
+    # {1, 2, 3, 4} is H4, outside the class before any hole is filled
+    assert enumerate_completions(h4, H4_FREE) == []
+    assert len(enumerate_completions(h4, ALL_TYPES)) == 2 ** 6
 
 
 def test_forced_values_in_every_completion():

@@ -4,6 +4,7 @@ import random
 import sys
 import tracemalloc
 from array import array
+from math import comb
 
 import pytest
 
@@ -126,6 +127,33 @@ def test_induced_rejects_bad_sets():
         A.induced([1, 9])
 
 
+def test_along_matches_its_definition():
+    rng = random.Random(8)
+    for n in range(10):
+        A = random_holey_ht(rng, n, rng.randint(0, comb(n, 3)))
+        for m in range(n + 1):
+            kept = sorted(rng.sample(range(1, n + 1), m))
+            shuffled = rng.sample(kept, m)
+            for f in (kept, shuffled, kept[::-1]):
+                B = A.along(f)
+                assert B.n == m
+                # new vertex i is old vertex f[i-1], every triple in place
+                for i, j, k in triples(m):
+                    assert B.orientation_of(i, j, k) == A.orientation_of(
+                        f[i - 1], f[j - 1], f[k - 1])
+            if m:
+                assert A.along(kept) == A.induced(shuffled)
+        p = random_order(rng, n)
+        inverse = [p.index(v) + 1 for v in range(1, n + 1)]
+        assert A.relabel(p) == A.along(inverse)
+        if n >= 2:
+            with pytest.raises(InputError, match="repeated vertex"):
+                A.along([1, 2, 1])
+        for bad in ([0], [n + 1], [1, n + 1]):
+            with pytest.raises(InputError, match="out of range"):
+                A.along(bad)
+
+
 def test_complement_involution_and_holes():
     g = validate([(1, 3, 4), (1, 4, 2)], 4)
     assert g.complement().complement() == g
@@ -194,6 +222,40 @@ def test_is_isomorphic_equivalence():
         bc = is_isomorphic(B, C)
         composed = tuple(bc[v - 1] for v in ab)
         assert A.relabel(composed) == C
+
+
+# sha256 of repr() of the list of witnesses over the pairs below, recorded
+# with the earlier backtracking search (consistency checked triple by
+# triple through orientation_of)
+ISOMORPHISM_WITNESSES_SHA256 = "b1dc0d8f57208f5a3ff00a926f2454835d1de558d8ee7c7bac95857977ac1162"
+
+
+def test_is_isomorphic_witnesses_are_golden():
+    # relabeled copies, relabeled complements and relabeled copies with one
+    # stored value reversed, on 5 to 9 vertices with up to 3 holes
+    rng = random.Random(13)
+    witnesses = []
+    for i in range(60):
+        n = 5 + i % 5
+        if i % 4 == 3:
+            # the cyclic structure has n automorphisms, so n witnesses: the
+            # least one must come back
+            A = all_plus(n).relabel(random_order(rng, n))
+        else:
+            A = random_holey_ht(rng, n, rng.randint(0, 3))
+        B = A.relabel(random_order(rng, n))
+        if i % 4 == 1:
+            B = B.complement()
+        elif i % 4 == 2:
+            table = bytearray(B.table)
+            r = rng.randrange(len(table))
+            table[r] = -table[r] % 3
+            B = HoleyHT(n, bytes(table))
+        w = is_isomorphic(A, B)
+        assert w is None or A.relabel(w) == B
+        witnesses.append(w)
+    assert witnesses.count(None) == 27
+    assert hashlib.sha256(repr(witnesses).encode()).hexdigest() == ISOMORPHISM_WITNESSES_SHA256
 
 
 def test_is_isomorphic_guard():

@@ -195,6 +195,14 @@ def test_arrow_guard():
     assert arrow_check(cyc(7), cyc(5), cyc(5), max_embeddings=21).holds
 
 
+def test_arrow_refuses_a_negative_embedding_guard():
+    with pytest.raises(InputError, match="max_embeddings must be at least 0, got -1"):
+        arrow_check(cyc(3), cyc(2), cyc(0), max_embeddings=-1)
+    # zero is a guard like any other: three embeddings exceed it
+    with pytest.raises(GuardExceeded, match=r"3 embeddings exceed .* \(0\)"):
+        arrow_check(cyc(3), cyc(2), cyc(1), max_embeddings=0)
+
+
 def test_arrow_vacuous_copies_hold():
     # copies of B too small to contain A are monochromatic under every
     # coloring, for every color count
