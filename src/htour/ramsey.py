@@ -13,7 +13,9 @@ Each ordered structure is read through its position table, built once:
 `ht.along(order)`, the structure in which each vertex becomes its 1-based
 place in the order.  A CYCLIC structure is valid iff that table is all PLUS;
 an embedding is a set of positions along which the big table reads as the
-small one.
+small one, found by a backtracking search over increasing positions that
+checks each new position with one gather from the block of the big table
+holding the triples it closes.
 
 arrow_check(C, B, A, colors) decides, by a pruned exhaustive search over the
 colorings of the embeddings of A into C, whether every coloring with
@@ -24,11 +26,11 @@ are those of A into C inside that image: two searches, A and B into C.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cmp_to_key
 from math import comb
+from operator import itemgetter
 
 from .classify import CYCLIC as CYCLIC_SET
 from .classify import class_member
@@ -120,11 +122,41 @@ def _graph_by_position(edges, order) -> frozenset | None:
                      for a, b in edges if a in place and b in place)
 
 
+def _closing_rows(ordered: OrderedHT, graph_width: int = 0) -> list[bytes]:
+    """Row x-1 (x = 1..n) holds what position x closes against the earlier
+    positions: for EVEN, first the graph row (byte p-1 is 1 iff positions p
+    and x are adjacent) padded with zeros to `graph_width` bytes; then the
+    block of the position table holding the triples {a < b < x}, at offset
+    a-1 + C(b-1, 2) from the block's start."""
+    table = ordered.by_position.table
+    blocks = [table[comb(x - 1, 3):comb(x, 3)] for x in range(1, ordered.n + 1)]
+    if ordered.graph is None:
+        return blocks
+    graph = _graph_by_position(ordered.graph, ordered.order)
+    return [bytes((p, x) in graph for p in range(1, x)).ljust(graph_width, b"\0")
+            + block for x, block in enumerate(blocks, 1)]
+
+
+def _tuple_getter(offsets: list[int]):
+    """operator.itemgetter over `offsets`, giving a tuple for any length
+    (itemgetter itself gives the bare item for one offset, and takes none)."""
+    if len(offsets) == 1:
+        (only,) = offsets
+        return lambda row: (row[only],)
+    return itemgetter(*offsets) if offsets else lambda row: ()
+
+
 def embeddings(small: OrderedHT, big: OrderedHT) -> list[tuple[int, ...]]:
     """All embeddings of `small` into `big`: order-preserving injections
     preserving orientation_of (and the graph, for EVEN), found as the sets of
     `big`'s positions along which its position table (and graph) read as
     `small`'s.
+
+    A backtracking search grows increasing position prefixes of `big`.  At
+    depth d it tries a position x only while the other k-d-1 positions
+    still fit after it, and keeps x when one gather of the block of triples
+    that x closes (C(d, 2) of them, and for EVEN the d pairs) reads as
+    small's block for position d+1.
 
     Each embedding is a tuple f with f[i-1] = image of small's vertex i.
     The list is complete, duplicate-free and lexicographic in the selected
@@ -132,14 +164,45 @@ def embeddings(small: OrderedHT, big: OrderedHT) -> list[tuple[int, ...]]:
     """
     if small.kind != big.kind:
         raise InputError(f"kind mismatch: {small.kind} vs {big.kind}")
-    graph = _graph_by_position(small.graph, small.order)
+    k, m = small.n, big.n
+    if k == 0:
+        return [()]
+    even = small.kind == ExpansionKind.EVEN
+    lead = m if even else 0  # where the triples start in a row of `big`
+    rows = _closing_rows(big, lead)
+    wants = [tuple(row) for row in _closing_rows(small)]
+    place = {v: i for i, v in enumerate(small.order)}
+    # f[v-1] is the image of small's position place[v]+1
+    arrange = _tuple_getter([place[v] for v in small.ht.vertices])
     out = []
-    for chosen in itertools.combinations(range(1, big.n + 1), small.n):
-        if big.by_position.along(chosen) != small.by_position:
-            continue
-        image = [big.order[p - 1] for p in chosen]
-        if _graph_by_position(big.graph, image) == graph:
-            out.append(tuple(w for _, w in sorted(zip(small.order, image))))
+    chosen: list[int] = []
+    image: list[int] = []  # big.order at the chosen positions
+    # frame d: the candidates left for position d+1, the triple offsets of
+    # the pairs in chosen (which has length d) and the gather over them
+    stack = [(iter(range(1, m - k + 2)), [], _tuple_getter([]))]
+    while stack:
+        candidates, pairs, gather = stack[-1]
+        d = len(chosen)
+        want = wants[d]
+        for x in candidates:
+            if gather(rows[x - 1]) != want:
+                continue
+            if d + 1 == k:  # x completes an embedding
+                out.append(arrange(image + [big.order[x - 1]]))
+                continue
+            below = lead + comb(x - 1, 2) - 1
+            more = pairs + [c + below for c in chosen]
+            chosen.append(x)
+            image.append(big.order[x - 1])
+            graph = [c - 1 for c in chosen] if even else []
+            stack.append((iter(range(x + 1, m - k + d + 3)), more,
+                          _tuple_getter(graph + more)))
+            break
+        else:
+            stack.pop()
+            if chosen:
+                chosen.pop()
+                image.pop()
     return out
 
 
@@ -165,8 +228,15 @@ class ArrowVerdict:
 
 def _search_steps(small: OrderedHT, big: OrderedHT) -> int:
     """An upper bound on the steps of embeddings(small, big), either search
-    of arrow_check: one per candidate injection, C(big.n, small.n) of them,
-    plus one per triple it compares, at most C(small.n, 3)."""
+    of arrow_check: with k = small.n and m = big.n, C(m, k) * (1 + C(k, 3))
+    steps, a step being one triple read or one try of a last position.
+
+    By the skip rule a prefix of j positions is tried only if it extends to
+    k positions of its own, so each depth holds at most C(m-k+j, j) <=
+    C(m, k) prefixes.  A prefix of j positions gathers the C(j-1, 2)
+    triples its last position closes, and along one path from the root
+    these gathers cover at most C(k, 3) triples.  The tries of shorter
+    prefixes, at most (k-1) * C(m, k) calls, are left out of the count."""
     return comb(big.n, small.n) * (1 + comb(small.n, 3))
 
 
@@ -183,9 +253,10 @@ def arrow_check(big: OrderedHT, mid: OrderedHT, small: OrderedHT,
     the search always prunes.  A copy's embeddings of `small` are those into
     `big` inside the copy's image; with no copy, the zero coloring refutes.
 
-    Refuses (GuardExceeded) before any enumeration when its two embedding
-    searches, `small` and `mid` into `big`, would take more than
-    MAX_ARROW_STEPS steps, and after the first one when `small` has more
+    Refuses (GuardExceeded) before any enumeration when the bound of
+    _search_steps on its two embedding searches, `small` and `mid` into
+    `big`, exceeds MAX_ARROW_STEPS, and after the first one (which runs to
+    its end, so the message names the full count) when `small` has more
     than `max_embeddings` embeddings into `big`.  A negative
     `max_embeddings` is an InputError.
     """

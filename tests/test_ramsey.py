@@ -14,7 +14,7 @@ from htour.core import (
     PLUS,
 )
 from htour.families import gen_cyclic, gen_even
-from htour.rand import random_graph, random_holey_ht, random_order
+from htour.rand import random_full_ht, random_graph, random_holey_ht, random_order
 from htour.ramsey import (
     ExpansionKind,
     ExpansionMismatch,
@@ -137,6 +137,46 @@ def test_embeddings_match_reference(kind):
     assert found  # not a comparison of empty lists
 
 
+@pytest.mark.parametrize("kind", list(ExpansionKind), ids=lambda k: k.value)
+def test_embeddings_at_edge_sizes(kind):
+    # k = 0, 1, 2 (a single triple offset per gather), k = m and k = m + 1
+    # (no embedding at all)
+    rng = random.Random(13)
+    for m in range(6):
+        big = _random_ordered(rng, kind, m)
+        for k in sorted({0, 1, 2, m, m + 1}):
+            smalls = [_random_ordered(rng, kind, k)]
+            if 0 < k <= m:
+                smalls.append(_sub_ordered(rng, big, k))
+            for small in smalls:
+                got = embeddings(small, big)
+                assert got == oracles.embeddings(small, big), (small, big)
+                assert k <= m or got == []
+
+
+@pytest.mark.parametrize("kind", [ExpansionKind.EVEN, ExpansionKind.ALL],
+                         ids=lambda k: k.value)
+def test_embeddings_match_reference_when_pruning(kind):
+    # full structures on 10 to 12 vertices, where few position sets match:
+    # A restricted from C (so it embeds) or drawn afresh (so it rarely does)
+    rng = random.Random(14)
+    pruned = 0  # searches that found some but not all position sets
+    for trial in range(24):
+        m = rng.randint(10, 12)
+        order = random_order(rng, m)
+        if kind == ExpansionKind.EVEN:
+            graph = random_graph(rng, m)
+            big = OrderedHT(gen_even(m, graph, order), order, kind, graph)
+        else:
+            big = OrderedHT(random_full_ht(rng, m), order, kind)
+        k = rng.randint(4, 6)
+        small = _sub_ordered(rng, big, k) if trial % 3 else _random_ordered(rng, kind, k)
+        got = embeddings(small, big)
+        assert got == oracles.embeddings(small, big), (small, big)
+        pruned += 0 < len(got) < comb(m, k)
+    assert pruned
+
+
 @pytest.mark.parametrize("kind", [ExpansionKind.EVEN, ExpansionKind.ALL],
                          ids=lambda k: k.value)
 def test_arrow_matches_plain_sweep_seeded(kind):
@@ -201,6 +241,14 @@ def test_arrow_refuses_a_negative_embedding_guard():
     # zero is a guard like any other: three embeddings exceed it
     with pytest.raises(GuardExceeded, match=r"3 embeddings exceed .* \(0\)"):
         arrow_check(cyc(3), cyc(2), cyc(1), max_embeddings=0)
+
+
+def test_arrow_refusal_names_the_full_embedding_count():
+    # C(17, 7) = 19448 embeddings, far past the guard: the first search runs
+    # to its end, so the refusal counts them all
+    with pytest.raises(GuardExceeded, match=r"^19448 embeddings exceed the "
+                       r"exhaustive-coloring guard \(25\)"):
+        arrow_check(cyc(17), cyc(15), cyc(7))
 
 
 def test_arrow_vacuous_copies_hold():
