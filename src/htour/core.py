@@ -17,7 +17,11 @@ triple, which keeps lookups O(1) and the solver cache-friendly.
 
 One method, `HoleyHT.along`, reads a structure through a sequence of its
 vertices: a restriction (`induced`), a relabeling (`relabel`), a structure
-along its order (a position table) and a candidate isomorphism.
+along its order (a position table) and a candidate isomorphism.  One
+function, `slot`, locates a single vertex tuple: it checks the vertices and
+gives the rank of the sorted triple and the parity of the sort, which
+`triple_value`, `orientation_of`, `with_value`, `validate`, `glue`,
+`Hypergraph3.from_edges` and the chain builder of `families` all read.
 
 The 4-subset index that the solver and the class test read is two flat
 ``array('I')`` tables, cached per n: `quad_triple_ranks` holds the four
@@ -91,6 +95,19 @@ def triple_rank(a: int, b: int, c: int) -> int:
 def tuple_parity(x: int, y: int, z: int) -> int:
     """Parity (0 even, 1 odd) of the permutation sorting (x, y, z)."""
     return ((x > y) + (x > z) + (y > z)) & 1
+
+
+def slot(n: int, x: int, y: int, z: int) -> tuple[int, int]:
+    """Where the tuple (x, y, z) lives in a table on 1..n: the rank of its
+    sorted triple and the parity of the sort.  The tuple is in the relation
+    exactly when the stored value, flipped when the parity is odd, is PLUS.
+    Refuses a repeated or out-of-range vertex."""
+    a, b, c = sorted((x, y, z))
+    if not 0 < a < b < c <= n:
+        if a == b or b == c:
+            raise InputError(f"repeated vertex in ({x}, {y}, {z})")
+        raise InputError(f"vertex {c if 1 <= a <= n else a} out of range 1..{n}")
+    return triple_rank(a, b, c), tuple_parity(x, y, z)
 
 
 @lru_cache(maxsize=None)
@@ -269,12 +286,6 @@ class HoleyHT:
         """The structure on 1..n where every triple is a hole."""
         return cls(n, bytes(comb(n, 3)))
 
-    @staticmethod
-    def _check_vertex_range(n: int, vs) -> None:
-        for v in vs:
-            if not 1 <= v <= n:
-                raise InputError(f"vertex {v} out of range 1..{n}")
-
     # -- basic queries -----------------------------------------------------
 
     @property
@@ -283,11 +294,7 @@ class HoleyHT:
 
     def triple_value(self, a: int, b: int, c: int) -> int:
         """Stored orientation of the 3-subset {a, b, c} (any tuple order)."""
-        x, y, z = sorted((a, b, c))
-        if x == y or y == z:
-            raise InputError(f"repeated vertex in triple ({a}, {b}, {c})")
-        self._check_vertex_range(self.n, (x, z))
-        return self.table[triple_rank(x, y, z)]
+        return self.table[slot(self.n, a, b, c)[0]]
 
     def orientation_of(self, x: int, y: int, z: int) -> int:
         """IN_R if (x, y, z) is in the relation, REVERSED if (x, z, y) is,
@@ -296,10 +303,9 @@ class HoleyHT:
         Invariant under cyclic rotation of the tuple; any transposition
         swaps IN_R and REVERSED.
         """
-        v = self.triple_value(x, y, z)
-        if v == HOLE or not tuple_parity(x, y, z):
-            return v
-        return 3 - v
+        r, odd = slot(self.n, x, y, z)
+        v = self.table[r]
+        return 3 - v if v != HOLE and odd else v
 
     def holes(self) -> list[tuple[int, int, int]]:
         ts = triples(self.n)
@@ -321,7 +327,9 @@ class HoleyHT:
         is old vertex f[i-1], and every triple keeps its relation, so a
         stored value flips with the parity of the sort (see orientation_of)."""
         f = tuple(f)
-        self._check_vertex_range(self.n, f)
+        for v in f:
+            if not 1 <= v <= self.n:
+                raise InputError(f"vertex {v} out of range 1..{self.n}")
         if len(set(f)) != len(f):
             raise InputError(f"repeated vertex in {f}")
         t2, t3 = _rank_terms(self.n)
@@ -364,14 +372,11 @@ class HoleyHT:
 
     def with_value(self, a: int, b: int, c: int, value: int) -> HoleyHT:
         """Copy with one triple set to `value` (functional update)."""
-        x, y, z = sorted((a, b, c))
-        if x == y or y == z:
-            raise InputError(f"repeated vertex in triple ({a}, {b}, {c})")
-        self._check_vertex_range(self.n, (x, z))
+        r = slot(self.n, a, b, c)[0]
         if value not in (HOLE, PLUS, MINUS):
             raise InputError(f"bad orientation value {value}")
         table = bytearray(self.table)
-        table[triple_rank(x, y, z)] = value
+        table[r] = value
         return HoleyHT(self.n, bytes(table))
 
     def filled(self, value: int = PLUS) -> HoleyHT:
@@ -422,15 +427,12 @@ def validate(tuples_in_r, n: int) -> HoleyHT:
     table = bytearray(comb(n, 3))
     for t in tuples_in_r:
         x, y, z = t
-        a, b, c = sorted((x, y, z))
-        if a == b or b == c:
-            raise InputError(f"repeated vertex in tuple {t}")
-        HoleyHT._check_vertex_range(n, (a, c))
-        value = MINUS if tuple_parity(x, y, z) else PLUS
-        r = triple_rank(a, b, c)
+        r, odd = slot(n, x, y, z)
+        value = MINUS if odd else PLUS
         if table[r] == HOLE:
             table[r] = value
         elif table[r] != value:
+            a, b, c = triples(n)[r]
             raise ContradictoryTriple(
                 f"both orientations of {{{a}, {b}, {c}}} asserted"
             )
@@ -466,9 +468,8 @@ def glue(first: HoleyHT, second: HoleyHT, base) -> HoleyHT:
     # relabeling need not be monotone: a value flips with its parity
     for (a, b, c), v in zip(triples(second.n), second.table):
         if v != HOLE:
-            x, y, z = relabel[a], relabel[b], relabel[c]
-            i, j, k = sorted((x, y, z))
-            table[triple_rank(i, j, k)] = 3 - v if tuple_parity(x, y, z) else v
+            r, odd = slot(total, relabel[a], relabel[b], relabel[c])
+            table[r] = 3 - v if odd else v
     return HoleyHT(total, bytes(table))
 
 
@@ -478,16 +479,18 @@ def is_isomorphic(first: HoleyHT, second: HoleyHT) -> tuple[int, ...] | None:
     Returns the witness as a tuple p with p[i-1] = image of vertex i (the
     lexicographically least witness), or None.  A least-first search over
     image prefixes p, kept while `second` read along p is `first` on
-    1..len(p); refuses n > ISO_GUARD.
+    1..len(p); vertex i is only sent to vertices with as many hole triples
+    through them as through i.  Refuses n > ISO_GUARD.
     """
     if first.n != second.n:
         return None
     n = first.n
     if n > ISO_GUARD:
         raise GuardExceeded(f"isomorphism search limited to n <= {ISO_GUARD}, got {n}")
-    # hole count is the only cheap invariant: assigned values flip with the
+    # hole degrees are the cheap invariant: assigned values flip with the
     # parity of the relabeling, so their multiset is not preserved
-    if first.table.count(HOLE) != second.table.count(HOLE):
+    want, have = _hole_degrees(first), _hole_degrees(second)
+    if sorted(want) != sorted(have):
         return None
     stack = [()]
     while stack:
@@ -497,8 +500,19 @@ def is_isomorphic(first: HoleyHT, second: HoleyHT) -> tuple[int, ...] | None:
         if len(prefix) == n:
             return prefix
         # pushed in descending order, so the least image is tried first
-        stack.extend(prefix + (w,) for w in range(n, 0, -1) if w not in prefix)
+        degree = want[len(prefix) + 1]
+        stack.extend(prefix + (w,) for w in range(n, 0, -1)
+                     if have[w] == degree and w not in prefix)
     return None
+
+
+def _hole_degrees(structure: HoleyHT) -> list[int]:
+    """Entry v is the number of hole triples through vertex v (entry 0 is 0)."""
+    degrees = [0] * (structure.n + 1)
+    for t in structure.holes():
+        for v in t:
+            degrees[v] += 1
+    return degrees
 
 
 @dataclass(frozen=True)
@@ -519,10 +533,8 @@ class Hypergraph3:
         norm = set()
         for e in edges:
             x, y, z = e
-            a, b, c = sorted((x, y, z))
-            if a == b or b == c:
-                raise InputError(f"repeated vertex in hyperedge {e}")
-            norm.add((a, b, c))
+            slot(n, x, y, z)  # refuses a repeated or out-of-range vertex
+            norm.add(tuple(sorted(e)))
         return cls(n, frozenset(norm))
 
 

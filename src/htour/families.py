@@ -25,14 +25,11 @@ from .core import (
     HoleyHT,
     InputError,
     glue,
-    tuple_parity,
-    triple_rank,
+    slot,
     triples,
     complete_hypergraph,
     unhat,
     validate,
-    Hypergraph3,
-    check_order,
 )
 
 
@@ -87,33 +84,27 @@ class ChainBuilder:
     def apply_link(self, kind: LinkKind, verts) -> ChainBuilder:
         """Embed the gadget of `kind` along (x, y, z, w) -> gadget 1..4."""
         x, y, z, w = verts
-        if len({x, y, z, w}) != 4:
-            raise InputError(f"link vertices must be distinct: {verts}")
-        for v in (x, y, z, w):
-            if not 1 <= v <= self.n:
-                raise InputError(f"vertex {v} out of range 1..{self.n}")
         image = {1: x, 2: y, 3: z, 4: w}
-        for t in _GADGET_TUPLES[kind]:
-            p, q, r = (image[i] for i in t)
-            a, b, c = sorted((p, q, r))
-            value = MINUS if tuple_parity(p, q, r) else PLUS
-            rank = triple_rank(a, b, c)
+        # the gadget's four triples meet every pair of the link's vertices,
+        # so locating them all first refuses a bad link before any write
+        assigned = [slot(self.n, *(image[i] for i in t)) for t in _GADGET_TUPLES[kind]]
+        holes = [slot(self.n, *(image[i] for i in t))[0] for t in gadget(kind).holes()]
+        for rank, odd in assigned:
+            value = MINUS if odd else PLUS
             if rank in self.must_hole:
                 raise ChainInconsistent(
-                    f"link {kind.value}@{verts} assigns required hole {(a, b, c)}"
+                    f"link {kind.value}@{verts} assigns required hole {triples(self.n)[rank]}"
                 )
             if self.table[rank] == HOLE:
                 self.table[rank] = value
             elif self.table[rank] != value:
                 raise ChainInconsistent(
-                    f"link {kind.value}@{verts} contradicts {(a, b, c)}"
+                    f"link {kind.value}@{verts} contradicts {triples(self.n)[rank]}"
                 )
-        for t in gadget(kind).holes():
-            a, b, c = sorted(image[i] for i in t)
-            rank = triple_rank(a, b, c)
+        for rank in holes:
             if self.table[rank] != HOLE:
                 raise ChainInconsistent(
-                    f"link {kind.value}@{verts} needs {(a, b, c)} to be a hole"
+                    f"link {kind.value}@{verts} needs {triples(self.n)[rank]} to be a hole"
                 )
             self.must_hole.add(rank)
         return self
@@ -168,26 +159,18 @@ def gen_cyclic(n: int, order=None) -> HoleyHT:
     increasing-in-order tuple; every 4-subset then has type C4."""
     if order is None:
         order = range(1, n + 1)
-    return unhat(complete_hypergraph(n), check_order(order, n))
+    return unhat(complete_hypergraph(n), order)
 
 
 def gen_even(n: int, edges, order=None) -> HoleyHT:
     """Full structure from a graph and an order: the 3-subsets spanning an
     even number of edges get the increasing-in-order tuple, the rest its
     transposition.  Every 4-subset has type C4 or H4."""
-    if order is None:
-        order = range(1, n + 1)
     edge_set = normalize_edges(n, edges)
-    hyper = []
-    for a, b, c in triples(n):
-        inside = (
-            ((a, b) in edge_set)
-            + ((a, c) in edge_set)
-            + ((b, c) in edge_set)
-        )
-        if inside % 2 == 0:
-            hyper.append((a, b, c))
-    return unhat(Hypergraph3(n, frozenset(hyper)), check_order(order, n))
+    odd = (((a, b) in edge_set) ^ ((a, c) in edge_set) ^ ((b, c) in edge_set)
+           for a, b, c in triples(n))
+    cyclic = gen_cyclic(n, order).table
+    return HoleyHT(n, bytes(3 - v if flip else v for v, flip in zip(cyclic, odd)))
 
 
 def normalize_edges(n: int, edges) -> frozenset:

@@ -258,10 +258,12 @@ def arrow_check(big: OrderedHT, mid: OrderedHT, small: OrderedHT,
     `big`, exceeds MAX_ARROW_STEPS, and after the first one (which runs to
     its end, so the message names the full count) when `small` has more
     than `max_embeddings` embeddings into `big`.  A negative
-    `max_embeddings` is an InputError.
+    `max_embeddings`, or fewer than one color, is an InputError.
     """
     if max_embeddings < 0:
         raise InputError(f"max_embeddings must be at least 0, got {max_embeddings}")
+    if colors < 1:
+        raise InputError(f"colors must be at least 1, got {colors}")
     steps = _search_steps(small, big) + _search_steps(mid, big)
     if steps > MAX_ARROW_STEPS:
         raise GuardExceeded(

@@ -35,6 +35,7 @@ from htour.core import (
     unhat,
     validate,
 )
+from htour.families import ChainBuilder, LinkKind
 from htour.rand import random_full_ht, random_holey_ht, random_order
 
 
@@ -83,11 +84,24 @@ def test_orientation_rotation_and_transposition():
 
 
 def test_orientation_bad_input():
-    A = all_plus()
-    with pytest.raises(InputError):
-        A.orientation_of(1, 1, 2)
-    with pytest.raises(InputError):
-        A.orientation_of(1, 2, 9)
+    # every entry point that locates a tuple refuses the same bad vertices
+    n = 4
+    A = all_plus(n)
+    entries = {
+        "triple_value": A.triple_value,
+        "orientation_of": A.orientation_of,
+        "with_value": lambda *t: A.with_value(*t, MINUS),
+        "validate": lambda *t: validate([t], n),
+        "from_edges": lambda *t: Hypergraph3.from_edges(n, [t]),
+        "apply_link": lambda *t: ChainBuilder(n).apply_link(LinkKind.FWD, t + (3,)),
+    }
+    for bad, text in (((1, 1, 2), "repeated vertex"),
+                      ((2, 0, 1), "vertex 0 out of range 1..4"),
+                      ((1, n + 1, 2), "vertex 5 out of range 1..4")):
+        for name, entry in entries.items():
+            with pytest.raises(InputError, match=text):
+                entry(*bad)
+                pytest.fail(f"{name}{bad} was accepted")
 
 
 def test_validate_gadget_table():
@@ -256,6 +270,34 @@ def test_is_isomorphic_witnesses_are_golden():
         witnesses.append(w)
     assert witnesses.count(None) == 27
     assert hashlib.sha256(repr(witnesses).encode()).hexdigest() == ISOMORPHISM_WITNESSES_SHA256
+
+
+def test_is_isomorphic_is_bounded_on_sparse_inputs(monkeypatch):
+    # nearly every triple a hole: a prefix of holes matches nearly every
+    # image, so without the hole degrees the search visits most prefixes
+    # (64,363 `along` calls on these six pairs when only hole counts match)
+    calls = []
+    along = HoleyHT.along
+    monkeypatch.setattr(HoleyHT, "along", lambda self, f: calls.append(f) or along(self, f))
+    rng = random.Random(17)
+    for assigned in (1, 2):
+        for _ in range(3):
+            A = random_holey_ht(rng, 9, comb(9, 3) - assigned)
+            B = A.relabel(random_order(rng, 9))
+            w = is_isomorphic(A, B)
+            assert B.along(w) == A
+    assert len(calls) < 5000
+    # equal hole counts, no isomorphism: the two assigned triples share a
+    # pair read the same way in one and opposite ways in the other (equal
+    # hole degrees), or share one vertex against none (unequal ones)
+    same_way = validate([(1, 2, 3), (1, 2, 4)], 9)
+    opposite = validate([(1, 2, 3), (2, 1, 4)], 9).relabel(random_order(rng, 9))
+    disjoint = validate([(1, 2, 3), (4, 5, 6)], 9)
+    meeting = validate([(1, 2, 3), (1, 4, 5)], 9).relabel(random_order(rng, 9))
+    calls.clear()
+    assert is_isomorphic(same_way, opposite) is None
+    assert is_isomorphic(disjoint, meeting) is None
+    assert len(calls) < 5000
 
 
 def test_is_isomorphic_guard():

@@ -241,6 +241,10 @@ def test_arrow_refuses_a_negative_embedding_guard():
     # zero is a guard like any other: three embeddings exceed it
     with pytest.raises(GuardExceeded, match=r"3 embeddings exceed .* \(0\)"):
         arrow_check(cyc(3), cyc(2), cyc(1), max_embeddings=0)
+    # with no color there is no coloring to search: at least one is needed
+    for colors in (0, -1):
+        with pytest.raises(InputError, match=f"colors must be at least 1, got {colors}"):
+            arrow_check(cyc(5), cyc(3), cyc(2), colors=colors)
 
 
 def test_arrow_refusal_names_the_full_embedding_count():
