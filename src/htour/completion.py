@@ -41,9 +41,18 @@ every 4-subset.
 Propagation judges a 4-subset by one lookup in the constraint set's 81-entry
 action table (see classify.ConstraintSet.action_table), keyed by the code
 v0 + 3*v1 + 9*v2 + 27*v3 of its four table values: nothing to do, a
-conflict, or which hole is forced to which value.  The 4-subset index is the
-pair of flat arrays of core (quad_triple_ranks, triple_quad_ids), read by
-direct offset.
+conflict, or which hole is forced to which value.  The root queues every
+4-subset with at most one hole.  After that, `assign` judges a 4-subset
+once, when its hole count falls to 1, and queues it only when its action is
+not 0; a 4-subset whose count falls to 0 is never queued.  Only no-op pops
+go: a one-hole 4-subset's three assigned triples cannot change during a
+propagation, so its action when queued is its action when popped, until its
+hole fills; and if both values were allowed then, any fill is allowed too.
+The entries that are kept keep their FIFO order, so trails, conflicts and
+node counts are those of queueing a 4-subset whenever its count falls to 1
+or to 0.  The same code locates the one hole for the branch scores, through
+the 81-entry table _HOLE_AT.  The 4-subset index is the pair of flat arrays
+of core (quad_triple_ranks, triple_quad_ids), read by direct offset.
 
 Soundness is checked on every run, outside the search: every table that
 `complete` or `all_completions` returns must be hole-free, keep every
@@ -65,7 +74,7 @@ from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
 from math import comb
 
-from .classify import ConstraintSet, class_member, first_offence
+from .classify import _CODES, ConstraintSet, class_member, first_offence
 from .core import (
     HOLE,
     MINUS,
@@ -93,6 +102,11 @@ _ASSIGNED_MASK = bytes([0, 0xFF, 0xFF]) + bytes(253)
 _AT_MOST_ONE_HOLE = bytes([1, 1]) + bytes(254)
 _ONE_HOLE = bytes([0, 1]) + bytes(254)
 _MARK = re.compile(b"\x01")
+# by 4-subset code v0 + 3*v1 + 9*v2 + 27*v3: the position of its hole when
+# it has exactly one, else None
+_HOLE_AT = tuple(
+    values.index(HOLE) if values.count(HOLE) == 1 else None for values in _CODES
+)
 
 
 @dataclass(frozen=True)
@@ -202,11 +216,14 @@ class _Engine:
         return deque(self._quads_with(_AT_MOST_ONE_HOLE))
 
     def assign(self, rank: int, value: int, worklist: deque) -> None:
+        """Set triple `rank` to `value` and queue each 4-subset through it
+        that falls to one hole with a nonzero action."""
         table = self.table
         table[rank] = value
         self.trail.append(rank)
         hole_cnt = self.hole_cnt
         qt = self.qt
+        action = self.action
         score = self.score
         if score is not None:
             score[rank] = -1
@@ -216,17 +233,18 @@ class _Engine:
         for qi in self.tq[start:start + self.stride]:
             cnt = hole_cnt[qi] - 1
             hole_cnt[qi] = cnt
-            if cnt <= 1:
-                worklist.append(qi)
-                if cnt == 1 and score is not None:
+            if cnt == 1:
+                b = qi << 2
+                code = (table[qt[b]] + 3 * table[qt[b + 1]] + 9 * table[qt[b + 2]]
+                        + 27 * table[qt[b + 3]])
+                if action[code]:
+                    worklist.append(qi)
+                if score is not None:
                     # the quad's last hole gains a one-hole 4-subset
-                    b = qi << 2
-                    for r in qt[b:b + 4]:
-                        if table[r] == HOLE:
-                            s = score[r] + 1
-                            score[r] = s
-                            heappush(heap, r - s * big)
-                            break
+                    r = qt[b + _HOLE_AT[code]]
+                    s = score[r] + 1
+                    score[r] = s
+                    heappush(heap, r - s * big)
 
     def undo_to(self, mark: int) -> None:
         """Pop the trail back to `mark`.  With scores built, `mark` is never
@@ -251,15 +269,17 @@ class _Engine:
                 if cnt == 1:
                     own += 1
                 elif cnt == 2 and score is not None:
-                    # the quad's other hole loses a one-hole 4-subset
+                    # the quad's other hole loses a one-hole 4-subset; rank
+                    # is still assigned, so that hole is the code's only one
                     b = qi << 2
-                    for r in qt[b:b + 4]:
-                        if table[r] == HOLE:
-                            s = score[r] - 1
-                            score[r] = s
-                            if s:
-                                heappush(heap, r - s * big)
-                            break
+                    r = qt[b + _HOLE_AT[
+                        table[qt[b]] + 3 * table[qt[b + 1]] + 9 * table[qt[b + 2]]
+                        + 27 * table[qt[b + 3]]
+                    ]]
+                    s = score[r] - 1
+                    score[r] = s
+                    if s:
+                        heappush(heap, r - s * big)
             table[rank] = HOLE
             if score is not None:
                 score[rank] = own
@@ -268,8 +288,15 @@ class _Engine:
 
     def propagate(self, worklist: deque) -> int | None:
         """Run unit propagation to fixpoint; return a conflicting quad id
-        or None.  Forced assignments extend the trail.  A queued quad has at
-        most one hole: counts only fall until undo_to drops the worklist."""
+        or None.  Forced assignments extend the trail.
+
+        A queued quad had a nonzero action when it was queued (or is a root
+        quad with at most one hole, see seed_worklist).  Its three assigned
+        triples cannot change before its pop, so the pop re-judges it
+        against the current table only for the case that its hole filled
+        meanwhile: then it gives 0 or a conflict.  A quad whose count falls
+        to 0 is never queued: it had one hole just before, and either it
+        was queued then, or both values were allowed and so is any fill."""
         table = self.table
         qt = self.qt
         action = self.action
@@ -317,11 +344,12 @@ class _Engine:
         scored = []
         for qi in self._quads_with(_ONE_HOLE):
             b = qi << 2
-            for r in qt[b:b + 4]:
-                if table[r] == HOLE:
-                    score[r] += 1
-                    scored.append(r)
-                    break
+            r = qt[b + _HOLE_AT[
+                table[qt[b]] + 3 * table[qt[b + 1]] + 9 * table[qt[b + 2]]
+                + 27 * table[qt[b + 3]]
+            ]]
+            score[r] += 1
+            scored.append(r)
         self._reheap(scored)
         return score
 

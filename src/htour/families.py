@@ -85,19 +85,19 @@ class ChainBuilder:
         """Embed the gadget of `kind` along (x, y, z, w) -> gadget 1..4."""
         x, y, z, w = verts
         image = {1: x, 2: y, 3: z, 4: w}
-        # the gadget's four triples meet every pair of the link's vertices,
-        # so locating them all first refuses a bad link before any write
-        assigned = [slot(self.n, *(image[i] for i in t)) for t in _GADGET_TUPLES[kind]]
+        # every located triple is checked before the first write, so a
+        # refused link leaves the builder as it was
+        assigned = []
+        for t in _GADGET_TUPLES[kind]:
+            rank, odd = slot(self.n, *(image[i] for i in t))
+            assigned.append((rank, MINUS if odd else PLUS))
         holes = [slot(self.n, *(image[i] for i in t))[0] for t in gadget(kind).holes()]
-        for rank, odd in assigned:
-            value = MINUS if odd else PLUS
+        for rank, value in assigned:
             if rank in self.must_hole:
                 raise ChainInconsistent(
                     f"link {kind.value}@{verts} assigns required hole {triples(self.n)[rank]}"
                 )
-            if self.table[rank] == HOLE:
-                self.table[rank] = value
-            elif self.table[rank] != value:
+            if self.table[rank] not in (HOLE, value):
                 raise ChainInconsistent(
                     f"link {kind.value}@{verts} contradicts {triples(self.n)[rank]}"
                 )
@@ -106,7 +106,9 @@ class ChainBuilder:
                 raise ChainInconsistent(
                     f"link {kind.value}@{verts} needs {triples(self.n)[rank]} to be a hole"
                 )
-            self.must_hole.add(rank)
+        for rank, value in assigned:
+            self.table[rank] = value
+        self.must_hole.update(holes)
         return self
 
     def build(self) -> HoleyHT:

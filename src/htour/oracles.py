@@ -1,13 +1,14 @@
 """Brute-force reference procedures.
 
-These enumerate candidate completions directly over the hole assignments,
-judging 4-subsets through itertools.combinations, triple_rank and mask_of
-(not the solver's flat index or class test), enumerate
-embeddings by comparing orientation_of on every order-preserving injection,
-and sweep every coloring of an arrow check in plain counter order.  They
-share no pruning, ordering or position-table machinery with the solver or
-the arrow search and exist so that their results can be checked against an
-independent computation.
+These enumerate candidate completions directly over the hole assignments
+and run unit propagation by plain rescanning, judging 4-subsets through
+itertools.combinations, triple_rank and mask_of (not the solver's flat
+index, action table or class test), enumerate embeddings by comparing
+orientation_of on every order-preserving injection, and sweep every
+coloring of an arrow check in plain counter order.  They share no pruning,
+ordering or position-table machinery with the solver or the arrow search
+and exist so that their results can be checked against an independent
+computation.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from operator import itemgetter
 from typing import TYPE_CHECKING
 
 from .classify import ConstraintSet, mask_of
-from .core import HOLE, MINUS, PLUS, GuardExceeded, HoleyHT, triple_rank
+from .core import HOLE, MINUS, PLUS, GuardExceeded, HoleyHT, triple_rank, triples
 
 if TYPE_CHECKING:  # annotations only, so the arrow search is not loaded
     from .ramsey import OrderedHT
@@ -30,6 +31,53 @@ def _violates(table, ranks, bits) -> bool:
     type outside `bits`?"""
     values = [table[r] for r in ranks]
     return HOLE not in values and not (bits >> mask_of(*values)) & 1
+
+
+def _quad_ranks(n: int) -> list[tuple[int, int, int, int]]:
+    """The ranks of {abc}, {abd}, {acd}, {bcd} (the order mask_of reads) of
+    every 4-subset {a<b<c<d} of 1..n."""
+    return [
+        (triple_rank(a, b, c), triple_rank(a, b, d), triple_rank(a, c, d), triple_rank(b, c, d))
+        for a, b, c, d in itertools.combinations(range(1, n + 1), 4)
+    ]
+
+
+def unit_fixpoint(structure: HoleyHT, allowed) -> tuple[bool, set]:
+    """Unit propagation by rescanning: sweep every 4-subset until a sweep
+    changes nothing.  A 4-subset with one hole that allows one value of it
+    forces that value; one that allows neither, or a hole-free one outside
+    the class, is a conflict.  Returns (ok, forced): ok is False at a
+    conflict, and forced is the set of (triple, value) assigned so far."""
+    allowed = ConstraintSet.coerce(allowed)
+    bits = allowed.mask_bits()
+    names = triples(structure.n)
+    quads = _quad_ranks(structure.n)
+    table = bytearray(structure.table)
+    forced: set = set()
+    changed = True
+    while changed:
+        changed = False
+        for ranks in quads:
+            values = [table[r] for r in ranks]
+            if values.count(HOLE) > 1:
+                continue
+            if HOLE not in values:
+                if not (bits >> mask_of(*values)) & 1:
+                    return False, forced
+                continue
+            pos = values.index(HOLE)
+            ok = []
+            for value in (PLUS, MINUS):
+                values[pos] = value
+                if (bits >> mask_of(*values)) & 1:
+                    ok.append(value)
+            if not ok:
+                return False, forced
+            if len(ok) == 1:
+                table[ranks[pos]] = ok[0]
+                forced.add((names[ranks[pos]], ok[0]))
+                changed = True
+    return True, forced
 
 
 def enumerate_completions(structure: HoleyHT, allowed) -> list[HoleyHT]:
@@ -49,11 +97,7 @@ def enumerate_completions(structure: HoleyHT, allowed) -> list[HoleyHT]:
         )
     n = structure.n
     bits = allowed.mask_bits()
-    # the ranks of {abc}, {abd}, {acd}, {bcd}: the order mask_of reads
-    quads = [
-        (triple_rank(a, b, c), triple_rank(a, b, d), triple_rank(a, c, d), triple_rank(b, c, d))
-        for a, b, c, d in itertools.combinations(range(1, n + 1), 4)
-    ]
+    quads = _quad_ranks(n)
     table = bytearray(structure.table)
     if any(_violates(table, q, bits) for q in quads):
         return []

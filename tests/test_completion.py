@@ -251,20 +251,26 @@ def test_soundness_check_catches_bad_tables(monkeypatch):
 
 
 def test_oracle_does_not_read_the_flat_index(monkeypatch):
-    # a fault in the block-built 4-subset index must not reach the oracle
-    # that the solver is checked against
+    # a fault in the block-built 4-subset index or in the action table must
+    # not reach the oracles that the solver is checked against
     on7, h4 = gen_on(7), HoleyHT(5, bytes([PLUS, MINUS, PLUS, MINUS] + [HOLE] * 6))
     expected = all_completions(on7, H4_FREE)
 
     def refuse(n):
-        raise AssertionError("the oracle read the flat index")
+        raise AssertionError("the oracle read a solver table")
 
     for module in (core, classify, completion, oracles):
-        for name in ("quad_triple_ranks", "triple_quad_ids"):
+        for name in ("quad_triple_ranks", "triple_quad_ids", "_action_table"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, refuse)
-    with pytest.raises(AssertionError, match="read the flat index"):
+    with pytest.raises(AssertionError, match="read a solver table"):
         complete(on7, H4_FREE)
+    # a fresh constraint set, so no action table is cached on it
+    h4_free = ConstraintSet.of(FourType.C4, FourType.O4)
+    g = gadget(LinkKind.FWD).with_value(1, 2, 3, PLUS)
+    with pytest.raises(AssertionError, match="read a solver table"):
+        propagate(g, h4_free)
+    assert oracles.unit_fixpoint(g, h4_free) == (True, {((2, 3, 4), PLUS)})
     assert enumerate_completions(on7, H4_FREE) == expected
     assert len(expected) == 1228
     # {1, 2, 3, 4} is H4, outside the class before any hole is filled
@@ -284,6 +290,31 @@ def test_forced_values_in_every_completion():
         checked += 1
         for (a, b, c), v in r.forced:
             assert all(comp.triple_value(a, b, c) == v for comp in comps)
+
+
+def test_propagate_matches_rescanning_oracle():
+    # unit propagation is confluent: whatever the queue order, the same
+    # verdict, and without a conflict the same set of forced values
+    outcomes = {"conflict": 0, "forced": 0}
+    for allowed in TYPE_SETS:
+        rng = random.Random(41)
+        for i in range(24):
+            n = rng.randint(8, 16)
+            if i % 2:
+                # a few assigned triples, the rest holes
+                structure = random_holey_ht(rng, n, comb(n, 3) - rng.randint(4, 3 * n))
+            else:
+                structure = _planted(rng, n, rng.choice(["even", "cyclic"]),
+                                     rng.choice([0.5, 0.7, 0.85, 0.95]))
+            r = propagate(structure, allowed)
+            ok, forced = oracles.unit_fixpoint(structure, allowed)
+            assert r.ok == ok
+            if ok:
+                assert set(r.forced) == forced
+                outcomes["forced"] += bool(forced)
+            else:
+                outcomes["conflict"] += 1
+    assert outcomes["conflict"] > 20 and outcomes["forced"] > 40
 
 
 def test_determinism():
@@ -487,6 +518,36 @@ def test_golden_deletion_nodes(n):
     assert rep.is_minimal
     assert rep.whole.nodes == whole_nodes
     assert [rep.deletions[v].nodes for v in sorted(rep.deletions)] == deletion_nodes
+
+
+# the order of the forced assignments (the trail) of root propagation on
+# seeded planted instances, and the enumeration order, pinned: a change that
+# reorders the trail but keeps its set turns these red
+GOLDEN_TRAIL = {
+    (4, "cyclic", 0.8): (792, "a6fe962c063ecf7ebf90800c1dbcdb40d1023a175292f5945f56447791765d66"),
+    (5, "even", 0.8): (894, "e417466bc06c07c52d6f096a6a7df97d4f32e4dbc8a61d569ebb8936927995c2"),
+    (6, "cyclic", 0.85): (706, "7ba2673895fabc5137005e4397eb4c1d43b28d3e16bb0324ca6b70fb004208cd"),
+}
+GOLDEN_ENUMERATION = (
+    2000, "9ffaa079a46f9be0b450132f20e152e9a2a3ecdd88510e3affa4123a87c63b95"
+)
+
+
+@pytest.mark.parametrize("seed,kind,holes", sorted(GOLDEN_TRAIL))
+def test_golden_propagation_trail(seed, kind, holes):
+    count, digest = GOLDEN_TRAIL[seed, kind, holes]
+    structure = _planted(random.Random(seed), 20, kind, holes)
+    r = propagate(structure, EVEN if kind == "even" else CYCLIC)
+    assert r.ok and len(r.forced) == count
+    trail = bytes(x for t, v in r.forced for x in (*t, v))
+    assert hashlib.sha256(trail).hexdigest() == digest
+
+
+def test_golden_enumeration_order():
+    count, digest = GOLDEN_ENUMERATION
+    tables = [c.table for c in all_completions(gen_on(9), H4_FREE, cap=2000)]
+    assert len(tables) == count
+    assert hashlib.sha256(b"".join(tables)).hexdigest() == digest
 
 
 # -- incremental branch scores ----------------------------------------------

@@ -68,6 +68,22 @@ def test_apply_link_protects_holes():
         b.apply_link(LinkKind.FWD, (2, 5, 3, 4))
 
 
+def test_refused_link_leaves_the_builder_unchanged():
+    # every follow-up link on 1..6 after one FWD link: 4 kinds x 360 vertex
+    # sequences; a refusal must write nothing, whichever check refuses
+    refused = 0
+    for kind in LinkKind:
+        for verts in itertools.permutations(range(1, 7), 4):
+            b = ChainBuilder(6).apply_link(LinkKind.FWD, (1, 2, 3, 4))
+            table, must_hole = bytes(b.table), set(b.must_hole)
+            try:
+                b.apply_link(kind, verts)
+            except ChainInconsistent:
+                refused += 1
+                assert (bytes(b.table), b.must_hole) == (table, must_hole)
+    assert refused == 568
+
+
 def test_chains_build_consistently():
     for n in range(6, 13):
         gen_on(n)
