@@ -21,22 +21,19 @@ iterative and changes no interpreter-wide state.
 The branch scores (one-hole 4-subsets per hole) are maintained
 incrementally, in the manner of the watched-literal counters of Chaff
 (Moskewicz et al., DAC 2001): `assign` and `undo_to` adjust them in O(1)
-per incident 4-subset.  The pick reads them through a lazy heap, after
-MiniSat's variable-order heap: a min-heap of ints rank - score * (T + 1),
-T the number of triples, so the least key is the highest score at the least
-rank.  Every change of a score to a positive value pushes a fresh key, and
-nothing is removed on change; a key is stale once its score is no longer
-the triple's (an assigned triple scores -1), and the pick pops stale keys
-until a current one is on top.  If none is left, every hole scores 0 and
-the least-rank hole is the pick.  When the heap grows past 2T keys it is
-rebuilt with one current key per scoring hole, so its memory stays bounded
-at O(1) amortised cost per push.  Scores and heap are built at the first
-branch, after root propagation, so searches that propagate to a verdict pay
-no upkeep; enumeration branches on the least-rank hole and keeps neither.
-The propagation worklist starts from the 4-subsets with at most one hole,
-and the scores from those with exactly one, each found by one scan of the
-hole counts as bytes (`_Engine._quads_with`) rather than a Python loop over
-every 4-subset.
+per incident 4-subset.  A score is at most n - 3, so the pick needs no
+priority queue: `score` is a bytearray holding 1 + the score of each hole
+(0 once assigned), `count[s]` is the number of holes that score s, and
+`top` is an upper bound on the highest score, raised whenever a score
+passes it.  The pick lowers `top` while no hole scores it and returns
+`score.find(top + 1)`, the least rank at the highest score, by one C-level
+scan; with no hole left it finds nothing.  Scores and counts are built at
+the first branch, after root propagation, so searches that propagate to a
+verdict pay no upkeep; enumeration branches on the least-rank hole and
+keeps neither.  The propagation worklist starts from the 4-subsets with at
+most one hole, and the scores from those with exactly one, each found by
+one scan of the hole counts as bytes (`_Engine._quads_with`) rather than a
+Python loop over every 4-subset.
 
 Propagation judges a 4-subset by one lookup in the constraint set's 81-entry
 action table (see classify.ConstraintSet.action_table), keyed by the code
@@ -71,7 +68,6 @@ import re
 from collections import deque
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
-from heapq import heapify, heappop, heappush
 from math import comb
 
 from .classify import _CODES, ConstraintSet, class_member, first_offence
@@ -101,6 +97,9 @@ _ASSIGNED_MASK = bytes([0, 0xFF, 0xFF]) + bytes(253)
 # translate tables over hole counts, 1 at the wanted counts, and the mark
 _AT_MOST_ONE_HOLE = bytes([1, 1]) + bytes(254)
 _ONE_HOLE = bytes([0, 1]) + bytes(254)
+# translate table: 1 at holes (a branch score of 0, stored as 1), 0 at
+# assigned values
+_HOLE_SCORE = bytes([1]) + bytes(255)
 _MARK = re.compile(b"\x01")
 # by 4-subset code v0 + 3*v1 + 9*v2 + 27*v3: the position of its hole when
 # it has exactly one, else None
@@ -163,7 +162,8 @@ class _Engine:
         "action",
         "hole_cnt",
         "score",
-        "heap",
+        "count",
+        "top",
         "trail",
         "conflicts",
         "nodes",
@@ -191,13 +191,15 @@ class _Engine:
                 for qi in tq[r * stride:(r + 1) * stride]:
                     hole_cnt[qi] += step
         self.hole_cnt = hole_cnt
-        # per triple: the number of one-hole 4-subsets it is the hole of,
-        # -1 once assigned; built by the first pick_branch, None until then
-        self.score: list[int] | None = None
-        # lazy min-heap of branch keys rank - score * (len(table) + 1), one
-        # pushed whenever a score changes to a positive value; built with
-        # the scores
-        self.heap: list[int] = []
+        # per triple: 1 + the number of one-hole 4-subsets it is the hole
+        # of, 0 once assigned.  A byte holds it: a triple lies in n - 3
+        # 4-subsets, and the index refuses more than VERTEX_GUARD = 100
+        # vertices, so 1 + score <= n - 2 <= 98.  Built by the first
+        # pick_branch, None until then
+        self.score: bytearray | None = None
+        # count[s]: the holes that score s; top: at least the highest score
+        self.count: list[int] = []
+        self.top = 0
         self.trail: list[int] = []
         self.conflicts: set = set()
         self.nodes = 0
@@ -226,9 +228,9 @@ class _Engine:
         action = self.action
         score = self.score
         if score is not None:
-            score[rank] = -1
-            heap = self.heap
-            big = len(table) + 1
+            count = self.count
+            count[score[rank] - 1] -= 1
+            score[rank] = 0
         start = rank * self.stride
         for qi in self.tq[start:start + self.stride]:
             cnt = hole_cnt[qi] - 1
@@ -240,11 +242,15 @@ class _Engine:
                 if action[code]:
                     worklist.append(qi)
                 if score is not None:
-                    # the quad's last hole gains a one-hole 4-subset
+                    # the quad's last hole gains a one-hole 4-subset: its
+                    # score goes from s - 1 to s
                     r = qt[b + _HOLE_AT[code]]
-                    s = score[r] + 1
-                    score[r] = s
-                    heappush(heap, r - s * big)
+                    s = score[r]
+                    score[r] = s + 1
+                    count[s - 1] -= 1
+                    count[s] += 1
+                    if s > self.top:
+                        self.top = s
 
     def undo_to(self, mark: int) -> None:
         """Pop the trail back to `mark`.  With scores built, `mark` is never
@@ -256,9 +262,7 @@ class _Engine:
         qt = self.qt
         stride = self.stride
         score = self.score
-        if score is not None:
-            heap = self.heap
-            big = len(table) + 1
+        count = self.count
         while len(trail) > mark:
             rank = trail.pop()
             own = 0
@@ -269,8 +273,9 @@ class _Engine:
                 if cnt == 1:
                     own += 1
                 elif cnt == 2 and score is not None:
-                    # the quad's other hole loses a one-hole 4-subset; rank
-                    # is still assigned, so that hole is the code's only one
+                    # the quad's other hole loses a one-hole 4-subset: its
+                    # score goes from s to s - 1; rank is still assigned, so
+                    # that hole is the code's only one
                     b = qi << 2
                     r = qt[b + _HOLE_AT[
                         table[qt[b]] + 3 * table[qt[b + 1]] + 9 * table[qt[b + 2]]
@@ -278,13 +283,14 @@ class _Engine:
                     ]]
                     s = score[r] - 1
                     score[r] = s
-                    if s:
-                        heappush(heap, r - s * big)
+                    count[s] -= 1
+                    count[s - 1] += 1
             table[rank] = HOLE
             if score is not None:
-                score[rank] = own
-                if own:
-                    heappush(heap, rank - own * big)
+                score[rank] = own + 1
+                count[own] += 1
+                if own > self.top:
+                    self.top = own
 
     def propagate(self, worklist: deque) -> int | None:
         """Run unit propagation to fixpoint; return a conflicting quad id
@@ -317,50 +323,33 @@ class _Engine:
     def pick_branch(self) -> int | None:
         """Hole occurring in the most one-hole 4-subsets; ties by rank.
 
-        Every hole with a positive score has a current key in the heap, and
-        the least key is the highest score at the least rank.  A key whose
-        score is no longer the triple's (assigned triples score -1) is stale
-        and popped.  With no current key left, every hole scores 0 and the
-        least-rank hole is the pick."""
+        `top` drops to the highest score that some hole has, and the least
+        rank stored as that score + 1 is the pick.  With no hole left every
+        count is 0, and the search for 1 finds nothing."""
         score = self.score
         if score is None:
             score = self._build_scores()
-        heap = self.heap
-        big = len(score) + 1
-        if len(heap) > 2 * len(score):
-            self._reheap(key % big for key in heap)
-            heap = self.heap
-        while heap:
-            neg, rank = divmod(heap[0], big)
-            if score[rank] == -neg:
-                return rank
-            heappop(heap)
-        return self.least_hole()
+        count = self.count
+        top = self.top
+        while top and not count[top]:
+            top -= 1
+        self.top = top
+        rank = score.find(top + 1)
+        return None if rank < 0 else rank
 
-    def _build_scores(self) -> list[int]:
+    def _build_scores(self) -> bytearray:
         table = self.table
         qt = self.qt
-        score = self.score = [0 if v == HOLE else -1 for v in table]
-        scored = []
+        score = self.score = table.translate(_HOLE_SCORE)
         for qi in self._quads_with(_ONE_HOLE):
             b = qi << 2
-            r = qt[b + _HOLE_AT[
+            score[qt[b + _HOLE_AT[
                 table[qt[b]] + 3 * table[qt[b + 1]] + 9 * table[qt[b + 2]]
                 + 27 * table[qt[b + 3]]
-            ]]
-            score[r] += 1
-            scored.append(r)
-        self._reheap(scored)
+            ]]] += 1
+        self.count = [score.count(s + 1) for s in range(self.stride + 1)]
+        self.top = self.stride
         return score
-
-    def _reheap(self, ranks) -> None:
-        """Make the heap one current key per rank in `ranks` that scores
-        above 0; `ranks` must hold every such hole."""
-        score = self.score
-        big = len(score) + 1
-        heap = [r - score[r] * big for r in set(ranks) if score[r] > 0]
-        heapify(heap)
-        self.heap = heap
 
     def least_hole(self) -> int | None:
         """Least-rank hole, so completions come out in lexicographic order."""

@@ -1,6 +1,5 @@
 import concurrent.futures
 import hashlib
-import heapq
 import itertools
 import random
 import sys
@@ -85,9 +84,15 @@ def test_complete_all_types_always_sat():
         assert complete(A, ALL_TYPES).sat
 
 
-def test_complete_small_structures_filled_plus():
-    res = complete(HoleyHT.empty(3), H4_FREE)
-    assert res.sat and res.completion.triple_value(1, 2, 3) == PLUS
+@pytest.mark.parametrize("allowed", [H4_FREE, ALL_TYPES], ids=["h4free", "all"])
+@pytest.mark.parametrize("n", range(4))
+def test_complete_small_structures_filled_plus(n, allowed):
+    # below 4 vertices there is no 4-subset: nothing propagates, every
+    # hole scores 0 and is a PLUS decision, least rank first
+    res = complete(HoleyHT.empty(n), allowed)
+    assert res.sat and set(res.completion.table) <= {PLUS}
+    assert len(res.completion.table) == comb(n, 3)
+    assert res.nodes == comb(n, 3) + 1
 
 
 def test_complete_survives_deep_branching():
@@ -494,6 +499,10 @@ GOLDEN_DELETION_NODES = {
             274, 289]),
     12: (3, [1064, 1045, 1061, 1017, 1022, 1022, 1022, 1024, 1025, 1031, 1018,
              1028, 1004, 997, 998, 998, 1000, 997, 998, 995, 1022]),
+    # 29 vertices, 89,630 nodes over the deletions
+    16: (3, [3160, 3133, 3153, 3093, 3098, 3099, 3100, 3101, 3102, 3102, 3102,
+             3104, 3105, 3115, 3098, 3112, 3072, 3061, 3062, 3062, 3062, 3062,
+             3062, 3062, 3064, 3061, 3062, 3059, 3102]),
 }
 
 
@@ -570,48 +579,41 @@ def _planted(rng, n, kind, holes=0.9):
 @pytest.fixture
 def checked_branches(monkeypatch):
     """Recount the hole counts and scores at every branch and check them, the
-    pick and the heap against the recount; returns the list of picks."""
+    per-score counts and the pick against the recount; returns the list of
+    picks."""
     original = _Engine.pick_branch
     calls = []
-    pushes = [0]
-
-    def counted_push(heap, key):
-        pushes[0] += 1
-        heapq.heappush(heap, key)
 
     def checked(engine):
-        table, heap = engine.table, engine.heap
-        # at most twice the triples after the last pick, plus the pushes of
-        # one search step (the rebuild slack)
-        assert len(heap) <= 2 * len(table) + pushes[0]
+        if engine.score is not None:
+            # assign and undo_to keep top at or above every score
+            assert not any(engine.count[engine.top + 1:])
         rank = original(engine)
-        pushes[0] = 0
-        heap = engine.heap
-        assert len(heap) <= 2 * len(table)
+        table = engine.table
         hole_cnt = engine.hole_cnt
         qt, tq, stride = engine.qt, engine.tq, engine.n - 3
         assert hole_cnt == [
             sum(table[r] == HOLE for r in qt[b:b + 4]) for b in range(0, len(qt), 4)
         ]
-        recount = [
-            sum(1 for qi in tq[r * stride:(r + 1) * stride] if hole_cnt[qi] == 1)
-            if v == HOLE else -1
-            for r, v in enumerate(table)
+        recount = {
+            r: sum(1 for qi in tq[r * stride:(r + 1) * stride] if hole_cnt[qi] == 1)
+            for r, v in enumerate(table) if v == HOLE
+        }
+        assert list(engine.score) == [
+            recount[r] + 1 if r in recount else 0 for r in range(len(table))
         ]
-        assert engine.score == recount
-        # every hole that scores above 0 has a current key in the heap
-        big = len(table) + 1
-        current = {k % big for k in heap if recount[k % big] == -(k // big)}
-        assert current == {r for r, s in enumerate(recount) if s > 0}
-        holes = [r for r, v in enumerate(table) if v == HOLE]
+        histogram = [0] * (stride + 1)
+        for s in recount.values():
+            histogram[s] += 1
+        assert engine.count == histogram
+        assert not any(engine.count[engine.top + 1:])
         # most one-hole 4-subsets, least rank among ties
-        expected = min(holes, key=lambda r: (-recount[r], r)) if holes else None
+        expected = min(recount, key=lambda r: (-recount[r], r)) if recount else None
         assert rank == expected
         calls.append(rank)
         return rank
 
     monkeypatch.setattr(_Engine, "pick_branch", checked)
-    monkeypatch.setattr(completion, "heappush", counted_push)
     return calls
 
 
@@ -630,20 +632,20 @@ def test_scores_match_recount_at_every_branch(checked_branches, kind, allowed):
 
 
 def test_scores_match_recount_under_backtracking(checked_branches, monkeypatch):
-    calls = {"undo_to": 0, "_reheap": 0}
-    for name in calls:
-        def counted(engine, arg, name=name, original=getattr(_Engine, name)):
-            calls[name] += 1
-            original(engine, arg)
-        monkeypatch.setattr(_Engine, name, counted)
-    # 97% holes: the search backtracks out of dozens of conflicting 4-subsets,
-    # and the heap outgrows its bound and is rebuilt
+    undos = [0]
+    original = _Engine.undo_to
+
+    def counted(engine, mark):
+        undos[0] += 1
+        original(engine, mark)
+
+    monkeypatch.setattr(_Engine, "undo_to", counted)
+    # 97% holes: the search backtracks out of dozens of conflicting 4-subsets
     structure = _planted(random.Random(1), 13, "cyclic", holes=0.97)
     res = complete(structure, CYCLIC)
     assert res.sat and res.completion.extends(structure)
     assert (res.nodes, len(res.conflicts)) == (2100, 57)
-    assert calls["undo_to"] > 1000
-    assert calls["_reheap"] > 1  # the first build, then at least one rebuild
+    assert undos[0] > 1000
     assert is_minimal_obstruction(gen_bn(8), H4_FREE).is_minimal
 
 
@@ -663,7 +665,7 @@ def test_quad_scan_matches_a_walk():
 def test_enumeration_keeps_no_scores():
     engine = _Engine(gen_on(6), H4_FREE)
     assert len(list(engine.search(engine.least_hole))) == 9
-    assert engine.score is None and engine.heap == []
+    assert engine.score is None
 
 
 def test_solving_leaves_the_recursion_limit_alone(monkeypatch):
