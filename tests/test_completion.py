@@ -649,6 +649,39 @@ def test_scores_match_recount_under_backtracking(checked_branches, monkeypatch):
     assert is_minimal_obstruction(gen_bn(8), H4_FREE).is_minimal
 
 
+def test_scores_match_recount_after_backtracks(checked_branches):
+    # under CYCLIC every score is 0: C4's fills of a one-hole 4-subset differ
+    # in parity, so it forces or conflicts before any pick.  {H4, O4} allows
+    # both parities, so one-hole 4-subsets survive to the picks, and these
+    # two searches backtrack with nonzero scores
+    allowed = ConstraintSet.of(FourType.H4, FourType.O4)
+    found = []
+    for seed, n, holes in ((0, 9, 71), (2, 11, 140)):
+        res = complete(random_holey_ht(random.Random(seed), n, holes), allowed)
+        found.append((res.sat, res.nodes, len(res.conflicts)))
+    assert found == [(False, 3241, 24), (False, 4011, 18)]
+    assert len(checked_branches) == 3625
+
+
+# first-solution searches that backtrack at size: (n, seed) of a planted
+# cyclic structure with 93% holes -> nodes, conflicts, completion sha256
+GOLDEN_BACKTRACKING = {
+    (22, 1): (1854, 111, "07e124dce7a36fd04ef1a0905bbab807230cab5958b3e36c407d3ea4b5c862c4"),
+    (26, 3): (967, 86, "47852462ad92d388a1d18111ef2ceb332771bbcac5ad6e61a3c2be5f3f502599"),
+    (30, 0): (999, 117, "0e6ee9a51e0f7c0e1520640ef2d95c298d108bf8e5ab2dd0fc7dcf2d736de209"),
+}
+
+
+@pytest.mark.parametrize("n,seed", sorted(GOLDEN_BACKTRACKING))
+def test_golden_backtracking_search(n, seed):
+    nodes, conflicts, digest = GOLDEN_BACKTRACKING[n, seed]
+    structure = _planted(random.Random(seed), n, "cyclic", 0.93)
+    res = complete(structure, CYCLIC)
+    assert res.sat and res.completion.extends(structure)
+    assert (res.nodes, len(res.conflicts)) == (nodes, conflicts)
+    assert hashlib.sha256(res.completion.table).hexdigest() == digest
+
+
 def test_quad_scan_matches_a_walk():
     # the scan searches for sparse matches and compresses dense ones
     rng = random.Random(5)
