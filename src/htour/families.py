@@ -24,11 +24,10 @@ from .core import (
     PLUS,
     HoleyHT,
     InputError,
+    _order_parities,
     glue,
     slot,
     triples,
-    complete_hypergraph,
-    unhat,
     validate,
 )
 
@@ -161,7 +160,7 @@ def gen_cyclic(n: int, order=None) -> HoleyHT:
     increasing-in-order tuple; every 4-subset then has type C4."""
     if order is None:
         order = range(1, n + 1)
-    return unhat(complete_hypergraph(n), order)
+    return HoleyHT(n, bytes(MINUS if odd else PLUS for odd in _order_parities(n, order)))
 
 
 def gen_even(n: int, edges, order=None) -> HoleyHT:

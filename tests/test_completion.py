@@ -579,15 +579,15 @@ def _planted(rng, n, kind, holes=0.9):
 @pytest.fixture
 def checked_branches(monkeypatch):
     """Recount the hole counts and scores at every branch and check them, the
-    per-score counts and the pick against the recount; returns the list of
+    bound `top` and the pick against the recount; returns the list of
     picks."""
     original = _Engine.pick_branch
     calls = []
 
     def checked(engine):
         if engine.score is not None:
-            # assign and undo_to keep top at or above every score
-            assert not any(engine.count[engine.top + 1:])
+            # assign keeps top at or above every score
+            assert max(engine.score, default=0) <= engine.top + 1
         rank = original(engine)
         table = engine.table
         hole_cnt = engine.hole_cnt
@@ -602,11 +602,7 @@ def checked_branches(monkeypatch):
         assert list(engine.score) == [
             recount[r] + 1 if r in recount else 0 for r in range(len(table))
         ]
-        histogram = [0] * (stride + 1)
-        for s in recount.values():
-            histogram[s] += 1
-        assert engine.count == histogram
-        assert not any(engine.count[engine.top + 1:])
+        assert max(engine.score, default=0) <= engine.top + 1
         # most one-hole 4-subsets, least rank among ties
         expected = min(recount, key=lambda r: (-recount[r], r)) if recount else None
         assert rank == expected
@@ -649,18 +645,42 @@ def test_scores_match_recount_under_backtracking(checked_branches, monkeypatch):
     assert is_minimal_obstruction(gen_bn(8), H4_FREE).is_minimal
 
 
-def test_scores_match_recount_after_backtracks(checked_branches):
+def test_scores_match_recount_after_backtracks(checked_branches, monkeypatch):
     # under CYCLIC every score is 0: C4's fills of a one-hole 4-subset differ
     # in parity, so it forces or conflicts before any pick.  {H4, O4} allows
     # both parities, so one-hole 4-subsets survive to the picks, and these
     # two searches backtrack with nonzero scores
+    undos = [0]
+    original = _Engine.undo_to
+
+    def dropping(engine, mark):
+        undos[0] += 1
+        original(engine, mark)
+        assert engine.score is None  # the next pick rebuilds the scores
+
+    monkeypatch.setattr(_Engine, "undo_to", dropping)
     allowed = ConstraintSet.of(FourType.H4, FourType.O4)
     found = []
     for seed, n, holes in ((0, 9, 71), (2, 11, 140)):
         res = complete(random_holey_ht(random.Random(seed), n, holes), allowed)
         found.append((res.sat, res.nodes, len(res.conflicts)))
     assert found == [(False, 3241, 24), (False, 4011, 18)]
-    assert len(checked_branches) == 3625
+    # both are Unsat: every decision's MINUS branch is tried after an undo
+    assert len(checked_branches) == undos[0] == 3625
+
+
+def test_single_parity_classes_leave_no_one_hole_subset_open():
+    # the two fills of a one-hole 4-subset differ in hyperedge parity (even
+    # for C4 and H4, odd for O4): with the allowed types of one parity, every
+    # one-hole 4-subset forces or conflicts, so no score survives to a pick
+    one_hole = [code for code, values in enumerate(classify._CODES)
+                if values.count(HOLE) == 1]
+    for types in ((FourType.C4,), (FourType.H4,), (FourType.C4, FourType.H4),
+                  (FourType.O4,)):
+        action = ConstraintSet.of(*types).action_table
+        assert all(action[code] for code in one_hole)
+    for allowed in (H4_FREE, ConstraintSet.of(FourType.H4, FourType.O4)):
+        assert not all(allowed.action_table[code] for code in one_hole)
 
 
 # first-solution searches that backtrack at size: (n, seed) of a planted
