@@ -9,34 +9,15 @@ are excluded the 4-subset is a conflict.
 
 There is one search loop, `_Engine.search`: a depth-first search over the
 assignment trail with an explicit stack of (rank, trail mark) frames, after
-MiniSat (Een and Sorensson, SAT 2003).  It yields the completions in search
-order, and its callers differ only in the branch rule and in when they stop.
-`complete` takes the first completion and branches on the hole occurring in
-the most one-hole 4-subsets (ties broken by triple rank); `all_completions`
-takes up to `cap` of them and branches on the least-rank hole, so they come
-out in lexicographic order.  Both try PLUS first, and propagation worklists
-are FIFO, so identical inputs give identical results.  The search is
-iterative and changes no interpreter-wide state.
-
-The branch scores (one-hole 4-subsets per hole) live for one descent:
-`score` holds 1 + the score of each hole (0 once assigned), `assign` adds
-one per 4-subset that falls to one hole and raises `top`, an upper bound on
-the highest score, past it.  `undo_to` drops them, and the next pick
-rebuilds them from the table and the hole counts, whose function they are:
-one translate, one increment per one-hole 4-subset (found by one scan of
-the hole counts as bytes, `_Engine._quads_with`) and `top` = n - 3.  As
-with the watched literals of Chaff (Moskewicz et al., DAC 2001), a
-backtrack costs them nothing, and the searches that keep them nearly never
-backtrack (14 undos against 89,618 picks for the minimality of bn(16)).  A
-score is at most n - 3, so the pick is `score.find(top + 1)`, the least
-rank at the highest score, lowering `top` while that finds nothing.
-Enumeration branches on the least-rank hole and keeps no scores.
-
-Under {C4}, {H4}, {C4, H4} and {O4} (planted EVEN and CYCLIC instances
-among them) every score at a pick is 0 and `complete` branches on the
-least-rank hole: the two fills of a one-hole 4-subset differ in hyperedge
-parity, even for C4 and H4 and odd for O4, so every one-hole 4-subset
-forces or conflicts before the pick.
+MiniSat (Een and Sorensson, SAT 2003).  It branches on the least-rank hole,
+PLUS before MINUS, so it yields the completions in lexicographic order of
+the hole assignment vector (a forced value is the only one that any
+completion below the node takes).  Its callers differ only in when they
+stop: `complete` takes the first completion, the least one, which is
+`all_completions(structure, allowed, cap=1)[0]`; `all_completions` takes up
+to `cap` of them.  Propagation worklists are FIFO, so identical inputs give
+identical results.  The search is iterative and changes no interpreter-wide
+state.
 
 Propagation judges a 4-subset by one lookup in the constraint set's 81-entry
 action table (see classify.ConstraintSet.action_table), keyed by the code
@@ -50,9 +31,8 @@ propagation, so its action when queued is its action when popped, until its
 hole fills; and if both values were allowed then, any fill is allowed too.
 The entries that are kept keep their FIFO order, so trails, conflicts and
 node counts are those of queueing a 4-subset whenever its count falls to 1
-or to 0.  The same code locates the one hole for the branch scores, through
-the 81-entry table _HOLE_AT.  The 4-subset index is the pair of flat arrays
-of core (quad_triple_ranks, triple_quad_ids), read by direct offset.
+or to 0.  The 4-subset index is the pair of flat arrays of core
+(quad_triple_ranks, triple_quad_ids), read by direct offset.
 
 Soundness is checked on every run, outside the search: every table that
 `complete` or `all_completions` returns must be hole-free, keep every
@@ -69,11 +49,11 @@ from __future__ import annotations
 import itertools
 import re
 from collections import deque
-from collections.abc import Callable, Iterator
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from math import comb
 
-from .classify import _CODES, ConstraintSet, class_member, first_offence
+from .classify import ConstraintSet, class_member, first_offence
 from .core import (
     HOLE,
     MINUS,
@@ -97,28 +77,20 @@ _CHECK_BYTES = 1 << 20
 _ENUMERATION_BYTES = 1 << 22
 # translate table: 0xFF at assigned values, 0 at holes
 _ASSIGNED_MASK = bytes([0, 0xFF, 0xFF]) + bytes(253)
-# translate tables over hole counts, 1 at the wanted counts, and the mark
+# translate table over hole counts, 1 at counts 0 and 1, and the mark
 _AT_MOST_ONE_HOLE = bytes([1, 1]) + bytes(254)
-_ONE_HOLE = bytes([0, 1]) + bytes(254)
-# translate table: 1 at holes (a branch score of 0, stored as 1), 0 at
-# assigned values
-_HOLE_SCORE = bytes([1]) + bytes(255)
 _MARK = re.compile(b"\x01")
-# by 4-subset code v0 + 3*v1 + 9*v2 + 27*v3: the position of its hole when
-# it has exactly one, else None
-_HOLE_AT = tuple(
-    values.index(HOLE) if values.count(HOLE) == 1 else None for values in _CODES
-)
 
 
 @dataclass(frozen=True)
 class SolveResult:
     """Verdict of a completion search.
 
-    For Sat, `completion` extends the input and lies in the class.  For
-    Unsat, `conflicts` lists the 4-subsets (vertex tuples) that produced
-    conflicts along the exhausted search tree, deduplicated and sorted; no
-    minimality is promised.
+    For Sat, `completion` extends the input, lies in the class and is the
+    least completion in the order of all_completions.  For Unsat,
+    `conflicts` lists the 4-subsets (vertex tuples) that produced conflicts
+    along the exhausted search tree, deduplicated and sorted; no minimality
+    is promised.
     """
 
     sat: bool
@@ -164,8 +136,6 @@ class _Engine:
         "stride",
         "action",
         "hole_cnt",
-        "score",
-        "top",
         "trail",
         "conflicts",
         "nodes",
@@ -193,30 +163,19 @@ class _Engine:
                 for qi in tq[r * stride:(r + 1) * stride]:
                     hole_cnt[qi] += step
         self.hole_cnt = hole_cnt
-        # per triple: 1 + the number of one-hole 4-subsets it is the hole
-        # of, 0 once assigned.  A byte holds it: a triple lies in n - 3
-        # 4-subsets, and the index refuses more than VERTEX_GUARD = 100
-        # vertices, so 1 + score <= n - 2 <= 98.  Built by pick_branch,
-        # None before the first pick and after each undo_to
-        self.score: bytearray | None = None
-        # at least the highest score while scores are built
-        self.top = 0
         self.trail: list[int] = []
         self.conflicts: set = set()
         self.nodes = 0
 
-    def _quads_with(self, wanted: bytes) -> list[int]:
-        """Ascending ids of the 4-subsets whose hole count `wanted` (a
-        translate table) maps to 1.  A C-level search of the marks finds
-        them at about 0.25 us a match; past one match in five 4-subsets,
-        compressing the whole range is cheaper."""
-        marks = bytes(self.hole_cnt).translate(wanted)
-        if 5 * marks.count(1) > len(marks):
-            return list(itertools.compress(range(len(marks)), marks))
-        return [m.start() for m in _MARK.finditer(marks)]
-
     def seed_worklist(self) -> deque:
-        return deque(self._quads_with(_AT_MOST_ONE_HOLE))
+        """The ids of the 4-subsets with at most one hole, ascending.  A
+        C-level search of the marks finds them at about 0.25 us a match;
+        past one match in five 4-subsets, compressing the whole range is
+        cheaper."""
+        marks = bytes(self.hole_cnt).translate(_AT_MOST_ONE_HOLE)
+        if 5 * marks.count(1) > len(marks):
+            return deque(itertools.compress(range(len(marks)), marks))
+        return deque(m.start() for m in _MARK.finditer(marks))
 
     def assign(self, rank: int, value: int, worklist: deque) -> None:
         """Set triple `rank` to `value` and queue each 4-subset through it
@@ -227,9 +186,6 @@ class _Engine:
         hole_cnt = self.hole_cnt
         qt = self.qt
         action = self.action
-        score = self.score
-        if score is not None:
-            score[rank] = 0
         start = rank * self.stride
         for qi in self.tq[start:start + self.stride]:
             cnt = hole_cnt[qi] - 1
@@ -240,18 +196,10 @@ class _Engine:
                         + 27 * table[qt[b + 3]])
                 if action[code]:
                     worklist.append(qi)
-                if score is not None:
-                    # the quad's last hole gains a one-hole 4-subset: its
-                    # score goes from s - 1 to s
-                    r = qt[b + _HOLE_AT[code]]
-                    s = score[r]
-                    score[r] = s + 1
-                    if s > self.top:
-                        self.top = s
 
     def undo_to(self, mark: int) -> None:
-        """Pop the trail back to `mark` and drop the branch scores; the next
-        pick_branch rebuilds them from the table and the hole counts."""
+        """Pop the trail back to `mark`, making its triples holes again and
+        restoring the hole counts."""
         table = self.table
         trail = self.trail
         hole_cnt = self.hole_cnt
@@ -263,7 +211,6 @@ class _Engine:
             start = rank * stride
             for qi in tq[start:start + stride]:
                 hole_cnt[qi] += 1
-        self.score = None
 
     def propagate(self, worklist: deque) -> int | None:
         """Run unit propagation to fixpoint; return a conflicting quad id
@@ -293,44 +240,10 @@ class _Engine:
             self.assign(qt[b + (act >> 2)], act & 3, worklist)
         return None
 
-    def pick_branch(self) -> int | None:
-        """Hole occurring in the most one-hole 4-subsets; ties by rank.
-
-        The least rank stored as top + 1 is the pick; while there is none,
-        `top` drops by one.  With no hole left every score byte is 0, `top`
-        falls to 0 and the search for 1 finds nothing."""
-        score = self.score
-        if score is None:
-            score = self._build_scores()
-        top = self.top
-        rank = score.find(top + 1)
-        while rank < 0 and top:
-            top -= 1
-            rank = score.find(top + 1)
-        self.top = top
-        return None if rank < 0 else rank
-
-    def _build_scores(self) -> bytearray:
-        table = self.table
-        qt = self.qt
-        score = self.score = table.translate(_HOLE_SCORE)
-        for qi in self._quads_with(_ONE_HOLE):
-            b = qi << 2
-            score[qt[b + _HOLE_AT[
-                table[qt[b]] + 3 * table[qt[b + 1]] + 9 * table[qt[b + 2]]
-                + 27 * table[qt[b + 3]]
-            ]]] += 1
-        self.top = self.stride
-        return score
-
-    def least_hole(self) -> int | None:
-        """Least-rank hole, so completions come out in lexicographic order."""
-        rank = self.table.find(HOLE)
-        return None if rank < 0 else rank
-
-    def search(self, branch: Callable[[], int | None]) -> Iterator[bytes]:
-        """Yield every completion, depth first, branching on the hole that
-        `branch()` returns (None once no hole is left), PLUS before MINUS.
+    def search(self) -> Iterator[bytes]:
+        """Yield every completion, depth first, branching on the least-rank
+        hole, PLUS before MINUS, so completions come out in lexicographic
+        order.
 
         One frame (rank, trail mark) is stacked per decision whose MINUS
         branch is still to be tried; a conflict or a yielded completion pops
@@ -343,8 +256,8 @@ class _Engine:
             if qi is not None:
                 self.conflicts.add(quad_vertices(self.n, qi))
             else:
-                rank = branch()
-                if rank is not None:
+                rank = self.table.find(HOLE)
+                if rank >= 0:
                     stack.append((rank, len(self.trail)))
                     worklist = deque()
                     self.assign(rank, PLUS, worklist)
@@ -400,12 +313,13 @@ def complete(structure: HoleyHT, allowed) -> SolveResult:
     """Decide whether a completion exists; return one if so.
 
     Complete and sound: Sat iff some hole assignment stays in the class.
-    Deterministic branching: most-constrained hole, rank tie-break, PLUS
-    branch first.
+    The search branches on the least-rank hole, PLUS first, so the
+    completion is the least one in enumeration order:
+    `all_completions(structure, allowed, cap=1)[0]`.
     """
     allowed = ConstraintSet.coerce(allowed)
     engine = _Engine(structure, allowed)
-    table = next(engine.search(engine.pick_branch), None)
+    table = next(engine.search(), None)
     completion = None
     if table is not None:
         _check_sound(structure, allowed, [table])
@@ -434,7 +348,7 @@ def all_completions(structure: HoleyHT, allowed, cap: int | None = None) -> list
     limit = _ENUMERATION_BYTES // max(comb(structure.n, 3), 1)
     engine = _Engine(structure, allowed)
     want = limit + 1 if cap is None else min(cap, limit + 1)
-    tables = list(itertools.islice(engine.search(engine.least_hole), want))
+    tables = list(itertools.islice(engine.search(), want))
     if len(tables) > limit:
         raise GuardExceeded(
             f"more than {limit} completions on {structure.n} vertices exceed the "

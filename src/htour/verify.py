@@ -231,6 +231,10 @@ def item_solver_oracle() -> str:
         _check(res.sat == bool(comps), f"verdict mismatch at seed {9000 + i}")
         if res.sat:
             sat += 1
+            _check(
+                res.completion == comps[0],
+                f"witness is not the least completion (seed {9000 + i})",
+            )
             p = propagate(A, H4_FREE)
             _check(p.ok, "propagation conflict on a satisfiable instance")
             for (a, b, c), val in p.forced:
@@ -243,7 +247,7 @@ def item_solver_oracle() -> str:
                 f"enumeration differs from oracle (seed {9000 + i})",
             )
     _check(0 < sat < 500, f"{sat} of 500 sat: one verdict never exercised")
-    return f"500 instances: {sat} sat / {500 - sat} unsat, verdicts identical"
+    return f"500 instances: {sat} sat / {500 - sat} unsat, verdicts and witnesses identical"
 
 
 # -- criterion 6: arrows, orders, expansions -------------------------------------

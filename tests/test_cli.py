@@ -398,7 +398,7 @@ GOLDEN_CALLS = [
     (["hat", "cyc5.ht", "--order", "2,1,3,5,4"], "c5c99001e6004676", 0),
     (["complete", "on6.ht"], "52dc3b5b8977f9de", 0),
     (["complete", "on6.ht", "--format", "ht"], "195ec981eebc3a01", 0),
-    (["complete", "bn7.ht", "--format", "ht"], "095678a821effbe4", 0),
+    (["complete", "bn7.ht", "--format", "ht"], "629687bb95b7969c", 0),
     (["enumerate", "on6.ht", "--cap", "3"], "c23c2b4c3a53abd3", 0),
     (["enumerate", "on6.ht", "--format", "ht"], "422d3a400e8dfe45", 0),
     (["minimal-obstruction", "bn7.ht"], "2c593251797ba7b0", 0),

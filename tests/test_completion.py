@@ -87,8 +87,8 @@ def test_complete_all_types_always_sat():
 @pytest.mark.parametrize("allowed", [H4_FREE, ALL_TYPES], ids=["h4free", "all"])
 @pytest.mark.parametrize("n", range(4))
 def test_complete_small_structures_filled_plus(n, allowed):
-    # below 4 vertices there is no 4-subset: nothing propagates, every
-    # hole scores 0 and is a PLUS decision, least rank first
+    # below 4 vertices there is no 4-subset: nothing propagates, and every
+    # hole is a PLUS decision, least rank first
     res = complete(HoleyHT.empty(n), allowed)
     assert res.sat and set(res.completion.table) <= {PLUS}
     assert len(res.completion.table) == comb(n, 3)
@@ -205,6 +205,23 @@ def test_solver_matches_oracle():
             assert all_completions(A, allowed) == comps
 
 
+def test_complete_returns_the_least_completion():
+    # complete and all_completions run one search, on the least-rank hole
+    # PLUS first, so the witness is the first completion in the oracle's
+    # order; branching on another hole can find a later one first (seed 331,
+    # 6 vertices and 13 holes under {C4, O4}, does when the most-constrained
+    # hole is taken)
+    for allowed in TYPE_SETS:
+        for seed in range(300, 400):
+            rng = random.Random(seed)
+            A = random_holey_ht(rng, rng.randint(4, 8), rng.randint(0, 14))
+            comps = enumerate_completions(A, allowed)
+            res = complete(A, allowed)
+            assert res.sat == bool(comps)
+            if comps:
+                assert res.completion == all_completions(A, allowed, cap=1)[0] == comps[0]
+
+
 def unsound_tables(structure, allowed, good):
     """Three tables that are no completion of `structure`, each caught by one
     part of the soundness check alone: one keeps a hole; one lies in the
@@ -241,17 +258,17 @@ def test_soundness_check_catches_bad_tables(monkeypatch):
     monkeypatch.setattr(completion, "_CHECK_BYTES", chunk * comb(7, 4))
     unsound = "solver produced an unsound completion"
     for kind, bad in unsound_tables(structure, H4_FREE, good).items():
-        monkeypatch.setattr(_Engine, "search", lambda self, branch: iter([bad]))
+        monkeypatch.setattr(_Engine, "search", lambda self: iter([bad]))
         with pytest.raises(RuntimeError, match=unsound):
             complete(structure, H4_FREE)
         # first, either side of the first chunk boundary, and last
         for pos in (0, chunk - 1, chunk, len(good)):
             tables = good[:pos] + [bad] + good[pos:]
-            monkeypatch.setattr(_Engine, "search", lambda self, branch: iter(tables))
+            monkeypatch.setattr(_Engine, "search", lambda self: iter(tables))
             with pytest.raises(RuntimeError, match=unsound):
                 all_completions(structure, H4_FREE)
     # the same batches without a bad table pass
-    monkeypatch.setattr(_Engine, "search", lambda self, branch: iter(good))
+    monkeypatch.setattr(_Engine, "search", lambda self: iter(good))
     assert [c.table for c in all_completions(structure, H4_FREE)] == good
 
 
@@ -476,33 +493,33 @@ def test_unsat_certificate_names_quads():
 # alters the search tree (not just its speed) turns the suite red.
 
 GOLDEN_COMPLETE = {
-    ("on", 12): (152, "ca090c7f609c8f29156355c265efc32646609b1175b28491d212716fcfed68b1",
+    ("on", 12): (161, "ca090c7f609c8f29156355c265efc32646609b1175b28491d212716fcfed68b1",
                  ((7, 8, 9, 10),)),
-    ("on", 16): (460, "98ef6fcd4dbff2b37ed16d1945bd333b5497cf34f9b44f289f6f6f5540e9e0e8",
+    ("on", 16): (473, "98ef6fcd4dbff2b37ed16d1945bd333b5497cf34f9b44f289f6f6f5540e9e0e8",
                  ((9, 10, 11, 12),)),
-    ("on", 20): (1008, "671f5fb61077fc35c4b3d3d5cd9aeb4a2864950395590413a3dd4e4f06c6d669",
+    ("on", 20): (1025, "671f5fb61077fc35c4b3d3d5cd9aeb4a2864950395590413a3dd4e4f06c6d669",
                  ((11, 12, 13, 14),)),
-    ("onneg", 12): (171, "e5ec517d8d85689db7eb5363abadf5d4deae3bbea854b16e05465d31742f4394",
+    ("onneg", 12): (179, "e5ec517d8d85689db7eb5363abadf5d4deae3bbea854b16e05465d31742f4394",
                     ()),
-    ("onneg", 16): (491, "f791d939b9aa3835d1fe4ee606a19d8469fe73045aa9ee1eb2099b54a52a2bde",
+    ("onneg", 16): (503, "f791d939b9aa3835d1fe4ee606a19d8469fe73045aa9ee1eb2099b54a52a2bde",
                     ()),
-    ("onneg", 20): (1051, "b6e1ae8b2f7231232dfcc991e77affae544a0d745357a64ba1fa075c0f0254b8",
+    ("onneg", 20): (1067, "b6e1ae8b2f7231232dfcc991e77affae544a0d745357a64ba1fa075c0f0254b8",
                     ()),
     ("bn", 12): (3, None, ((7, 8, 9, 10), (16, 17, 18, 19))),
     ("bn", 16): (3, None, ((9, 10, 11, 12), (22, 23, 24, 25))),
 }
 
 GOLDEN_DELETION_NODES = {
-    7: (63, [95, 87, 95, 78, 79, 75, 79, 71, 66, 65, 74]),
-    8: (3, [183, 176, 186, 157, 163, 164, 156, 163, 156, 149, 151, 149, 159]),
-    9: (3, [318, 306, 317, 285, 291, 292, 295, 286, 293, 281, 278, 276, 277,
-            274, 289]),
-    12: (3, [1064, 1045, 1061, 1017, 1022, 1022, 1022, 1024, 1025, 1031, 1018,
-             1028, 1004, 997, 998, 998, 1000, 997, 998, 995, 1022]),
-    # 29 vertices, 89,630 nodes over the deletions
-    16: (3, [3160, 3133, 3153, 3093, 3098, 3099, 3100, 3101, 3102, 3102, 3102,
-             3104, 3105, 3115, 3098, 3112, 3072, 3061, 3062, 3062, 3062, 3062,
-             3062, 3062, 3064, 3061, 3062, 3059, 3102]),
+    7: (3, [96, 87, 95, 78, 79, 75, 79, 72, 67, 66, 75]),
+    8: (3, [185, 179, 186, 161, 166, 168, 160, 167, 159, 155, 155, 152, 163]),
+    9: (3, [322, 312, 321, 290, 295, 296, 300, 291, 298, 287, 283, 283, 282,
+            279, 294]),
+    12: (3, [1074, 1058, 1070, 1024, 1029, 1030, 1032, 1034, 1036, 1043, 1031,
+             1041, 1015, 1008, 1009, 1009, 1009, 1008, 1007, 1004, 1031]),
+    # 29 vertices, 90,078 nodes over the deletions
+    16: (3, [3178, 3154, 3170, 3104, 3109, 3110, 3112, 3114, 3116, 3118, 3120,
+             3122, 3124, 3135, 3119, 3133, 3087, 3076, 3077, 3077, 3077, 3077,
+             3077, 3077, 3077, 3076, 3075, 3072, 3115]),
 }
 
 
@@ -559,7 +576,7 @@ def test_golden_enumeration_order():
     assert hashlib.sha256(b"".join(tables)).hexdigest() == digest
 
 
-# -- incremental branch scores ----------------------------------------------
+# -- hole counts across backtracks ------------------------------------------
 
 
 def _planted(rng, n, kind, holes=0.9):
@@ -577,39 +594,41 @@ def _planted(rng, n, kind, holes=0.9):
 
 
 @pytest.fixture
-def checked_branches(monkeypatch):
-    """Recount the hole counts and scores at every branch and check them, the
-    bound `top` and the pick against the recount; returns the list of
-    picks."""
-    original = _Engine.pick_branch
-    calls = []
+def checked_nodes(monkeypatch):
+    """Recount the hole counts from the table before and after every
+    propagation, one per node, and check them; returns the node count in a
+    one-element list."""
+    original = _Engine.propagate
+    calls = [0]
 
-    def checked(engine):
-        if engine.score is not None:
-            # assign keeps top at or above every score
-            assert max(engine.score, default=0) <= engine.top + 1
-        rank = original(engine)
-        table = engine.table
-        hole_cnt = engine.hole_cnt
-        qt, tq, stride = engine.qt, engine.tq, engine.n - 3
-        assert hole_cnt == [
+    def recount(engine):
+        table, qt = engine.table, engine.qt
+        assert engine.hole_cnt == [
             sum(table[r] == HOLE for r in qt[b:b + 4]) for b in range(0, len(qt), 4)
         ]
-        recount = {
-            r: sum(1 for qi in tq[r * stride:(r + 1) * stride] if hole_cnt[qi] == 1)
-            for r, v in enumerate(table) if v == HOLE
-        }
-        assert list(engine.score) == [
-            recount[r] + 1 if r in recount else 0 for r in range(len(table))
-        ]
-        assert max(engine.score, default=0) <= engine.top + 1
-        # most one-hole 4-subsets, least rank among ties
-        expected = min(recount, key=lambda r: (-recount[r], r)) if recount else None
-        assert rank == expected
-        calls.append(rank)
-        return rank
 
-    monkeypatch.setattr(_Engine, "pick_branch", checked)
+    def checked(engine, worklist):
+        recount(engine)
+        qi = original(engine, worklist)
+        recount(engine)
+        calls[0] += 1
+        return qi
+
+    monkeypatch.setattr(_Engine, "propagate", checked)
+    return calls
+
+
+@pytest.fixture
+def undos(monkeypatch):
+    """Count the calls of _Engine.undo_to in a one-element list."""
+    original = _Engine.undo_to
+    calls = [0]
+
+    def counted(engine, mark):
+        calls[0] += 1
+        original(engine, mark)
+
+    monkeypatch.setattr(_Engine, "undo_to", counted)
     return calls
 
 
@@ -618,24 +637,16 @@ def checked_branches(monkeypatch):
     [("even", EVEN), ("cyclic", CYCLIC), ("cyclic", H4_FREE)],
     ids=["even", "cyclic", "cyclic-h4free"],
 )
-def test_scores_match_recount_at_every_branch(checked_branches, kind, allowed):
+def test_hole_counts_match_recount_at_every_node(checked_nodes, kind, allowed):
     rng = random.Random(31)
     for n in (12, 13, 14):
         structure = _planted(rng, n, kind)
         res = complete(structure, allowed)
         assert res.sat and res.completion.extends(structure)
-    assert len(checked_branches) > 3 * 10  # the searches branch, not just propagate
+    assert checked_nodes[0] > 3 * 10  # the searches branch, not just propagate
 
 
-def test_scores_match_recount_under_backtracking(checked_branches, monkeypatch):
-    undos = [0]
-    original = _Engine.undo_to
-
-    def counted(engine, mark):
-        undos[0] += 1
-        original(engine, mark)
-
-    monkeypatch.setattr(_Engine, "undo_to", counted)
+def test_hole_counts_match_recount_under_backtracking(checked_nodes, undos):
     # 97% holes: the search backtracks out of dozens of conflicting 4-subsets
     structure = _planted(random.Random(1), 13, "cyclic", holes=0.97)
     res = complete(structure, CYCLIC)
@@ -645,34 +656,26 @@ def test_scores_match_recount_under_backtracking(checked_branches, monkeypatch):
     assert is_minimal_obstruction(gen_bn(8), H4_FREE).is_minimal
 
 
-def test_scores_match_recount_after_backtracks(checked_branches, monkeypatch):
-    # under CYCLIC every score is 0: C4's fills of a one-hole 4-subset differ
-    # in parity, so it forces or conflicts before any pick.  {H4, O4} allows
-    # both parities, so one-hole 4-subsets survive to the picks, and these
-    # two searches backtrack with nonzero scores
-    undos = [0]
-    original = _Engine.undo_to
-
-    def dropping(engine, mark):
-        undos[0] += 1
-        original(engine, mark)
-        assert engine.score is None  # the next pick rebuilds the scores
-
-    monkeypatch.setattr(_Engine, "undo_to", dropping)
+def test_hole_counts_match_recount_after_backtracks(checked_nodes, undos):
+    # {H4, O4} allows both parities, so one-hole 4-subsets survive to the
+    # branches, and these two searches backtrack through them
     allowed = ConstraintSet.of(FourType.H4, FourType.O4)
     found = []
     for seed, n, holes in ((0, 9, 71), (2, 11, 140)):
         res = complete(random_holey_ht(random.Random(seed), n, holes), allowed)
         found.append((res.sat, res.nodes, len(res.conflicts)))
-    assert found == [(False, 3241, 24), (False, 4011, 18)]
-    # both are Unsat: every decision's MINUS branch is tried after an undo
-    assert len(checked_branches) == undos[0] == 3625
+    assert found == [(False, 1111, 25), (False, 421, 20)]
+    # both are Unsat: every decision's MINUS branch is tried after an undo,
+    # so the 1,532 nodes are the two roots and two children per decision
+    assert checked_nodes[0] == 1111 + 421
+    assert undos[0] == (1111 - 1) // 2 + (421 - 1) // 2
 
 
 def test_single_parity_classes_leave_no_one_hole_subset_open():
     # the two fills of a one-hole 4-subset differ in hyperedge parity (even
     # for C4 and H4, odd for O4): with the allowed types of one parity, every
-    # one-hole 4-subset forces or conflicts, so no score survives to a pick
+    # one-hole 4-subset forces or conflicts, so a propagation fixpoint has no
+    # 4-subset with exactly one hole
     one_hole = [code for code, values in enumerate(classify._CODES)
                 if values.count(HOLE) == 1]
     for types in ((FourType.C4,), (FourType.H4,), (FourType.C4, FourType.H4),
@@ -703,22 +706,13 @@ def test_golden_backtracking_search(n, seed):
 
 
 def test_quad_scan_matches_a_walk():
-    # the scan searches for sparse matches and compresses dense ones
+    # the root scan searches for sparse matches and compresses dense ones
     rng = random.Random(5)
     for holes in (0.0, 0.3, 0.6, 0.9, 1.0):
         engine = _Engine(_planted(rng, 12, "cyclic", holes), CYCLIC)
-        hole_cnt = engine.hole_cnt
-        for wanted, counts in ((completion._AT_MOST_ONE_HOLE, (0, 1)),
-                               (completion._ONE_HOLE, (1,))):
-            assert engine._quads_with(wanted) == [
-                qi for qi, cnt in enumerate(hole_cnt) if cnt in counts
-            ]
-
-
-def test_enumeration_keeps_no_scores():
-    engine = _Engine(gen_on(6), H4_FREE)
-    assert len(list(engine.search(engine.least_hole))) == 9
-    assert engine.score is None
+        assert list(engine.seed_worklist()) == [
+            qi for qi, cnt in enumerate(engine.hole_cnt) if cnt <= 1
+        ]
 
 
 def test_solving_leaves_the_recursion_limit_alone(monkeypatch):
