@@ -334,9 +334,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=_jobs, default=1)
     add("orders-count", _cmd_orders_count, "orders compatible with a cyclic structure")
     p = add("ramsey", _cmd_ramsey, "exhaustive arrow check C -> (B)^A_2", file=False)
-    p.add_argument("--sizes", default=None,
-                   help="C,B,A sizes for ordered cyclic structures")
-    p.add_argument("--files", nargs=3, default=None, metavar=("C", "B", "A"))
+    structures = p.add_mutually_exclusive_group()
+    structures.add_argument("--sizes", default=None,
+                            help="C,B,A sizes for ordered cyclic structures")
+    structures.add_argument("--files", nargs=3, default=None, metavar=("C", "B", "A"))
     p.add_argument("--kind", choices=["cyclic", "even", "all"], default="all")
     p.add_argument("--max-embeddings", type=int, default=25)
     p = add("verify", _cmd_verify, "run the acceptance checks", file=False)

@@ -22,11 +22,14 @@ state.
 Propagation judges a 4-subset by one lookup in the constraint set's 81-entry
 action table (see classify.ConstraintSet.action_table), keyed by the code
 v0 + 3*v1 + 9*v2 + 27*v3 of its four table values: nothing to do, a
-conflict, or which hole is forced to which value.  The root queues every
-4-subset with at most one hole.  After that, `assign` judges a 4-subset
-once, when its hole count falls to 1, and queues it only when its action is
-not 0; a 4-subset whose count falls to 0 is never queued.  Only no-op pops
-go: a one-hole 4-subset's three assigned triples cannot change during a
+conflict, or which hole is forced to which value.  There is one judging
+rule, at the root as at every other node: `assign` judges a 4-subset once,
+when its hole count falls to 1, and queues it only when its action is not
+0; a 4-subset whose count falls to 0 is never queued.  The root assigns
+every assigned triple of the input again over the whole input table, so it
+judges each 4-subset with at most one hole against its input code, and
+queues those that act in ascending id order.  Only no-op pops go: a
+one-hole 4-subset's three assigned triples cannot change during a
 propagation, so its action when queued is its action when popped, until its
 hole fills; and if both values were allowed then, any fill is allowed too.
 The entries that are kept keep their FIFO order, so trails, conflicts and
@@ -47,7 +50,6 @@ completion.
 from __future__ import annotations
 
 import itertools
-import re
 from collections import deque
 from collections.abc import Iterator
 from dataclasses import dataclass, field
@@ -77,9 +79,6 @@ _CHECK_BYTES = 1 << 20
 _ENUMERATION_BYTES = 1 << 22
 # translate table: 0xFF at assigned values, 0 at holes
 _ASSIGNED_MASK = bytes([0, 0xFF, 0xFF]) + bytes(253)
-# translate table over hole counts, 1 at counts 0 and 1, and the mark
-_AT_MOST_ONE_HOLE = bytes([1, 1]) + bytes(254)
-_MARK = re.compile(b"\x01")
 
 
 @dataclass(frozen=True)
@@ -137,6 +136,7 @@ class _Engine:
         "action",
         "hole_cnt",
         "trail",
+        "root",
         "conflicts",
         "nodes",
     )
@@ -150,32 +150,20 @@ class _Engine:
         self.tq = triple_quad_ids(self.n)
         self.stride = max(self.n - 3, 0)
         self.action = allowed.action_table
-        # holes per quad, counted over whichever of the hole triples and
-        # the assigned triples are fewer
-        table = self.table
-        tq = self.tq
-        stride = self.stride
-        count_holes = 2 * table.count(HOLE) <= len(table)
-        step = 1 if count_holes else -1
-        hole_cnt = [0 if count_holes else 4] * (len(self.qt) >> 2)
-        for r, v in enumerate(table):
-            if (v == HOLE) == count_holes:
-                for qi in tq[r * stride:(r + 1) * stride]:
-                    hole_cnt[qi] += step
-        self.hole_cnt = hole_cnt
+        # the root judges quads as every node does, in assign: each quad
+        # starts at 4 holes and every assigned triple is assigned again over
+        # the whole input table, so a quad is judged against its input code
+        # when its count falls to 1; sorted, the root queue is in quad order
+        self.hole_cnt = [4] * (len(self.qt) >> 2)
         self.trail: list[int] = []
         self.conflicts: set = set()
         self.nodes = 0
-
-    def seed_worklist(self) -> deque:
-        """The ids of the 4-subsets with at most one hole, ascending.  A
-        C-level search of the marks finds them at about 0.25 us a match;
-        past one match in five 4-subsets, compressing the whole range is
-        cheaper."""
-        marks = bytes(self.hole_cnt).translate(_AT_MOST_ONE_HOLE)
-        if 5 * marks.count(1) > len(marks):
-            return deque(itertools.compress(range(len(marks)), marks))
-        return deque(m.start() for m in _MARK.finditer(marks))
+        table = self.table
+        root: deque = deque()
+        for r in itertools.compress(range(len(table)), table):
+            self.assign(r, table[r], root)
+        self.trail.clear()
+        self.root = deque(sorted(root))
 
     def assign(self, rank: int, value: int, worklist: deque) -> None:
         """Set triple `rank` to `value` and queue each 4-subset through it
@@ -216,13 +204,13 @@ class _Engine:
         """Run unit propagation to fixpoint; return a conflicting quad id
         or None.  Forced assignments extend the trail.
 
-        A queued quad had a nonzero action when it was queued (or is a root
-        quad with at most one hole, see seed_worklist).  Its three assigned
-        triples cannot change before its pop, so the pop re-judges it
-        against the current table only for the case that its hole filled
-        meanwhile: then it gives 0 or a conflict.  A quad whose count falls
-        to 0 is never queued: it had one hole just before, and either it
-        was queued then, or both values were allowed and so is any fill."""
+        A queued quad had a nonzero action when it was queued, at the root
+        as at every other node.  Its three assigned triples cannot change
+        before its pop, so the pop re-judges it against the current table
+        only for the case that its hole filled meanwhile: then it gives 0 or
+        a conflict.  A quad whose count falls to 0 is never queued: it had
+        one hole just before, and either it was queued then, or both values
+        were allowed and so is any fill."""
         table = self.table
         qt = self.qt
         action = self.action
@@ -249,7 +237,7 @@ class _Engine:
         branch is still to be tried; a conflict or a yielded completion pops
         the latest frame, undoes the trail to its mark and assigns MINUS."""
         stack: list[tuple[int, int]] = []
-        worklist = self.seed_worklist()
+        worklist = self.root
         while True:
             self.nodes += 1
             qi = self.propagate(worklist)
@@ -297,7 +285,7 @@ def propagate(structure: HoleyHT, allowed) -> PropagationResult:
     """
     allowed = ConstraintSet.coerce(allowed)
     engine = _Engine(structure, allowed)
-    qi = engine.propagate(engine.seed_worklist())
+    qi = engine.propagate(engine.root)
     if qi is not None:
         return PropagationResult(ok=False, conflict=quad_vertices(structure.n, qi))
     ts = triples(structure.n)

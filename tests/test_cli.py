@@ -209,6 +209,19 @@ def test_ramsey_sizes_refuse_before_enumerating(sizes, capsys):
     assert out.out == "" and "refused: the embedding searches" in out.err
 
 
+@pytest.mark.parametrize("argv", [
+    ["--sizes", "3,2,1", "--files", "x", "y", "z"],
+    ["--files", "x", "y", "z", "--sizes", "3,2,1"],
+])
+def test_ramsey_takes_sizes_or_files_not_both(argv, capsys):
+    # the structures come from one of the two; neither is dropped silently
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["ramsey", *argv])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "not allowed with argument" in out.err
+
+
 def test_ramsey_refuses_a_negative_embedding_guard(capsys):
     assert cli.main(["ramsey", "--sizes", "3,2,0", "--max-embeddings", "-1"]) == 2
     out = capsys.readouterr()

@@ -569,6 +569,43 @@ def test_golden_propagation_trail(seed, kind, holes):
     assert hashlib.sha256(trail).hexdigest() == digest
 
 
+# the dense side (at most half the triples holes), where the root queue is
+# large: per allowed set, 48 seeded random and planted structures on 8-14
+# vertices -> forced values in all, nodes in all, and the sha256 over each
+# ordered trail or root conflict and each search's nodes, conflicts and
+# completion
+GOLDEN_DENSE = {
+    "C4": (689, 49, "a0c8f8500a1ba6174530c7f37c465d945ae9999f32a5db0b2c6692d3953cdeb1"),
+    "H4": (0, 48, "fdff5fa1b254730849b169158c21ad42ac34ea29c9309babeb4b15c6b5ea14b6"),
+    "O4": (0, 48, "8bbc3108e445cfc7252c18323d2153d398fcc35b712e6b181e264b29b172263f"),
+    "C4,H4": (826, 49, "719c20c506439425fc3a2dab0ec5366f5e045f6fce23abcc607a1826fab5367a"),
+    "C4,O4": (0, 538, "7b15d03be8a42175c6274975ba486068b0ec8ef24155d58b6ca721361b728866"),
+    "H4,O4": (0, 48, "a801acb588ed72962c40fe971cff6dfe1048a0723e777fd4045197ec6aa1ac2f"),
+    "C4,H4,O4": (0, 1975, "6488b1c42abbcc153fb68671ae54ab13ac30991f61b9c893e79f309fee170609"),
+}
+
+
+@pytest.mark.parametrize("allowed", TYPE_SETS, ids=lambda a: ",".join(map(str, a)))
+def test_golden_dense_root(allowed):
+    rng = random.Random(50)
+    forced = nodes = 0
+    h = hashlib.sha256()
+    for i in range(48):
+        n = rng.randint(8, 14)
+        frac = rng.choice([0.0, 0.1, 0.2, 0.3, 0.4, 0.5])
+        if i % 2:
+            structure = random_holey_ht(rng, n, round(frac * comb(n, 3)))
+        else:
+            structure = _planted(rng, n, rng.choice(["even", "cyclic"]), frac)
+        r = propagate(structure, allowed)
+        res = complete(structure, allowed)
+        forced += len(r.forced)
+        nodes += res.nodes
+        h.update(repr((r.ok, r.conflict, r.forced, res.nodes, res.conflicts)).encode())
+        h.update(res.completion.table if res.sat else b"-")
+    assert (forced, nodes, h.hexdigest()) == GOLDEN_DENSE[",".join(map(str, allowed))]
+
+
 def test_golden_enumeration_order():
     count, digest = GOLDEN_ENUMERATION
     tables = [c.table for c in all_completions(gen_on(9), H4_FREE, cap=2000)]
@@ -705,14 +742,55 @@ def test_golden_backtracking_search(n, seed):
     assert hashlib.sha256(res.completion.table).hexdigest() == digest
 
 
-def test_quad_scan_matches_a_walk():
-    # the root scan searches for sparse matches and compresses dense ones
-    rng = random.Random(5)
-    for holes in (0.0, 0.3, 0.6, 0.9, 1.0):
-        engine = _Engine(_planted(rng, 12, "cyclic", holes), CYCLIC)
-        assert list(engine.seed_worklist()) == [
-            qi for qi, cnt in enumerate(engine.hole_cnt) if cnt <= 1
-        ]
+def test_root_queue_is_the_acting_quads_in_id_order():
+    # the root judges quads in assign, as every node does: its queue is the
+    # quads with at most one hole and a nonzero action, ascending, its hole
+    # counts are the input's, and its trail is empty
+    for allowed in TYPE_SETS:
+        rng = random.Random(5)
+        for holes in (0.0, 0.3, 0.6, 0.9, 1.0):
+            structure = _planted(rng, 12, rng.choice(["even", "cyclic"]), holes)
+            engine = _Engine(structure, allowed)
+            table, qt = structure.table, core.quad_triple_ranks(12)
+            counts, acting = [], []
+            for qi in range(comb(12, 4)):
+                values = [table[r] for r in qt[4 * qi:4 * qi + 4]]
+                counts.append(values.count(HOLE))
+                code = values[0] + 3 * values[1] + 9 * values[2] + 27 * values[3]
+                if counts[-1] <= 1 and allowed.action_table[code]:
+                    acting.append(qi)
+            assert list(engine.root) == acting
+            assert engine.hole_cnt == counts
+            assert engine.trail == []
+
+
+def test_relations_on_planted_instances_at_size():
+    # beyond the oracle, at 15-40 vertices and hundreds of holes: a planted
+    # cyclic structure completes in every class with C4, an even one in
+    # every class with C4 and H4; complete keeps what propagate forces, is
+    # the first completion of all_completions, and its verdict survives
+    # relabel and complement (both keep the type of every 4-subset)
+    verdicts = set()
+    for i, allowed in enumerate(TYPE_SETS):
+        rng = random.Random(60 + i)
+        for kind in ("cyclic", "even"):
+            n = rng.randint(15, 40)
+            structure = _planted(rng, n, kind, 0.8)
+            res = complete(structure, allowed)
+            if FourType.C4 in allowed and (kind == "cyclic" or FourType.H4 in allowed):
+                assert res.sat
+            r = propagate(structure, allowed)
+            if not r.ok:
+                assert not res.sat
+            elif res.sat:
+                assert all(res.completion.triple_value(*t) == v for t, v in r.forced)
+            first = all_completions(structure, allowed, cap=1)
+            assert first == ([res.completion] if res.sat else [])
+            perm = random_order(rng, n)
+            assert complete(structure.relabel(perm), allowed).sat == res.sat
+            assert complete(structure.complement(), allowed).sat == res.sat
+            verdicts.add((res.sat, bool(r.forced)))
+    assert verdicts == {(True, True), (True, False), (False, False)}
 
 
 def test_solving_leaves_the_recursion_limit_alone(monkeypatch):
