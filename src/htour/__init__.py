@@ -20,7 +20,7 @@ _SOURCE = {
     **dict.fromkeys((
         "HOLE", "IN_R", "MINUS", "PLUS", "REVERSED", "ContradictoryTriple",
         "GuardExceeded", "HoleyHT", "HoleyInput", "Hypergraph3", "InputError",
-        "complete_hypergraph", "hat", "is_isomorphic", "unhat", "validate",
+        "hat", "is_isomorphic", "unhat", "validate",
     ), "core"),
     **dict.fromkeys((
         "ChainBuilder", "ChainInconsistent", "LinkKind", "gadget",
@@ -29,7 +29,7 @@ _SOURCE = {
     ), "families"),
     **dict.fromkeys((
         "ArrowVerdict", "ExpansionKind", "ExpansionMismatch", "OrderedHT",
-        "arrow_check", "compatible_orders_cyclic", "embeddings", "fill_holes_ordered",
+        "arrow_check", "compatible_orders_cyclic", "embeddings",
     ), "ramsey"),
 }
 

@@ -267,7 +267,7 @@ def _cmd_ramsey(args, doc, allowed):
 def _cmd_verify(args, doc, allowed):
     from .verify import run_verify
 
-    summary = run_verify(args.level, jobs=args.jobs, out=sys.stderr)
+    summary = run_verify(args.level, out=sys.stderr)
     # per-item runtimes differ from run to run, so they go under timing
     item_seconds = {item["name"]: item.pop("seconds") for item in summary["items"]}
     return _Report({"level": args.level}, summary["ok"], summary,
@@ -342,7 +342,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-embeddings", type=int, default=25)
     p = add("verify", _cmd_verify, "run the acceptance checks", file=False)
     p.add_argument("--level", choices=["quick", "full"], default="quick")
-    p.add_argument("--jobs", type=_jobs, default=1)
     return parser
 
 

@@ -20,8 +20,8 @@ vertices: a restriction (`induced`), a relabeling (`relabel`), a structure
 along its order (a position table) and a candidate isomorphism.  One
 function, `slot`, locates a single vertex tuple: it checks the vertices and
 gives the rank of the sorted triple and the parity of the sort, which
-`triple_value`, `orientation_of`, `with_value`, `validate`, `glue`,
-`Hypergraph3.from_edges` and the chain builder of `families` all read.
+`triple_value`, `orientation_of`, `with_value`, `validate`, `glue` and
+the chain builder of `families` all read.
 
 The 4-subset index that the solver and the class test read is two flat
 ``array('I')`` tables, cached per n: `quad_triple_ranks` holds the four
@@ -527,19 +527,6 @@ class Hypergraph3:
             a, b, c = e
             if not (0 < a < b < c <= self.n):
                 raise InputError(f"bad hyperedge {e} for n={self.n}")
-
-    @classmethod
-    def from_edges(cls, n: int, edges) -> Hypergraph3:
-        norm = set()
-        for e in edges:
-            x, y, z = e
-            slot(n, x, y, z)  # refuses a repeated or out-of-range vertex
-            norm.add(tuple(sorted(e)))
-        return cls(n, frozenset(norm))
-
-
-def complete_hypergraph(n: int) -> Hypergraph3:
-    return Hypergraph3(n, frozenset(triples(n)))
 
 
 def _order_parities(n: int, order) -> list[int]:

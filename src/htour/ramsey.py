@@ -102,16 +102,6 @@ class OrderedHT:
         return self.ht.n
 
 
-def fill_holes_ordered(ordered: OrderedHT) -> OrderedHT:
-    """Assign PLUS to every hole of an ALL-kind ordered structure (the fixed
-    arbitrary choice).  Embeddings of hole-free structures are preserved."""
-    if ordered.kind != ExpansionKind.ALL:
-        raise InputError("hole filling applies to the free expansion only")
-    if ordered.ht.is_complete():
-        return ordered
-    return OrderedHT(ordered.ht.filled(PLUS), ordered.order, ExpansionKind.ALL)
-
-
 def _graph_by_position(edges, order) -> frozenset | None:
     """The edges among the vertices of `order`, each end relabeled to its
     1-based place in `order` (None without a graph)."""

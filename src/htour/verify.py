@@ -208,8 +208,8 @@ def item_bn_unsat(n: int) -> str:
     return f"bn({n}) on {2 * n - 3} vertices has no completion"
 
 
-def item_bn_minimal(n: int, jobs: int = 1) -> str:
-    rep = is_minimal_obstruction(gen_bn(n), H4_FREE, jobs=jobs)
+def item_bn_minimal(n: int) -> str:
+    rep = is_minimal_obstruction(gen_bn(n), H4_FREE)
     _check(not rep.whole.sat, f"bn({n}) completed")
     _check(len(rep.deletions) == 2 * n - 3, f"{len(rep.deletions)} deletions")
     bad = sorted(v for v, r in rep.deletions.items() if not r.sat)
@@ -372,7 +372,7 @@ def item_cli_determinism() -> str:
 # -- driver -----------------------------------------------------------------------
 
 
-def build_items(level: str, jobs: int = 1):
+def build_items(level: str):
     chain_ns = (6, 7) if level == "quick" else (6, 7, 8, 9)
     bn_ns = (6, 7) if level == "quick" else (6, 7, 8, 9)
     items: list[tuple[str, object, bool]] = [
@@ -391,7 +391,7 @@ def build_items(level: str, jobs: int = 1):
     for n in bn_ns:
         items.append((f"c4-bn-unsat-n{n}", lambda n=n: item_bn_unsat(n), False))
         items.append(
-            (f"c4-bn-minimal-n{n}", lambda n=n: item_bn_minimal(n, jobs), n == 6)
+            (f"c4-bn-minimal-n{n}", lambda n=n: item_bn_minimal(n), n == 6)
         )
     items += [
         ("c5-solver-vs-oracle", item_solver_oracle, False),
@@ -407,11 +407,11 @@ def build_items(level: str, jobs: int = 1):
     return items
 
 
-def run_verify(level: str = "quick", jobs: int = 1, out=sys.stderr) -> dict:
+def run_verify(level: str = "quick", out=sys.stderr) -> dict:
     """Run all items; returns the summary used by the CLI report."""
     results = []
     counts = {"pass": 0, "fail": 0, "xfail": 0, "upass": 0}
-    for name, fn, xfail in build_items(level, jobs):
+    for name, fn, xfail in build_items(level):
         started = time.perf_counter()
         try:
             detail = fn()

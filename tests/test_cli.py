@@ -292,12 +292,13 @@ def test_package_names_resolve_to_the_submodule_objects():
 def test_usage_error_exit_2():
     proc = run_cli(["no-such-command"])
     assert proc.returncode == 2
-    # the option selected nothing and is gone
+    # gone options: --prune selected nothing, verify --jobs had one value in use
     proc = run_cli(["ramsey", "--sizes", "4,3,2", "--prune"])
     assert proc.returncode == 2 and "--prune" in proc.stderr
-    for command in ("minimal-obstruction", "verify"):
-        proc = run_cli([command, "--jobs", "0"], stdin="htour 3\n")
-        assert proc.returncode == 2 and "--jobs" in proc.stderr
+    proc = run_cli(["verify", "--jobs", "1"])
+    assert proc.returncode == 2 and "--jobs" in proc.stderr
+    proc = run_cli(["minimal-obstruction", "--jobs", "0"], stdin="htour 3\n")
+    assert proc.returncode == 2 and "--jobs" in proc.stderr
 
 
 def test_truncated_pipe_exits_quietly():
@@ -348,7 +349,7 @@ def test_verify_report_is_byte_deterministic(monkeypatch, capsys):
         time.sleep(next(naps))
         return "slept"
 
-    monkeypatch.setattr(verify, "build_items", lambda level, jobs=1: [
+    monkeypatch.setattr(verify, "build_items", lambda level: [
         ("c1-fast", lambda: "fast", False), ("c1-sleepy", sleepy, False)])
     outs = []
     for _ in range(2):
@@ -389,7 +390,7 @@ def _golden_files() -> dict:
     }
 
 
-def _golden_items(level, jobs=1):
+def _golden_items(level):
     def fails():
         raise AssertionError("planted failure")
 

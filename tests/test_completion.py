@@ -72,6 +72,21 @@ def test_propagate_conflict():
     assert not r.ok and r.conflict == (1, 2, 3, 4)
 
 
+def test_entry_points_coerce_the_allowed_types():
+    # the public calls take a label or an iterable of types as well as a set
+    calls = {
+        "propagate": propagate,
+        "complete": complete,
+        "all_completions": lambda s, a: all_completions(s, a, cap=5),
+        "is_minimal_obstruction": is_minimal_obstruction,
+    }
+    for structure in (gadget(LinkKind.FWD), gen_on(6), gen_bn(7)):
+        for name, call in calls.items():
+            expected = call(structure, H4_FREE)
+            for allowed in ("C4,O4", [FourType.C4, FourType.O4]):
+                assert call(structure, allowed) == expected, (name, allowed)
+
+
 def test_complete_chain_and_gluing():
     assert complete(gen_on(6), H4_FREE).sat
     assert not complete(gen_bn(6), H4_FREE).sat
@@ -630,6 +645,10 @@ def _planted(rng, n, kind, holes=0.9):
     return HoleyHT(n, bytes(table))
 
 
+# byte b of a table translates to 1 when b is HOLE and to 0 otherwise
+IS_HOLE = bytes(b == HOLE for b in range(256))
+
+
 @pytest.fixture
 def checked_nodes(monkeypatch):
     """Recount the hole counts from the table before and after every
@@ -639,9 +658,10 @@ def checked_nodes(monkeypatch):
     calls = [0]
 
     def recount(engine):
-        table, qt = engine.table, engine.qt
+        h = engine.table.translate(IS_HOLE)
+        it = iter(engine.qt)
         assert engine.hole_cnt == [
-            sum(table[r] == HOLE for r in qt[b:b + 4]) for b in range(0, len(qt), 4)
+            h[a] + h[b] + h[c] + h[d] for a, b, c, d in zip(it, it, it, it)
         ]
 
     def checked(engine, worklist):

@@ -21,7 +21,6 @@ from htour.core import (
     HoleyInput,
     Hypergraph3,
     InputError,
-    complete_hypergraph,
     glue,
     hat,
     is_isomorphic,
@@ -92,7 +91,6 @@ def test_orientation_bad_input():
         "orientation_of": A.orientation_of,
         "with_value": lambda *t: A.with_value(*t, MINUS),
         "validate": lambda *t: validate([t], n),
-        "from_edges": lambda *t: Hypergraph3.from_edges(n, [t]),
         "apply_link": lambda *t: ChainBuilder(n).apply_link(LinkKind.FWD, t + (3,)),
     }
     for bad, text in (((1, 1, 2), "repeated vertex"),
@@ -321,7 +319,7 @@ def test_unhat_examples():
     empty = Hypergraph3(4, frozenset())
     A = unhat(empty, (1, 2, 3, 4))
     assert all(v == MINUS for v in A.table)
-    assert unhat(complete_hypergraph(4), (1, 2, 3, 4)) == all_plus()
+    assert unhat(Hypergraph3(4, frozenset(triples(4))), (1, 2, 3, 4)) == all_plus()
 
 
 def test_hat_unhat_match_their_definitions():
@@ -371,8 +369,6 @@ def test_value_semantics_and_pickle():
 def test_hypergraph_validation():
     with pytest.raises(InputError):
         Hypergraph3(4, frozenset({(1, 2, 5)}))
-    h = Hypergraph3.from_edges(5, [(3, 1, 2)])
-    assert (1, 2, 3) in h.hyperedges
 
 
 def test_flat_index_matches_its_definition():

@@ -22,7 +22,6 @@ from htour.ramsey import (
     arrow_check,
     compatible_orders_cyclic,
     embeddings,
-    fill_holes_ordered,
 )
 
 
@@ -336,25 +335,11 @@ def test_expand_even_needs_graph():
         OrderedHT(gen_cyclic(4), (1, 2, 3, 4), ExpansionKind.EVEN)
 
 
-def test_fill_holes_ordered():
-    rng = random.Random(8)
-    holey = free(random_holey_ht(rng, 6, 8))
-    filled = fill_holes_ordered(holey)
-    assert filled.ht.is_complete()
-    assert filled.ht.extends(holey.ht)
-    assert fill_holes_ordered(filled) == filled
-
-
-def test_fill_holes_only_for_free_kind():
-    with pytest.raises(InputError):
-        fill_holes_ordered(cyc(4))
-
-
 def test_fill_preserves_embeddings_of_full_structures():
     rng = random.Random(9)
     for _ in range(20):
         holey = free(random_holey_ht(rng, 6, rng.randint(0, 12)))
-        filled = fill_holes_ordered(holey)
+        filled = OrderedHT(holey.ht.filled(), holey.order, ExpansionKind.ALL)
         probe = free(random_holey_ht(rng, 3, 0))
         before = set(embeddings(probe, holey))
         after = set(embeddings(probe, filled))

@@ -30,7 +30,7 @@ def _fails():
     ids=["mixed", "expected-only"],
 )
 def test_driver_summary(monkeypatch, items, counts, ok):
-    monkeypatch.setattr(verify, "build_items", lambda level, jobs=1: items)
+    monkeypatch.setattr(verify, "build_items", lambda level: items)
     buf = io.StringIO()
     summary = verify.run_verify("quick", out=buf)
     assert summary["counts"] == counts
