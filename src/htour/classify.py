@@ -18,15 +18,29 @@ PLUS 1, MINUS 2) form the code v0 + 3*v1 + 9*v2 + 27*v3, and each constraint
 set carries two tables over these codes, derived from mask_of: the action
 table of unit propagation and the ok table of the class test.
 
-The class test (`first_offence`, and `class_member` on top of it) judges a
-whole batch of tables at once, column-wise.  The batch is transposed into
-one int per triple rank whose byte k is the value of that triple in table k,
-so one evaluation of the code formula on these ints yields the codes of a
-4-subset in every table, byte by byte; no byte carries, since a code is at
-most 80.  The codes of all 4-subsets, 4-subset-major, go through the ok
-table in one bytes.translate, and one find(0) names the least offending
-4-subset and the first table it offends in.  A batch of one skips the
-transposition and reads the table bytes directly.
+The class test (`first_offence`, and `class_member` on top of it) judges one
+table, or a whole batch of them, by one bytes.translate of the codes of its
+4-subsets through the ok table and one find(0).
+
+One table goes through a block kernel that needs no 4-subset index.  With
+0-based vertices and the colex rank a + C(b,2) + C(c,3), the 4-subsets
+{a<b<c<d} with a fixed top pair c<d form a block of C(c,2), in pair order
+a + C(b,2): their {abc} and {abd} values are two slices of the table, and
+their {acd} and {bcd} values are two bytes.translate gathers of the row of
+the c triples {x,c,d}, by the lower and the upper ends of the pairs below c.
+The four value strings of a run of blocks, scaled by 1, 3, 9 and 27, are
+summed as one big int read as byte lanes (no lane carries, since a code is
+at most 80), which yields the codes in colex order with about C(n-1,2)
+Python steps instead of C(n,4).  The runs hold at most _CHECK_BYTES codes
+each.  Only when a table fails is the lexicographically least witness
+looked for, by the same kernel on the table read backwards.
+
+A batch is judged column-wise.  It is transposed into one int per triple
+rank whose byte k is the value of that triple in table k, so one evaluation
+of the code formula on these ints, over the ranks of core.quad_triple_ranks,
+yields the codes of a 4-subset in every table, byte by byte.  The codes of
+all 4-subsets, 4-subset-major, name the least offending 4-subset and the
+first table it offends in.
 """
 
 from __future__ import annotations
@@ -35,6 +49,7 @@ import itertools
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache
+from math import comb
 
 from .core import (
     HOLE,
@@ -84,6 +99,13 @@ def mask_of(v0: int, v1: int, v2: int, v3: int) -> int:
 # the table values (v0, v1, v2, v3) of the 4-subsets with code
 # v0 + 3*v1 + 9*v2 + 27*v3, by code
 _CODES = tuple((c % 3, c // 3 % 3, c // 9 % 3, c // 27) for c in range(81))
+# translate tables: a table value times 3, 9 and 27, its weight in a code
+_TIMES_3, _TIMES_9, _TIMES_27 = (
+    bytes.maketrans(bytes([HOLE, PLUS, MINUS]), bytes([HOLE, w * PLUS, w * MINUS]))
+    for w in (3, 9, 27))
+# the class test holds at most this many bytes of 4-subset codes at once, so
+# its memory is bounded at any vertex count
+_CHECK_BYTES = 1 << 20
 
 
 def _action(bits: int, values) -> int:
@@ -239,30 +261,114 @@ def first_offence(n: int, tables, allowed) -> tuple[int, int] | None:
 
     An offending 4-subset is fully assigned with a type outside `allowed`;
     4-subsets containing a hole are not judged.  Ids are those of
-    core.quad_triple_ranks (lexicographic order).  The batch is judged
-    column-wise in one pass, as the module docstring describes, and takes
-    about one byte per table and 4-subset.
+    core.quad_triple_ranks (lexicographic order).  One table goes through
+    the block kernel and holds at most _CHECK_BYTES bytes of codes at once;
+    a batch is judged column-wise in one pass, about one byte per table and
+    4-subset, so callers bound its memory by the width of their chunks.
+    Both are described in the module docstring.
     """
     allowed = ConstraintSet.coerce(allowed)
     width = len(tables)
     if not width:
         return None
     if width == 1:
-        cols = tables[0]
-    else:
-        # byte k of cols[r] is the value of triple r in table k
-        cols = [int.from_bytes(bytes(col), "little") for col in zip(*tables)]
+        qi = _least_offence(n, tables[0], allowed.ok_table)
+        return None if qi is None else (qi, 0)
+    # byte k of cols[r] is the value of triple r in table k
+    cols = [int.from_bytes(bytes(col), "little") for col in zip(*tables)]
     ranks = iter(quad_triple_ranks(n))
     codes = (
         cols[r0] + 3 * cols[r1] + 9 * cols[r2] + 27 * cols[r3]
         for r0, r1, r2, r3 in zip(ranks, ranks, ranks, ranks)
     )
-    if width == 1:
-        verdict = bytes(codes)
-    else:
-        verdict = b"".join(code.to_bytes(width, "little") for code in codes)
+    verdict = b"".join(code.to_bytes(width, "little") for code in codes)
     pos = verdict.translate(allowed.ok_table).find(0)
     return None if pos < 0 else divmod(pos, width)
+
+
+@lru_cache(maxsize=None)
+def _pair_ends(c: int) -> tuple[bytes, bytes]:
+    """The lower and the upper ends of the pairs {a<b} below c (0-based), in
+    pair order a + C(b,2)."""
+    pairs = [(a, b) for b in range(c) for a in range(b)]
+    return bytes(a for a, _ in pairs), bytes(b for _, b in pairs)
+
+
+def _top_runs(n: int) -> list[tuple[int, int]]:
+    """Runs [d0, d1) of consecutive top vertices d (0-based), each holding
+    at most _CHECK_BYTES 4-subsets {a<b<c<d} (C(d,3) per d), or a single d."""
+    runs, start, size = [], 3, 0
+    for d in range(3, n):
+        if size and size + comb(d, 3) > _CHECK_BYTES:
+            runs.append((start, d))
+            start, size = d, 0
+        size += comb(d, 3)
+    if n > 3:
+        runs.append((start, n))
+    return runs
+
+
+def _codes(scaled: tuple, d0: int, d1: int) -> bytes:
+    """The codes of the 4-subsets {a<b<c<d} with d0 <= d < d1 (0-based), in
+    colex order, from the scaled tables of `_verdicts`.
+
+    With the colex rank a + C(b,2) + C(c,3), the 4-subsets with top pair
+    c<d come in pair order a + C(b,2), and their triples are: {abc} the
+    C(c,2) ranks from C(c,3), {abd} the C(c,2) ranks from C(d,3), and {acd}
+    and {bcd} the row of c ranks from C(c,2) + C(d,3), gathered by the lower
+    and the upper ends of the pairs.  The {abc} ranks of all c < d together
+    are every rank below C(d,3).  The four scaled values are summed in one
+    big int read as byte lanes; a code is at most 80, so no lane carries.
+    """
+    t1, t3, t9, t27 = scaled
+    v0, v1, v2, v3 = [], [], [], []
+    for d in range(d0, d1):
+        e = comb(d, 3)
+        v0.append(t1[:e])
+        for c in range(2, d):
+            lo, hi = _pair_ends(c)
+            m = len(lo)
+            row = e + m
+            v1.append(t3[e:e + m])
+            v2.append(lo.translate(t9[row:row + 256]))
+            v3.append(hi.translate(t27[row:row + 256]))
+    total = 0
+    for v in (v3, v2, v1, v0):  # the gathered copies first, freed once summed
+        total += int.from_bytes(b"".join(v), "little")
+        v.clear()
+    return total.to_bytes(comb(d1, 4) - comb(d0, 4), "little")
+
+
+def _verdicts(table: bytes, runs, ok: bytes):
+    """For each run [d0, d1) in turn, d0 and the ok-table bytes of the codes
+    of its 4-subsets (`_codes`), in colex order.  `_codes` reads the table
+    times 1, 3, 9 and 27, the last two padded by 256 bytes, so that a slice
+    of 256 from any rank is a translate table."""
+    pad = bytes(256)
+    scaled = (memoryview(table), memoryview(table.translate(_TIMES_3)),
+              table.translate(_TIMES_9) + pad, table.translate(_TIMES_27) + pad)
+    for d0, d1 in runs:
+        yield d0, _codes(scaled, d0, d1).translate(ok)
+
+
+def _least_offence(n: int, table: bytes, ok: bytes) -> int | None:
+    """Id of the lexicographically least offending 4-subset of one table, or
+    None, judged by the block kernel (`_codes`) over runs of top vertices.
+
+    Only on failure is the witness looked for, in the structure read along
+    n, n-1, ..., 1: types are invariant under relabeling, so the colex-last
+    offender there is the lex-least one here, with id C(n,4) - 1 minus its
+    colex rank.
+    """
+    runs = _top_runs(n)
+    if all(verdict.find(0) < 0 for _, verdict in _verdicts(table, runs, ok)):
+        return None
+    mirror = HoleyHT(n, table).along(range(n, 0, -1)).table
+    for d0, verdict in _verdicts(mirror, runs[::-1], ok):
+        pos = verdict.rfind(0)
+        if pos >= 0:
+            return comb(n, 4) - 1 - comb(d0, 4) - pos
+    raise AssertionError("the mirrored structure has no offending 4-subset")
 
 
 def class_member(structure: HoleyHT, allowed) -> Membership:

@@ -41,7 +41,9 @@ Soundness is checked on every run, outside the search: every table that
 `complete` or `all_completions` returns must be hole-free, keep every
 assigned triple of the input (one masked int compare per table) and lie in
 the class, or a RuntimeError is raised.  The class test is
-classify.first_offence, which judges a whole batch of tables column-wise;
+classify.first_offence: one table, such as the completion of `complete`,
+goes through its block kernel, which reads no 4-subset index and takes
+about C(n-1,2) Python steps; a batch is judged column-wise, and
 `all_completions` hands it its completions in chunks of bounded size, so an
 enumeration pays one pass over the 4-subsets per chunk instead of one per
 completion.
@@ -55,6 +57,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass, field
 from math import comb
 
+from . import classify
 from .classify import ConstraintSet, class_member, first_offence
 from .core import (
     HOLE,
@@ -71,9 +74,6 @@ from .core import (
 )
 
 ENUMERATION_HOLE_GUARD = 30
-# the soundness check judges completions in chunks of at most this many
-# bytes of 4-subset codes, which bounds its memory at any vertex count
-_CHECK_BYTES = 1 << 20
 # all_completions holds at most this many bytes of tables, cap or not:
 # enumerate --cap 40000 on on(8) holds 2.2 MB
 _ENUMERATION_BYTES = 1 << 22
@@ -262,8 +262,9 @@ class _Engine:
 def _check_sound(structure: HoleyHT, allowed: ConstraintSet, tables) -> None:
     """Raise unless every table is a completion of `structure` in the class:
     no hole, every assigned triple of `structure` kept, every 4-subset
-    allowed.  The class test runs on chunks of at most _CHECK_BYTES bytes of
-    codes (one byte per table and 4-subset)."""
+    allowed.  The class test runs on chunks of at most classify._CHECK_BYTES
+    bytes of codes (one byte per table and 4-subset); a chunk of one table
+    is chunked by the class test itself."""
     given = structure.table
     keep = int.from_bytes(given.translate(_ASSIGNED_MASK), "little")
     want = int.from_bytes(given, "little")
@@ -271,7 +272,7 @@ def _check_sound(structure: HoleyHT, allowed: ConstraintSet, tables) -> None:
         if HOLE in table or int.from_bytes(table, "little") & keep != want:
             raise RuntimeError("solver produced an unsound completion")
     n = structure.n
-    step = max(1, _CHECK_BYTES // max(comb(n, 4), 1))
+    step = max(1, classify._CHECK_BYTES // max(comb(n, 4), 1))
     for start in range(0, len(tables), step):
         if first_offence(n, tables[start:start + step], allowed) is not None:
             raise RuntimeError("solver produced an unsound completion")

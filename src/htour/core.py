@@ -23,13 +23,15 @@ gives the rank of the sorted triple and the parity of the sort, which
 `triple_value`, `orientation_of`, `with_value`, `validate`, `glue` and
 the chain builder of `families` all read.
 
-The 4-subset index that the solver and the class test read is two flat
-``array('I')`` tables, cached per n: `quad_triple_ranks` holds the four
-triple ranks of each 4-subset (4-subsets in lexicographic order, four
-entries each), and `triple_quad_ids` holds the ids of the n-3 4-subsets
-through each triple (fixed stride n-3, so it needs no offsets).  Together
-they cost 32 bytes per 4-subset, about 7 MB at 49 vertices; vertex tuples
-of 4-subsets are computed only when a witness needs one (`quad_vertices`).
+The 4-subset index that the solver reads, and the class test for a batch
+of tables, is two flat ``array('I')`` tables, cached per n (the class test
+for one table needs none): `quad_triple_ranks` holds the four triple ranks
+of each 4-subset (4-subsets in lexicographic order, four entries each), and
+`triple_quad_ids` holds the ids of the n-3 4-subsets through each triple
+(fixed stride n-3, so it needs no offsets).  Together they cost 32 bytes
+per 4-subset, about 7 MB at 49 vertices.  Vertex tuples of 4-subsets are
+computed from their ids by arithmetic, only when a witness needs one
+(`quad_vertices`).
 Each table is built in blocks of consecutive entries: a block is a fixed
 template plus per-block constants, added by one big-int add with the int
 read as 32-bit lanes, and appended to the array whole.  Both tables, and
@@ -244,12 +246,21 @@ def triple_quad_ids(n: int) -> array:
 
 
 def quad_vertices(n: int, qi: int) -> tuple[int, int, int, int]:
-    """The 4-subset {a<b<c<d} with id qi, i.e. `quads(n)[qi]`, read off the
-    triples {abc} and {bcd} of the index."""
-    qt = quad_triple_ranks(n)
-    ts = triples(n)
-    a, b, c = ts[qt[4 * qi]]
-    return a, b, c, ts[qt[4 * qi + 3]][2]
+    """The 4-subset {a<b<c<d} with id qi, i.e. `quads(n)[qi]`, by inverting
+    the id formula of `triple_quad_ids`: C(n,4) - 1 - qi is the colex rank
+    C(x4,4) + C(x3,3) + C(x2,2) + x1 of the mirrored set, whose entries the
+    greedy search of the combinatorial number system reads off, largest
+    first, in one descent over x; vertex x (0-based) of the mirror is vertex
+    n - x here."""
+    m = comb(n, 4) - 1 - qi
+    x, out = n, []
+    for k in (4, 3, 2, 1):
+        x -= 1
+        while comb(x, k) > m:
+            x -= 1
+        m -= comb(x, k)
+        out.append(n - x)
+    return tuple(out)
 
 
 def check_order(order, n: int) -> tuple[int, ...]:

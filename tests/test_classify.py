@@ -1,8 +1,12 @@
 import itertools
 import random
+import time
+import tracemalloc
+from math import comb
 
 import pytest
 
+from htour import classify, core
 from htour.classify import (
     ALL_TYPES,
     CYCLIC,
@@ -141,10 +145,12 @@ def test_class_member_matches_brute_force(types):
     allowed = ConstraintSet.of(*types)
     rng = random.Random(14)
     outcomes = set()
-    for n in range(10):
+    for n in range(17):
         for A in seeded_inputs(rng, n):
             offences = scan_offences(A.table, n, allowed)
             res = class_member(A, allowed)
+            assert first_offence(n, [A.table], allowed) == (
+                (offences[0], 0) if offences else None)
             assert res.ok == (not offences)
             assert res.witness == (quads(n)[offences[0]] if offences else None)
             outcomes.add(res.ok)
@@ -169,6 +175,109 @@ def test_first_offence_over_a_batch(types):
                 least, next(k for k, qis in enumerate(offences) if least in qis))
             assert first_offence(n, tables, allowed) == expect
     assert first_offence(5, [], allowed) is None
+
+
+def plant_random_quads(rng, structure, count):
+    """A copy with `count` random 4-subsets given random values."""
+    table = bytearray(structure.table)
+    for quad in (sorted(rng.sample(range(1, structure.n + 1), 4)) for _ in range(count)):
+        for t in itertools.combinations(quad, 3):
+            table[triple_rank(*t)] = rng.choice((PLUS, MINUS))
+    return HoleyHT(structure.n, bytes(table))
+
+
+def test_least_witness_across_blocks_and_runs(monkeypatch):
+    # offenders planted in a cyclic structure fall into several blocks of
+    # the one-table kernel; with small runs, into several runs as well, so
+    # the witness search has to pick the least one across them
+    rng = random.Random(16)
+    spread = 0
+    for chunk in (1, 60, 400, classify._CHECK_BYTES):
+        monkeypatch.setattr(classify, "_CHECK_BYTES", chunk)
+        for _ in range(12):
+            n = rng.randint(8, 15)
+            A = plant_random_quads(rng, gen_cyclic(n, rng.sample(range(1, n + 1), n)),
+                                   rng.randint(1, 4))
+            for allowed in (CYCLIC, EVEN, H4_FREE):
+                offences = scan_offences(A.table, n, allowed)
+                tops = {quads(n)[qi][3] for qi in offences}
+                spread = max(spread, len(tops))
+                assert first_offence(n, [A.table], allowed) == (
+                    (offences[0], 0) if offences else None)
+                assert class_member(A, allowed).witness == (
+                    quads(n)[offences[0]] if offences else None)
+    assert spread >= 3
+
+
+def test_one_table_agrees_with_a_batch_of_two():
+    # the one-table kernel against the column-wise batch path, past the
+    # sizes the brute-force scan reaches
+    rng = random.Random(17)
+    try:
+        for n in range(17, 41):
+            allowed = ConstraintSet.of(*NONEMPTY_TYPE_SETS[n % 7])
+            cyclic = gen_cyclic(n, rng.sample(range(1, n + 1), n))
+            for A in (cyclic, plant_random_quads(rng, cyclic, rng.randint(1, 3))):
+                one = first_offence(n, [A.table], allowed)
+                assert one == first_offence(n, [A.table, A.table], allowed)
+                if FourType.C4 in allowed and A is cyclic:
+                    assert one is None
+    finally:
+        core.quad_triple_ranks.cache_clear()
+
+
+def test_class_member_builds_no_index():
+    core.quad_triple_ranks.cache_clear()
+    core.triples.cache_clear()
+    rng = random.Random(18)
+    A = random_full_ht(rng, 23)
+    assert class_member(A, ALL_TYPES)
+    assert not class_member(A, CYCLIC)
+    assert core.quad_triple_ranks.cache_info().currsize == 0
+    assert core.triples.cache_info().currsize == 0
+
+
+def test_failing_member_at_49_vertices():
+    # the witness of the column-wise scan over the whole 4-subset index, in
+    # a fraction of its time: the kernel judges the table and its mirror
+    A = random_full_ht(random.Random(49), 49)
+    try:
+        assert first_offence(49, [A.table, A.table], CYCLIC) == (1, 0)
+        kernel, scan = [], []
+        for _ in range(3):
+            start = time.perf_counter()
+            res = class_member(A, CYCLIC)
+            kernel.append(time.perf_counter() - start)
+            first_offence(49, [A.table, A.table], CYCLIC)
+            scan.append(time.perf_counter() - start - kernel[-1])
+    finally:
+        core.quad_triple_ranks.cache_clear()
+    assert not res and res.witness == (1, 2, 3, 5)
+    assert min(kernel) < min(scan)
+
+
+def test_one_table_holds_at_most_a_chunk_of_codes(monkeypatch):
+    # C(70,4) = 916,895 codes against runs of at most 64 KiB of them (the
+    # largest top vertex alone has C(69,3) = 52,394); the ceiling allows a
+    # few chunk-sized strings at once (the gathered values, their sum, the
+    # codes and their verdict) and a few table-sized ones (the scaled
+    # tables, the mirror and the pair patterns), and stays below the codes
+    # of all 4-subsets at once
+    n, chunk = 70, 1 << 16
+    monkeypatch.setattr(classify, "_CHECK_BYTES", chunk)
+    ceiling = 6 * chunk + 8 * comb(n, 3)
+    assert comb(n - 1, 3) <= chunk and ceiling < comb(n, 4)
+    order = random.Random(19).sample(range(1, n + 1), n)
+    for allowed, ok in ((CYCLIC, True), (EVEN, True), (ConstraintSet.of(FourType.H4), False)):
+        A = gen_cyclic(n, order)
+        tracemalloc.start()
+        try:
+            res = class_member(A, allowed)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert bool(res) == ok
+        assert peak < ceiling, (peak, ceiling)
 
 
 def test_all_types_unconstrained():

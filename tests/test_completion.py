@@ -270,7 +270,7 @@ def test_soundness_check_catches_bad_tables(monkeypatch):
     structure = gen_on(7)
     good = [c.table for c in all_completions(structure, H4_FREE, cap=60)]
     chunk = 25
-    monkeypatch.setattr(completion, "_CHECK_BYTES", chunk * comb(7, 4))
+    monkeypatch.setattr(classify, "_CHECK_BYTES", chunk * comb(7, 4))
     unsound = "solver produced an unsound completion"
     for kind, bad in unsound_tables(structure, H4_FREE, good).items():
         monkeypatch.setattr(_Engine, "search", lambda self: iter([bad]))

@@ -416,8 +416,17 @@ def test_index_bytes_are_golden(n):
 
 
 def test_quad_vertices_matches_quads():
-    for n in range(4, 10):
+    for n in range(15):
         assert [quad_vertices(n, qi) for qi in range(len(quads(n)))] == list(quads(n))
+    # sampled ids at 49 and 100 vertices, read off one pass over the 4-subsets
+    rng = random.Random(20)
+    for n in (49, 100):
+        total = comb(n, 4)
+        ids = sorted({0, total - 1, *rng.sample(range(total), 300)})
+        subsets, seen = itertools.combinations(range(1, n + 1), 4), 0
+        for qi in ids:
+            assert quad_vertices(n, qi) == next(itertools.islice(subsets, qi - seen, None))
+            seen = qi + 1
 
 
 def _clear_index_caches():
