@@ -131,6 +131,13 @@ def _action_table(bits: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
+def _queue_table(bits: int) -> bytes:
+    action = _action_table(bits)
+    return bytes(values.count(HOLE) == 1 and action[code] != 0
+                 for code, values in enumerate(_CODES))
+
+
+@lru_cache(maxsize=None)
 def _ok_table(bits: int) -> bytes:
     ok = bytes(
         HOLE in values or (bits >> mask_of(*values)) & 1 for values in _CODES
@@ -199,6 +206,12 @@ class ConstraintSet:
         allowed), else pos << 2 | value: the one hole, at position pos, must
         take value."""
         return _action_table(self.mask_bits())
+
+    @cached_property
+    def queue_table(self) -> bytes:
+        """1 at the codes with exactly one hole and a nonzero action, 0 at
+        the other codes: the 4-subsets that unit propagation queues."""
+        return _queue_table(self.mask_bits())
 
     @cached_property
     def ok_table(self) -> bytes:

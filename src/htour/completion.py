@@ -22,20 +22,26 @@ state.
 Propagation judges a 4-subset by one lookup in the constraint set's 81-entry
 action table (see classify.ConstraintSet.action_table), keyed by the code
 v0 + 3*v1 + 9*v2 + 27*v3 of its four table values: nothing to do, a
-conflict, or which hole is forced to which value.  There is one judging
-rule, at the root as at every other node: `assign` judges a 4-subset once,
-when its hole count falls to 1, and queues it only when its action is not
-0; a 4-subset whose count falls to 0 is never queued.  The root assigns
-every assigned triple of the input again over the whole input table, so it
-judges each 4-subset with at most one hole against its input code, and
-queues those that act in ascending id order.  Only no-op pops go: a
-one-hole 4-subset's three assigned triples cannot change during a
-propagation, so its action when queued is its action when popped, until its
-hole fills; and if both values were allowed then, any fill is allowed too.
-The entries that are kept keep their FIFO order, so trails, conflicts and
-node counts are those of queueing a 4-subset whenever its count falls to 1
-or to 0.  The 4-subset index is the pair of flat arrays of core
-(quad_triple_ranks, triple_quad_ids), read by direct offset.
+conflict, or which hole is forced to which value.  The engine keeps each
+4-subset's code as it searches: assigning a triple adds its value times
+3**pos to the code of every 4-subset through it (pos is the triple's place
+in the 4-subset, tagged on each entry of the index), and undoing it takes
+the same weight off.  HOLE is 0, so the code also shows which triples are
+holes.  There is one judging rule, at the root as at every other node:
+`assign` judges a 4-subset once, when its code falls to one hole, and
+queues it only when its action is not 0 (one lookup in the constraint
+set's queue table); a 4-subset whose last hole fills is never queued.  The
+root assigns every assigned triple of the input again, so it judges each
+4-subset with at most one hole, keeps those whose input code acts, and
+queues them in ascending id order.  A pop is one lookup, `action[code]`,
+and reads no table value.  Only no-op pops go: a one-hole 4-subset's three
+assigned triples cannot change during a propagation, so its action when
+queued is its action when popped, until its hole fills; and if both values
+were allowed then, any fill is allowed too.  The entries that are kept keep
+their FIFO order, so trails, conflicts and node counts are those of
+queueing a 4-subset whenever it falls to one hole or to none.  The 4-subset
+index is the pair of flat arrays of core (quad_triple_ranks,
+triple_quad_ids), read by direct offset.
 
 Soundness is checked on every run, outside the search: every table that
 `complete` or `all_completions` returns must be hole-free, keep every
@@ -79,6 +85,8 @@ ENUMERATION_HOLE_GUARD = 30
 _ENUMERATION_BYTES = 1 << 22
 # translate table: 0xFF at assigned values, 0 at holes
 _ASSIGNED_MASK = bytes([0, 0xFF, 0xFF]) + bytes(253)
+# by table value: its weight in a 4-subset code at place 0, 1, 2, 3
+_WEIGHTS = tuple(tuple(v * 3 ** pos for pos in range(4)) for v in (HOLE, PLUS, MINUS))
 
 
 @dataclass(frozen=True)
@@ -125,7 +133,12 @@ class MinimalityReport:
 
 
 class _Engine:
-    """Search state over a mutable copy of the orientation table."""
+    """Search state over a mutable copy of the orientation table.
+
+    `code[qi]` is the code v0 + 3*v1 + 9*v2 + 27*v3 of 4-subset qi over the
+    current table, kept as triples are assigned and undone.  HOLE is 0, so a
+    hole adds nothing, and the code shows both the values and which triples
+    are holes: the solver keeps no separate hole count."""
 
     __slots__ = (
         "n",
@@ -134,7 +147,8 @@ class _Engine:
         "tq",
         "stride",
         "action",
-        "hole_cnt",
+        "queue",
+        "code",
         "trail",
         "root",
         "conflicts",
@@ -144,17 +158,20 @@ class _Engine:
     def __init__(self, structure: HoleyHT, allowed: ConstraintSet) -> None:
         self.n = structure.n
         self.table = bytearray(structure.table)
-        # quad qi's triple ranks are qt[4*qi : 4*qi+4]; the quads of the
-        # triple of rank r are tq[r*stride : (r+1)*stride]
+        # quad qi's triple ranks are qt[4*qi : 4*qi+4]; the tagged entries
+        # 4*qi + pos of the quads through the triple of rank r are
+        # tq[r*stride : (r+1)*stride]
         self.qt = quad_triple_ranks(self.n)
         self.tq = triple_quad_ids(self.n)
         self.stride = max(self.n - 3, 0)
         self.action = allowed.action_table
+        self.queue = allowed.queue_table
         # the root judges quads as every node does, in assign: each quad
-        # starts at 4 holes and every assigned triple is assigned again over
-        # the whole input table, so a quad is judged against its input code
-        # when its count falls to 1; sorted, the root queue is in quad order
-        self.hole_cnt = [4] * (len(self.qt) >> 2)
+        # starts at code 0, all holes, and every assigned triple is assigned
+        # again.  A quad assigned in full is queued on its three-digit code,
+        # but its verdict is that of its input code: keep the quads whose
+        # input code acts, sorted, so the root queue is in quad order
+        self.code = [0] * (len(self.qt) >> 2)
         self.trail: list[int] = []
         self.conflicts: set = set()
         self.nodes = 0
@@ -163,42 +180,41 @@ class _Engine:
         for r in itertools.compress(range(len(table)), table):
             self.assign(r, table[r], root)
         self.trail.clear()
-        self.root = deque(sorted(root))
+        code, action = self.code, self.action
+        self.root = deque(sorted(qi for qi in root if action[code[qi]]))
 
     def assign(self, rank: int, value: int, worklist: deque) -> None:
-        """Set triple `rank` to `value` and queue each 4-subset through it
-        that falls to one hole with a nonzero action."""
-        table = self.table
-        table[rank] = value
+        """Set triple `rank` to `value`, add its weight to the code of each
+        4-subset through it and queue those that fall to one hole with a
+        nonzero action."""
+        self.table[rank] = value
         self.trail.append(rank)
-        hole_cnt = self.hole_cnt
-        qt = self.qt
-        action = self.action
+        code = self.code
+        queue = self.queue
+        weight = _WEIGHTS[value]
         start = rank * self.stride
-        for qi in self.tq[start:start + self.stride]:
-            cnt = hole_cnt[qi] - 1
-            hole_cnt[qi] = cnt
-            if cnt == 1:
-                b = qi << 2
-                code = (table[qt[b]] + 3 * table[qt[b + 1]] + 9 * table[qt[b + 2]]
-                        + 27 * table[qt[b + 3]])
-                if action[code]:
-                    worklist.append(qi)
+        for e in self.tq[start:start + self.stride]:
+            qi = e >> 2
+            c = code[qi] + weight[e & 3]
+            code[qi] = c
+            if queue[c]:
+                worklist.append(qi)
 
     def undo_to(self, mark: int) -> None:
         """Pop the trail back to `mark`, making its triples holes again and
-        restoring the hole counts."""
+        taking their weights off the codes."""
         table = self.table
         trail = self.trail
-        hole_cnt = self.hole_cnt
+        code = self.code
         tq = self.tq
         stride = self.stride
         while len(trail) > mark:
             rank = trail.pop()
+            weight = _WEIGHTS[table[rank]]
             table[rank] = HOLE
             start = rank * stride
-            for qi in tq[start:start + stride]:
-                hole_cnt[qi] += 1
+            for e in tq[start:start + stride]:
+                code[e >> 2] -= weight[e & 3]
 
     def propagate(self, worklist: deque) -> int | None:
         """Run unit propagation to fixpoint; return a conflicting quad id
@@ -206,26 +222,22 @@ class _Engine:
 
         A queued quad had a nonzero action when it was queued, at the root
         as at every other node.  Its three assigned triples cannot change
-        before its pop, so the pop re-judges it against the current table
-        only for the case that its hole filled meanwhile: then it gives 0 or
-        a conflict.  A quad whose count falls to 0 is never queued: it had
-        one hole just before, and either it was queued then, or both values
-        were allowed and so is any fill."""
-        table = self.table
+        before its pop, so the pop re-judges its current code only for the
+        case that its hole filled meanwhile: then it gives 0 or a conflict.
+        A quad whose last hole fills is never queued: it had one hole just
+        before, and either it was queued then, or both values were allowed
+        and so is any fill."""
+        code = self.code
         qt = self.qt
         action = self.action
         while worklist:
             qi = worklist.popleft()
-            b = qi << 2
-            act = action[
-                table[qt[b]] + 3 * table[qt[b + 1]] + 9 * table[qt[b + 2]]
-                + 27 * table[qt[b + 3]]
-            ]
+            act = action[code[qi]]
             if act == 0:
                 continue
             if act < 0:
                 return qi
-            self.assign(qt[b + (act >> 2)], act & 3, worklist)
+            self.assign(qt[(qi << 2) + (act >> 2)], act & 3, worklist)
         return None
 
     def search(self) -> Iterator[bytes]:

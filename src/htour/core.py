@@ -27,15 +27,18 @@ The 4-subset index that the solver reads, and the class test for a batch
 of tables, is two flat ``array('I')`` tables, cached per n (the class test
 for one table needs none): `quad_triple_ranks` holds the four triple ranks
 of each 4-subset (4-subsets in lexicographic order, four entries each), and
-`triple_quad_ids` holds the ids of the n-3 4-subsets through each triple
-(fixed stride n-3, so it needs no offsets).  Together they cost 32 bytes
-per 4-subset, about 7 MB at 49 vertices.  Vertex tuples of 4-subsets are
-computed from their ids by arithmetic, only when a witness needs one
-(`quad_vertices`).
+`triple_quad_ids` holds the tagged entries 4*qi + pos of the n-3 4-subsets
+through each triple, pos being the triple's place among the four (fixed
+stride n-3, so it needs no offsets; `quad_triple_ranks(n)[4*qi + pos]` is
+the triple again).  Together they cost 32 bytes per 4-subset, about 7 MB
+at 49 vertices.  Vertex tuples of 4-subsets are computed from their ids by
+arithmetic, only when a witness needs one (`quad_vertices`).
 Each table is built in blocks of consecutive entries: a block is a fixed
 template plus per-block constants, added by one big-int add with the int
-read as 32-bit lanes, and appended to the array whole.  Both tables, and
-`htfile.parse`, refuse more than VERTEX_GUARD vertices.
+read as 32-bit lanes, and appended to the array whole; the terms of
+`triple_quad_ids` are pre-scaled by 4 and its template carries the places,
+so its blocks come out tagged.  Both tables, and `htfile.parse`, refuse
+more than VERTEX_GUARD vertices.
 """
 
 from __future__ import annotations
@@ -198,48 +201,55 @@ def quad_triple_ranks(n: int) -> array:
 @lru_cache(maxsize=None)
 def triple_quad_ids(n: int) -> array:
     """Flat table with stride n-3: entries r*(n-3) .. r*(n-3)+n-4 are the
-    ascending ids of the n-3 4-subsets containing the triple of rank r
-    (ids as in `quad_triple_ranks`, which this call builds too, so one call
-    warms the whole index).
+    tagged entries 4*qi + pos of the n-3 4-subsets containing the triple of
+    rank r, by ascending id qi, where pos is the place of the triple in the
+    4-subset: 0 {abc}, 1 {abd}, 2 {acd}, 3 {bcd}.  So
+    `quad_triple_ranks(n)[e] == r` for every entry e of row r (ids as in
+    `quad_triple_ranks`, which this call builds too, so one call warms the
+    whole index).
 
     Each triple {i<j<k} lies in {i,j,k,x} for every other vertex x, and the
-    ids ascend with x.  The lexicographic id of {a<b<c<d} over 0..n-1 is
-    C(n,4) - 1 - (C(n-1-a,4) + C(n-1-b,3) + C(n-1-c,2) + (n-1-d)), the colex
-    rank of the mirrored set counted from the end.
+    ids ascend with x; x below i, between i and j, between j and k and above
+    k gives pos 3, 2, 1 and 0.  The lexicographic id of {a<b<c<d} over
+    0..n-1 is C(n,4) - 1 - (C(n-1-a,4) + C(n-1-b,3) + C(n-1-c,2) + (n-1-d)),
+    the colex rank of the mirrored set counted from the end.
 
     Built in blocks, one per largest vertex k: the rows of the triples
     {i<j<k} are consecutive in colex order.  A template row for {i<j} reads
-    every x > j as if it stayed below k, in position 3; the terms it lacks
-    then depend on k alone.  So the block for k is a prefix of the template
-    less one row of k terms repeated over all C(k,2) rows: one big-int add
-    on 32-bit lanes, appended whole.  16 bytes per 4-subset.  Refuses
-    n > VERTEX_GUARD.
+    every x > j as if it stayed below k, in position 3 with pos 1; the terms
+    it lacks then depend on k alone.  So the block for k is a prefix of the
+    template less one row of k terms repeated over all C(k,2) rows: one
+    big-int add on 32-bit lanes, appended whole.  Every term is pre-scaled
+    by 4 and the template rows carry pos, so a block yields tagged entries
+    directly; the largest, 4*C(100,4) - 1, is below 2**24.  16 bytes per
+    4-subset.  Refuses n > VERTEX_GUARD.
     """
     quad_triple_ranks(n)
     if n < 4:
         return array("I")  # no 4-subsets: every row is empty
-    last = comb(n, 4) - 1
-    # the mirrored colex terms of a vertex in position 1, 2, 3, 4
-    u1 = [comb(n - 1 - x, 4) for x in range(n)]
-    u2 = [comb(n - 1 - x, 3) for x in range(n)]
-    u3 = [comb(n - 1 - x, 2) for x in range(n)]
-    u4 = [n - 1 - x for x in range(n)]
+    last = 4 * comb(n, 4) - 4
+    # the mirrored colex terms of a vertex in position 1, 2, 3, 4, times 4
+    u1 = [4 * comb(n - 1 - x, 4) for x in range(n)]
+    u2 = [4 * comb(n - 1 - x, 3) for x in range(n)]
+    u3 = [4 * comb(n - 1 - x, 2) for x in range(n)]
+    u4 = [4 * (n - 1 - x) for x in range(n)]
     # the row of {i<j<k} less its k terms, with every x > j in position 3
     template = array("I")
     for j in range(1, n - 1):
-        above = [last - u2[j] - u3[x] for x in range(j + 1, n - 1)]
+        above = [last + 1 - u2[j] - u3[x] for x in range(j + 1, n - 1)]
         for i in range(j):
-            template.extend([last - u1[x] - u2[i] - u3[j] for x in range(i)])
-            template.extend([last - u1[i] - u2[x] - u3[j] for x in range(i + 1, j)])
+            template.extend([last + 3 - u1[x] - u2[i] - u3[j] for x in range(i)])
+            template.extend([last + 2 - u1[i] - u2[x] - u3[j] for x in range(i + 1, j)])
             template.extend([t - u1[i] for t in above])
     template = template.tobytes()
     out = array("I")
     for k in range(2, n):
         # the k terms, one row for every {i<j<k}: in the lanes of x < k the
         # template lacks k in position 4; in the lane of each v > k it has
-        # v-1 in position 3 where the 4-subset has k in 3 and v in 4
+        # v-1 in position 3 with pos 1 where the 4-subset has k in 3 and v
+        # in 4 with pos 0
         terms = array("I", [u4[k]] * (k - 2) + [
-            u3[k] + u4[v] - u3[v - 1] for v in range(k + 1, n)
+            u3[k] + u4[v] - u3[v - 1] + 1 for v in range(k + 1, n)
         ]).tobytes()
         out.frombytes(_add_lanes(template[:len(terms) * comb(k, 2)], terms, -1))
     return out

@@ -373,6 +373,8 @@ def test_action_and_ok_tables_agree_with_mask_of(types):
         good = [full for full in fills if (bits >> mask_of(*full)) & 1]
         assert allowed.ok_table[code] == (1 if holes or good else 0)
         act = allowed.action_table[code]
+        # the solver queues a 4-subset on exactly these codes
+        assert allowed.queue_table[code] == (1 if len(holes) == 1 and act else 0)
         if len(holes) >= 2 or len(good) == len(fills):
             assert act == 0
         elif not good:
@@ -380,7 +382,9 @@ def test_action_and_ok_tables_agree_with_mask_of(types):
         else:
             (full,) = good
             assert act == holes[0] << 2 | full[holes[0]]
-    # one pair of tables per class, however the constraint set was built
+    assert len(allowed.queue_table) == 81
+    # one set of tables per class, however the constraint set was built
     again = ConstraintSet.parse(allowed.label())
     assert again.action_table is allowed.action_table
     assert again.ok_table is allowed.ok_table
+    assert again.queue_table is allowed.queue_table

@@ -628,7 +628,7 @@ def test_golden_enumeration_order():
     assert hashlib.sha256(b"".join(tables)).hexdigest() == digest
 
 
-# -- hole counts across backtracks ------------------------------------------
+# -- 4-subset codes across backtracks ----------------------------------------
 
 
 def _planted(rng, n, kind, holes=0.9):
@@ -645,23 +645,20 @@ def _planted(rng, n, kind, holes=0.9):
     return HoleyHT(n, bytes(table))
 
 
-# byte b of a table translates to 1 when b is HOLE and to 0 otherwise
-IS_HOLE = bytes(b == HOLE for b in range(256))
-
-
 @pytest.fixture
 def checked_nodes(monkeypatch):
-    """Recount the hole counts from the table before and after every
-    propagation, one per node, and check them; returns the node count in a
+    """Recount the 4-subset codes from the table before and after every
+    propagation, one per node, and check them; check that each 4-subset an
+    assign queues has one hole and acts; returns the node count in a
     one-element list."""
-    original = _Engine.propagate
+    original, original_assign = _Engine.propagate, _Engine.assign
     calls = [0]
 
     def recount(engine):
-        h = engine.table.translate(IS_HOLE)
+        t = engine.table
         it = iter(engine.qt)
-        assert engine.hole_cnt == [
-            h[a] + h[b] + h[c] + h[d] for a, b, c, d in zip(it, it, it, it)
+        assert engine.code == [
+            t[a] + 3 * t[b] + 9 * t[c] + 27 * t[d] for a, b, c, d in zip(it, it, it, it)
         ]
 
     def checked(engine, worklist):
@@ -671,7 +668,15 @@ def checked_nodes(monkeypatch):
         calls[0] += 1
         return qi
 
+    def checked_assign(engine, rank, value, worklist):
+        queued = len(worklist)
+        original_assign(engine, rank, value, worklist)
+        for qi in itertools.islice(worklist, queued, None):
+            code = engine.code[qi]
+            assert classify._CODES[code].count(HOLE) == 1 and engine.action[code]
+
     monkeypatch.setattr(_Engine, "propagate", checked)
+    monkeypatch.setattr(_Engine, "assign", checked_assign)
     return calls
 
 
@@ -764,23 +769,22 @@ def test_golden_backtracking_search(n, seed):
 
 def test_root_queue_is_the_acting_quads_in_id_order():
     # the root judges quads in assign, as every node does: its queue is the
-    # quads with at most one hole and a nonzero action, ascending, its hole
-    # counts are the input's, and its trail is empty
+    # quads with at most one hole and a nonzero action, ascending, its codes
+    # are the input's, and its trail is empty
     for allowed in TYPE_SETS:
         rng = random.Random(5)
         for holes in (0.0, 0.3, 0.6, 0.9, 1.0):
             structure = _planted(rng, 12, rng.choice(["even", "cyclic"]), holes)
             engine = _Engine(structure, allowed)
             table, qt = structure.table, core.quad_triple_ranks(12)
-            counts, acting = [], []
+            codes, acting = [], []
             for qi in range(comb(12, 4)):
                 values = [table[r] for r in qt[4 * qi:4 * qi + 4]]
-                counts.append(values.count(HOLE))
-                code = values[0] + 3 * values[1] + 9 * values[2] + 27 * values[3]
-                if counts[-1] <= 1 and allowed.action_table[code]:
+                codes.append(values[0] + 3 * values[1] + 9 * values[2] + 27 * values[3])
+                if values.count(HOLE) <= 1 and allowed.action_table[codes[-1]]:
                     acting.append(qi)
             assert list(engine.root) == acting
-            assert engine.hole_cnt == counts
+            assert engine.code == codes
             assert engine.trail == []
 
 

@@ -383,17 +383,37 @@ def test_flat_index_matches_its_definition():
                 triple_rank(a, c, d), triple_rank(b, c, d),
             ]
         assert list(qt) == expected
-        # every triple lies in n-3 4-subsets, listed by ascending id
+        # every triple lies in n-3 4-subsets, listed by ascending id and
+        # tagged with the triple's place in each: entry 4*qi + pos
         incidence = [[] for _ in triples(n)]
         for qi in range(len(qt) // 4):
-            for r in qt[4 * qi:4 * qi + 4]:
-                incidence[r].append(qi)
+            for pos, r in enumerate(qt[4 * qi:4 * qi + 4]):
+                incidence[r].append(4 * qi + pos)
         assert all(len(ids) == max(n - 3, 0) for ids in incidence)
-        assert list(triple_quad_ids(n)) == [qi for ids in incidence for qi in ids]
+        assert list(triple_quad_ids(n)) == [e for ids in incidence for e in ids]
+    # sampled rows at 49 and 100 vertices, read through quad_vertices: the
+    # 4-subset of entry e less its vertex at place 3 - (e & 3) is the
+    # triple, and the vertices left out ascend over all the others
+    rng = random.Random(23)
+    try:
+        for n in (49, 100):
+            tq = triple_quad_ids(n)
+            for triple in [(1, 2, 3), (n - 2, n - 1, n)] + [
+                tuple(sorted(rng.sample(range(1, n + 1), 3))) for _ in range(200)
+            ]:
+                start = triple_rank(*triple) * (n - 3)
+                others = []
+                for e in tq[start:start + n - 3]:
+                    quad = list(quad_vertices(n, e >> 2))
+                    others.append(quad.pop(3 - (e & 3)))
+                    assert tuple(quad) == triple
+                assert others == [x for x in range(1, n + 1) if x not in triple]
+    finally:
+        _clear_index_caches()
 
 
-# sha256 of the little-endian bytes of quad_triple_ranks(n) and
-# triple_quad_ids(n), pinned from the earlier per-element builders
+# sha256 of the little-endian bytes of quad_triple_ranks(n) and of the ids
+# e >> 2 of triple_quad_ids(n), pinned from the earlier per-element builders
 _INDEX_SHA256 = {
     37: ("f3f22c7d3778b581bd201c3d5e7c9818817d75dfe4b133caaf4e1445df12b6fe",
          "08489c8b20b3e9aaaf7d01a993952092789208f22505024c34b1471782940cac"),
@@ -405,8 +425,8 @@ _INDEX_SHA256 = {
 @pytest.mark.parametrize("n", sorted(_INDEX_SHA256))
 def test_index_bytes_are_golden(n):
     try:
-        for table, digest in zip((quad_triple_ranks(n), triple_quad_ids(n)),
-                                 _INDEX_SHA256[n]):
+        ids = array("I", (e >> 2 for e in triple_quad_ids(n)))
+        for table, digest in zip((quad_triple_ranks(n), ids), _INDEX_SHA256[n]):
             if sys.byteorder == "big":
                 table = array("I", table)
                 table.byteswap()
@@ -446,6 +466,24 @@ def test_index_memory_stays_small():
         tracemalloc.stop()
         _clear_index_caches()
     assert peak < 2.5e6
+
+
+def test_index_at_49_vertices_holds_its_output_and_eight_blocks():
+    # the ceiling derives from the layout, not from a measurement: the
+    # output, 32 bytes per 4-subset (6.78 MB), plus 8 of the largest blocks
+    # of triple_quad_ids, the C(48,2) rows of k = 48 at 46 entries each
+    n = 49
+    _clear_index_caches()
+    tracemalloc.start()
+    try:
+        triple_quad_ids(n)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        _clear_index_caches()
+    block = 4 * (n - 3) * comb(n - 1, 2)
+    assert block == 207_552
+    assert peak < 32 * comb(n, 4) + 8 * block
 
 
 def test_index_guard_refuses_before_building():
