@@ -46,7 +46,7 @@ first table it offends in.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 from functools import cached_property, lru_cache
 from math import comb
@@ -145,18 +145,38 @@ def _ok_table(bits: int) -> bytes:
     return ok + bytes(256 - len(ok))
 
 
-@dataclass(frozen=True)
 class ConstraintSet:
-    """A nonempty set of allowed 4-vertex types."""
+    """A nonempty set of allowed 4-vertex types.
 
-    allowed: frozenset
+    An immutable value: equality and hashing go by `allowed`.  Not a named
+    tuple, because it keeps its lookup tables (cached properties) in its
+    __dict__ and iterates over its types.
+    """
 
-    def __post_init__(self) -> None:
-        if not self.allowed:
+    def __init__(self, allowed: frozenset) -> None:
+        if not allowed:
             raise InputError("constraint set must be nonempty")
-        for t in self.allowed:
+        for t in allowed:
             if not isinstance(t, FourType):
                 raise InputError(f"not a FourType: {t!r}")
+        vars(self).update(allowed=allowed)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.allowed == other.allowed
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.allowed)
+
+    def __repr__(self) -> str:
+        return f"ConstraintSet(allowed={self.allowed!r})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
     @classmethod
     def of(cls, *types: FourType) -> ConstraintSet:
@@ -256,12 +276,10 @@ def census4() -> dict:
     return counts
 
 
-@dataclass(frozen=True)
-class Membership:
+class Membership(namedtuple("Membership", "ok witness", defaults=(None,))):
     """Result of a 4-constrained class test; falsy when a witness exists."""
 
-    ok: bool
-    witness: tuple | None = None
+    __slots__ = ()
 
     def __bool__(self) -> bool:
         return self.ok
@@ -290,11 +308,12 @@ def first_offence(n: int, tables, allowed) -> tuple[int, int] | None:
     # byte k of cols[r] is the value of triple r in table k
     cols = [int.from_bytes(bytes(col), "little") for col in zip(*tables)]
     ranks = iter(quad_triple_ranks(n))
-    codes = (
-        cols[r0] + 3 * cols[r1] + 9 * cols[r2] + 27 * cols[r3]
-        for r0, r1, r2, r3 in zip(ranks, ranks, ranks, ranks)
-    )
-    verdict = b"".join(code.to_bytes(width, "little") for code in codes)
+    # appended in place: joining one string per 4-subset would also hold a
+    # list slot and a buffer view (about 120 bytes) per 4-subset
+    verdict = bytearray()
+    for r0, r1, r2, r3 in zip(ranks, ranks, ranks, ranks):
+        code = cols[r0] + 3 * cols[r1] + 9 * cols[r2] + 27 * cols[r3]
+        verdict += code.to_bytes(width, "little")
     pos = verdict.translate(allowed.ok_table).find(0)
     return None if pos < 0 else divmod(pos, width)
 

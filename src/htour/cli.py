@@ -32,7 +32,6 @@ from .core import (
     check_order,
     hat,
 )
-from .completion import all_completions, complete, is_minimal_obstruction
 
 REPORT_SCHEMA = "htour.report/1"
 
@@ -171,6 +170,8 @@ def _cmd_hat(args, doc, allowed):
 
 
 def _cmd_complete(args, doc, allowed):
+    from .completion import complete
+
     res = complete(doc.structure, allowed)
     if args.format == "ht" and res.sat:
         return htfile.emit(res.completion)
@@ -184,6 +185,8 @@ def _cmd_complete(args, doc, allowed):
 
 
 def _cmd_enumerate(args, doc, allowed):
+    from .completion import all_completions
+
     comps = all_completions(doc.structure, allowed, cap=args.cap)
     if args.format == "ht":
         return "\n".join(htfile.emit(c) for c in comps)
@@ -195,6 +198,8 @@ def _cmd_enumerate(args, doc, allowed):
 
 
 def _cmd_minimal_obstruction(args, doc, allowed):
+    from .completion import is_minimal_obstruction
+
     rep = is_minimal_obstruction(doc.structure, allowed, jobs=args.jobs)
     per_vertex = {
         str(v): {

@@ -58,9 +58,8 @@ completion.
 from __future__ import annotations
 
 import itertools
-from collections import deque
+from collections import deque, namedtuple
 from collections.abc import Iterator
-from dataclasses import dataclass, field
 from math import comb
 
 from . import classify
@@ -89,8 +88,8 @@ _ASSIGNED_MASK = bytes([0, 0xFF, 0xFF]) + bytes(253)
 _WEIGHTS = tuple(tuple(v * 3 ** pos for pos in range(4)) for v in (HOLE, PLUS, MINUS))
 
 
-@dataclass(frozen=True)
-class SolveResult:
+class SolveResult(namedtuple("SolveResult", "sat completion conflicts nodes",
+                             defaults=(None, (), 0))):
     """Verdict of a completion search.
 
     For Sat, `completion` extends the input, lies in the class and is the
@@ -100,33 +99,26 @@ class SolveResult:
     is promised.
     """
 
-    sat: bool
-    completion: HoleyHT | None = None
-    conflicts: tuple = ()
-    nodes: int = 0
+    __slots__ = ()
 
     @property
     def verdict(self) -> str:
         return "Sat" if self.sat else "Unsat"
 
 
-@dataclass(frozen=True)
-class PropagationResult:
+class PropagationResult(namedtuple("PropagationResult", "ok structure forced conflict",
+                                   defaults=(None, (), None))):
     """Fixpoint of unit propagation, or the 4-subset where it conflicted."""
 
-    ok: bool
-    structure: HoleyHT | None = None
-    forced: tuple = ()
-    conflict: tuple | None = None
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class MinimalityReport:
-    """is_minimal_obstruction verdict with its per-vertex witnesses."""
+class MinimalityReport(namedtuple("MinimalityReport", "is_minimal whole deletions")):
+    """is_minimal_obstruction verdict with its per-vertex witnesses:
+    `deletions` maps each deleted vertex to its SolveResult (empty when the
+    whole structure completes)."""
 
-    is_minimal: bool
-    whole: SolveResult
-    deletions: dict = field(hash=False, default_factory=dict)
+    __slots__ = ()
 
     def __bool__(self) -> bool:
         return self.is_minimal

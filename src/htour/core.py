@@ -46,7 +46,7 @@ from __future__ import annotations
 import itertools
 import sys
 from array import array
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from math import comb
 
@@ -536,18 +536,22 @@ def _hole_degrees(structure: HoleyHT) -> list[int]:
     return degrees
 
 
-@dataclass(frozen=True)
-class Hypergraph3:
+class Hypergraph3(namedtuple("Hypergraph3", "n hyperedges")):
     """A 3-uniform hypergraph on vertices 1..n; hyperedges are sorted triples."""
 
-    n: int
-    hyperedges: frozenset
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        for e in self.hyperedges:
+    def __new__(cls, n: int, hyperedges: frozenset) -> Hypergraph3:
+        for e in hyperedges:
             a, b, c = e
-            if not (0 < a < b < c <= self.n):
-                raise InputError(f"bad hyperedge {e} for n={self.n}")
+            if not (0 < a < b < c <= n):
+                raise InputError(f"bad hyperedge {e} for n={n}")
+        return super().__new__(cls, n, hyperedges)
+
+    @classmethod
+    def _make(cls, iterable) -> Hypergraph3:
+        # the namedtuple one skips __new__, and _replace calls it
+        return cls(*iterable)
 
 
 def _order_parities(n: int, order) -> list[int]:

@@ -13,7 +13,7 @@ emit(parse(emit(x))) is byte-identical.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import comb
 
 from .core import (
@@ -34,13 +34,10 @@ _SIGN = {PLUS: "+", MINUS: "-"}
 _VALUE = {"+": PLUS, "-": MINUS}
 
 
-@dataclass(frozen=True)
-class Document:
+class Document(namedtuple("Document", "structure order edges", defaults=(None, None))):
     """A parsed file: the structure plus optional order/edges sections."""
 
-    structure: HoleyHT
-    order: tuple | None = None
-    edges: frozenset | None = None
+    __slots__ = ()
 
     @property
     def n(self) -> int:

@@ -26,7 +26,7 @@ are those of A into C inside that image: two searches, A and B into C.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from enum import Enum
 from functools import cmp_to_key
 from math import comb
@@ -60,42 +60,59 @@ class ExpansionMismatch(InputError):
     """The witness (order / graph) does not produce the given structure."""
 
 
-@dataclass(frozen=True)
 class OrderedHT:
     """A structure with a linear order (and, for EVEN, a graph).
 
     Validation happens on construction, so holding an OrderedHT means its
-    kind invariant is true.  `by_position` is its position table.
+    kind invariant is true.  `by_position` is its position table.  An
+    immutable value: equality, hashing and repr go by (ht, order, kind,
+    graph), and leave out `by_position`, which they determine.
     """
 
-    ht: HoleyHT
-    order: tuple
-    kind: ExpansionKind
-    graph: frozenset | None = None
-    by_position: HoleyHT = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "order", check_order(self.order, self.ht.n))
-        object.__setattr__(self, "by_position", self.ht.along(self.order))
-        if self.kind == ExpansionKind.CYCLIC:
-            if self.graph is not None:
+    def __init__(self, ht: HoleyHT, order: tuple, kind: ExpansionKind,
+                 graph: frozenset | None = None) -> None:
+        order = check_order(order, ht.n)
+        by_position = ht.along(order)
+        if kind == ExpansionKind.CYCLIC:
+            if graph is not None:
                 raise InputError("cyclic expansions carry no graph")
-            if not set(self.by_position.table) <= {PLUS}:
+            if not set(by_position.table) <= {PLUS}:
                 raise ExpansionMismatch(
                     "structure is not oriented along the given order"
                 )
-        elif self.kind == ExpansionKind.EVEN:
-            if self.graph is None:
+        elif kind == ExpansionKind.EVEN:
+            if graph is None:
                 raise InputError("even expansions need a graph")
-            object.__setattr__(
-                self, "graph", normalize_edges(self.ht.n, self.graph)
-            )
-            if self.ht != gen_even(self.ht.n, self.graph, self.order):
+            graph = normalize_edges(ht.n, graph)
+            if ht != gen_even(ht.n, graph, order):
                 raise ExpansionMismatch(
                     "structure does not match the parity rule for (order, graph)"
                 )
-        elif self.graph is not None:
+        elif graph is not None:
             raise InputError("free expansions carry no graph")
+        vars(self).update(ht=ht, order=order, kind=kind, graph=graph,
+                          by_position=by_position)
+
+    def _key(self) -> tuple:
+        return self.ht, self.order, self.kind, self.graph
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return (f"OrderedHT(ht={self.ht!r}, order={self.order!r}, "
+                f"kind={self.kind!r}, graph={self.graph!r})")
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
     @property
     def n(self) -> int:
@@ -196,8 +213,8 @@ def embeddings(small: OrderedHT, big: OrderedHT) -> list[tuple[int, ...]]:
     return out
 
 
-@dataclass(frozen=True)
-class ArrowVerdict:
+class ArrowVerdict(namedtuple("ArrowVerdict", "holds a_embeddings b_copies colorings "
+                              "counterexample coloring_index", defaults=(None, None))):
     """Outcome of an exhaustive arrow check.
 
     `counterexample` (present iff the arrow fails) assigns a color in
@@ -208,12 +225,7 @@ class ArrowVerdict:
     fails.
     """
 
-    holds: bool
-    a_embeddings: tuple
-    b_copies: int
-    colorings: int
-    counterexample: tuple | None = None
-    coloring_index: int | None = None
+    __slots__ = ()
 
 
 def _search_steps(small: OrderedHT, big: OrderedHT) -> int:

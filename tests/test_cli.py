@@ -10,7 +10,7 @@ import pytest
 from htour import cli, families, htfile, verify
 from htour.classify import H4_FREE
 from htour.completion import complete
-from htour.core import HOLE, HoleyHT
+from htour.core import HOLE, PLUS, HoleyHT
 from htour.families import gen_bn, gen_cyclic, gen_even, gen_on
 
 
@@ -244,17 +244,20 @@ def test_gen_guards_the_vertex_count(monkeypatch, capsys):
 
 # what complete, enumerate, member and validate never run: the generators of
 # the named families, the arrow search, the random generators, the acceptance
-# driver and its oracles, and the process pool of minimal-obstruction --jobs
+# driver and its oracles, the process pool of minimal-obstruction --jobs, and
+# dataclasses with the inspect module it imports (about 20 ms of start-up)
 _UNUSED_MODULES = ("htour.families", "htour.ramsey", "htour.rand", "htour.verify",
-                   "htour.oracles", "concurrent.futures", "multiprocessing")
+                   "htour.oracles", "concurrent.futures", "multiprocessing",
+                   "dataclasses", "inspect")
 
 
-def _unused_modules_loaded(code):
-    """The entries of _UNUSED_MODULES that a fresh interpreter has loaded
-    after running `code`."""
+def _unused_modules_loaded(code, unused=_UNUSED_MODULES):
+    """The entries of `unused` that a fresh interpreter has loaded after
+    running `code`.  It runs without the site module (-S), so that only the
+    imports of htour and of `code` count."""
     probe = (f"{code}\nimport json, sys\n"
-             f"print(json.dumps([m for m in {_UNUSED_MODULES!r} if m in sys.modules]))")
-    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+             f"print(json.dumps([m for m in {unused!r} if m in sys.modules]))")
+    proc = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.splitlines()[-1])
 
@@ -273,6 +276,14 @@ def test_complete_loads_no_unused_module(tmp_path):
     path.write_text(htfile.emit(gen_bn(8)))
     code = f"from htour import cli\nassert cli.main(['complete', {str(path)!r}]) == 0"
     assert _unused_modules_loaded(code) == []
+
+
+@pytest.mark.parametrize("command", [["validate"], ["member", "--allow", "C4"], ["classify4"]])
+def test_commands_that_solve_nothing_load_no_solver(tmp_path, command):
+    path = tmp_path / "c4.ht"
+    path.write_text(htfile.emit(HoleyHT(4, bytes([PLUS] * 4))))
+    code = f"from htour import cli\nassert cli.main({[*command, str(path)]!r}) == 0"
+    assert _unused_modules_loaded(code, (*_UNUSED_MODULES, "htour.completion")) == []
 
 
 def test_package_names_resolve_to_the_submodule_objects():

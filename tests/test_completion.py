@@ -3,6 +3,7 @@ import hashlib
 import itertools
 import random
 import sys
+import tracemalloc
 from math import comb
 
 import pytest
@@ -19,6 +20,7 @@ from htour.classify import (
 )
 from htour.completion import (
     _Engine,
+    _check_sound,
     all_completions,
     amalgamate,
     complete,
@@ -32,6 +34,8 @@ from htour.core import (
     GuardExceeded,
     HoleyHT,
     InputError,
+    quad_triple_ranks,
+    triple_quad_ids,
     triples,
     validate,
 )
@@ -285,6 +289,65 @@ def test_soundness_check_catches_bad_tables(monkeypatch):
     # the same batches without a bad table pass
     monkeypatch.setattr(_Engine, "search", lambda self: iter(good))
     assert [c.table for c in all_completions(structure, H4_FREE)] == good
+
+
+def _traced_peak(call):
+    """The result of call() and the peak of the memory it traced."""
+    tracemalloc.start()
+    try:
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _check_ceiling(n: int, width: int) -> int:
+    """The most the soundness check may hold for a chunk of `width` tables on
+    n vertices: by the documented bound, a chunk holds at most _CHECK_BYTES
+    bytes of codes, as three chunk-sized strings at most (the codes as they
+    grow, with their headroom, and their translation); and, as stated
+    per-object overhead, the columns (an int of `width` bytes per triple,
+    with its header and its list slot) and two pointers per table (the
+    chunk's list and one column's tuple)."""
+    return (3 * classify._CHECK_BYTES
+            + comb(n, 3) * (width + sys.getsizeof(0) + 8)
+            + 16 * width)
+
+
+@pytest.mark.parametrize("n", [7, 30])
+def test_soundness_check_of_a_batch_holds_one_chunk_of_codes(n):
+    # twice _CHECK_BYTES of codes: at 7 vertices a chunk is 29,959 tables and
+    # its columns are as large as its codes; at 30 a chunk is 38 tables over
+    # 27,405 4-subsets, where a string per 4-subset would outweigh the codes.
+    # The index is built first: its own test bounds it
+    full = gen_cyclic(n)
+    width = classify._CHECK_BYTES // comb(n, 4)
+    tables = [full.table] * (2 * width)
+    quad_triple_ranks(n)
+    _, peak = _traced_peak(lambda: _check_sound(full, CYCLIC, tables))
+    assert peak < _check_ceiling(n, width), (peak, _check_ceiling(n, width))
+
+
+def test_all_completions_at_the_budget_holds_its_tables_and_one_check_chunk():
+    # 12 holes of a cyclic structure on 20 vertices take every value under
+    # ALL_TYPES: 4,096 completions, of which the 4 MiB budget holds 3,679
+    n = 20
+    structure = HoleyHT(n, bytes(12) + gen_cyclic(n).table[12:])
+    limit = completion._ENUMERATION_BYTES // comb(n, 3)
+    assert limit == 3679
+    quad_triple_ranks(n)
+    triple_quad_ids(n)
+    comps, peak = _traced_peak(lambda: all_completions(structure, ALL_TYPES, cap=limit))
+    assert len(comps) == limit
+    # each table is a bytes object with a slot in the list of tables, and
+    # then a HoleyHT with a slot in the list returned; the search adds a
+    # code per 4-subset (a list slot) and three table-sized strings (its
+    # table, and the mask and values that the check compares)
+    per_table = sys.getsizeof(b"") + 8 + sys.getsizeof(comps[0]) + 8
+    ceiling = (completion._ENUMERATION_BYTES + limit * per_table
+               + _check_ceiling(n, classify._CHECK_BYTES // comb(n, 4))
+               + 8 * comb(n, 4) + 3 * comb(n, 3))
+    assert peak < ceiling, (peak, ceiling)
 
 
 def test_oracle_does_not_read_the_flat_index(monkeypatch):

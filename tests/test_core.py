@@ -369,6 +369,13 @@ def test_value_semantics_and_pickle():
 def test_hypergraph_validation():
     with pytest.raises(InputError):
         Hypergraph3(4, frozenset({(1, 2, 5)}))
+    # a named tuple: _replace and _make build through the same check
+    empty = Hypergraph3(4, frozenset())
+    with pytest.raises(InputError):
+        empty._replace(hyperedges=frozenset({(1, 2, 5)}))
+    with pytest.raises(InputError):
+        Hypergraph3._make((3, frozenset({(1, 2, 4)})))
+    assert empty._replace(n=5) == Hypergraph3(5, frozenset())
 
 
 def test_flat_index_matches_its_definition():
