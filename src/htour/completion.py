@@ -12,7 +12,9 @@ assignment trail with an explicit stack of (rank, trail mark) frames, after
 MiniSat (Een and Sorensson, SAT 2003).  It branches on the least-rank hole,
 PLUS before MINUS, so it yields the completions in lexicographic order of
 the hole assignment vector (a forced value is the only one that any
-completion below the node takes).  Its callers differ only in when they
+completion below the node takes).  A backtrack undoes the trail to just
+after the decision and flips the decision from PLUS to MINUS in place, in
+the one row loop of `assign`.  Its callers differ only in when they
 stop: `complete` takes the first completion, the least one, which is
 `all_completions(structure, allowed, cap=1)[0]`; `all_completions` takes up
 to `cap` of them.  Propagation worklists are FIFO, so identical inputs give
@@ -25,23 +27,28 @@ v0 + 3*v1 + 9*v2 + 27*v3 of its four table values: nothing to do, a
 conflict, or which hole is forced to which value.  The engine keeps each
 4-subset's code as it searches: assigning a triple adds its value times
 3**pos to the code of every 4-subset through it (pos is the triple's place
-in the 4-subset, tagged on each entry of the index), and undoing it takes
-the same weight off.  HOLE is 0, so the code also shows which triples are
-holes.  There is one judging rule, at the root as at every other node:
-`assign` judges a 4-subset once, when its code falls to one hole, and
-queues it only when its action is not 0 (one lookup in the constraint
-set's queue table); a 4-subset whose last hole fills is never queued.  The
-root assigns every assigned triple of the input again, so it judges each
-4-subset with at most one hole, keeps those whose input code acts, and
-queues them in ascending id order.  A pop is one lookup, `action[code]`,
-and reads no table value.  Only no-op pops go: a one-hole 4-subset's three
-assigned triples cannot change during a propagation, so its action when
-queued is its action when popped, until its hole fills; and if both values
-were allowed then, any fill is allowed too.  The entries that are kept keep
-their FIFO order, so trails, conflicts and node counts are those of
-queueing a 4-subset whenever it falls to one hole or to none.  The 4-subset
-index is the pair of flat arrays of core (quad_triple_ranks,
-triple_quad_ids), read by direct offset.
+in the 4-subset, tagged on each entry of the index), flipping it from PLUS
+to MINUS adds the difference, 3**pos, and undoing it takes its weight off.
+HOLE is 0, so the code also shows which triples are holes.  There is one
+judging rule, at the root as at every other node: `assign` judges a
+4-subset once, when its code falls to one hole, and queues it only when
+its action is not 0 (one lookup in the constraint set's queue table); a
+4-subset whose last hole fills is never queued.  The root starts from a
+table of holes and assigns every assigned triple of the input, so it
+judges each 4-subset with at most one hole, keeps those whose input code
+acts, and queues them in ascending id order.  A pop is one lookup,
+`action[code]`, and reads no table value.  Only no-op pops go: a one-hole
+4-subset's three assigned triples cannot change during a propagation, so
+its action when queued is its action when popped, until its hole fills;
+and if both values were allowed then, any fill is allowed too.  The
+entries that are kept keep their FIFO order, so trails, conflicts and node
+counts are those of queueing a 4-subset whenever it falls to one hole or
+to none.  The flip
+gives the codes, and so the queue, of undoing the decision and assigning
+MINUS.  The 4-subset index is the pair of flat arrays of core
+(quad_triple_ranks, triple_quad_ids).  The first is read by direct offset;
+the 4-subsets through a triple are read from its row, an array sliced from
+the second on first use and cached for as long as that index is.
 
 Soundness is checked on every run, outside the search: every table that
 `complete` or `all_completions` returns must be hole-free, keep every
@@ -52,12 +59,15 @@ goes through its block kernel, which reads no 4-subset index and takes
 about C(n-1,2) Python steps; a batch is judged column-wise, and
 `all_completions` hands it its completions in chunks of bounded size, so an
 enumeration pays one pass over the 4-subsets per chunk instead of one per
-completion.
+completion.  The tables that pass become structures without a second
+validation (HoleyHT._trusted).
 """
 
 from __future__ import annotations
 
 import itertools
+import weakref
+from array import array
 from collections import deque, namedtuple
 from collections.abc import Iterator
 from math import comb
@@ -84,8 +94,15 @@ ENUMERATION_HOLE_GUARD = 30
 _ENUMERATION_BYTES = 1 << 22
 # translate table: 0xFF at assigned values, 0 at holes
 _ASSIGNED_MASK = bytes([0, 0xFF, 0xFF]) + bytes(253)
-# by table value: its weight in a 4-subset code at place 0, 1, 2, 3
-_WEIGHTS = tuple(tuple(v * 3 ** pos for pos in range(4)) for v in (HOLE, PLUS, MINUS))
+# by old and new table value: the change of a 4-subset code when a triple
+# at place 0, 1, 2, 3 of it goes from old to new (HOLE, PLUS, MINUS are
+# 0, 1, 2)
+_DELTAS = tuple(
+    tuple(tuple((new - old) * 3 ** pos for pos in range(4)) for new in range(3))
+    for old in range(3)
+)
+# n -> (weak reference to triple_quad_ids(n), its rows): see _triple_rows
+_ROWS: dict[int, tuple] = {}
 
 
 class SolveResult(namedtuple("SolveResult", "sat completion conflicts nodes",
@@ -124,6 +141,23 @@ class MinimalityReport(namedtuple("MinimalityReport", "is_minimal whole deletion
         return self.is_minimal
 
 
+def _triple_rows(n: int, tq: array) -> list:
+    """The rows of `tq`, that is triple_quad_ids(n), by triple rank: row r
+    holds the tagged entries of the 4-subsets through triple r, an
+    array('I') that `_Engine.assign` slices from `tq` on first use, None
+    until then.  The rows live as long as their index: the entry in _ROWS
+    goes when `tq` does, so clearing the index cache leaves no copy of
+    it."""
+    entry = _ROWS.get(n)
+    if entry is None or entry[0]() is not tq:
+        def drop(ref) -> None:
+            if _ROWS.get(n, (None,))[0] is ref:
+                del _ROWS[n]
+
+        entry = _ROWS[n] = (weakref.ref(tq, drop), [None] * comb(n, 3))
+    return entry[1]
+
+
 class _Engine:
     """Search state over a mutable copy of the orientation table.
 
@@ -137,7 +171,7 @@ class _Engine:
         "table",
         "qt",
         "tq",
-        "stride",
+        "rows",
         "action",
         "queue",
         "code",
@@ -149,43 +183,56 @@ class _Engine:
 
     def __init__(self, structure: HoleyHT, allowed: ConstraintSet) -> None:
         self.n = structure.n
-        self.table = bytearray(structure.table)
+        given = structure.table
+        self.table = bytearray(len(given))
         # quad qi's triple ranks are qt[4*qi : 4*qi+4]; the tagged entries
-        # 4*qi + pos of the quads through the triple of rank r are
-        # tq[r*stride : (r+1)*stride]
+        # 4*qi + pos of the quads through the triple of rank r are row r of
+        # the flat tq, read from rows[r]
         self.qt = quad_triple_ranks(self.n)
         self.tq = triple_quad_ids(self.n)
-        self.stride = max(self.n - 3, 0)
+        self.rows = _triple_rows(self.n, self.tq)
         self.action = allowed.action_table
         self.queue = allowed.queue_table
-        # the root judges quads as every node does, in assign: each quad
-        # starts at code 0, all holes, and every assigned triple is assigned
-        # again.  A quad assigned in full is queued on its three-digit code,
-        # but its verdict is that of its input code: keep the quads whose
-        # input code acts, sorted, so the root queue is in quad order
+        # the root judges quads as every node does, in assign: the table
+        # and each quad start all holes, at code 0, and every assigned
+        # triple of the input is assigned.  A quad assigned in full is
+        # queued on its three-digit code, but its verdict is that of its
+        # input code: keep the quads whose input code acts, sorted, so the
+        # root queue is in quad order
         self.code = [0] * (len(self.qt) >> 2)
         self.trail: list[int] = []
         self.conflicts: set = set()
         self.nodes = 0
-        table = self.table
         root: deque = deque()
-        for r in itertools.compress(range(len(table)), table):
-            self.assign(r, table[r], root)
+        for r in itertools.compress(range(len(given)), given):
+            self.assign(r, given[r], root)
         self.trail.clear()
         code, action = self.code, self.action
         self.root = deque(sorted(qi for qi in root if action[code[qi]]))
 
     def assign(self, rank: int, value: int, worklist: deque) -> None:
-        """Set triple `rank` to `value`, add its weight to the code of each
-        4-subset through it and queue those that fall to one hole with a
-        nonzero action."""
-        self.table[rank] = value
-        self.trail.append(rank)
+        """Set triple `rank` to `value`, add the change of its weight to the
+        code of each 4-subset through it and queue those that fall to one
+        hole with a nonzero action.
+
+        A hole goes on the trail.  A triple that holds PLUS is the decision
+        of a backtrack, undone to just after it: flipping it to MINUS in
+        place keeps its place on the trail, and adding the difference of
+        the two weights gives each code, and so the queue, that undoing it
+        and assigning MINUS would give."""
+        table = self.table
+        old = table[rank]
+        if not old:
+            self.trail.append(rank)
+        table[rank] = value
+        weight = _DELTAS[old][value]
+        row = self.rows[rank]
+        if row is None:
+            stride = self.n - 3
+            row = self.rows[rank] = self.tq[rank * stride:(rank + 1) * stride]
         code = self.code
         queue = self.queue
-        weight = _WEIGHTS[value]
-        start = rank * self.stride
-        for e in self.tq[start:start + self.stride]:
+        for e in row:
             qi = e >> 2
             c = code[qi] + weight[e & 3]
             code[qi] = c
@@ -193,20 +240,20 @@ class _Engine:
                 worklist.append(qi)
 
     def undo_to(self, mark: int) -> None:
-        """Pop the trail back to `mark`, making its triples holes again and
-        taking their weights off the codes."""
+        """Cut the trail back to `mark`, making its triples holes again and
+        taking their weights off the codes (in any order: the weights add
+        up the same).  Every triple on the trail was assigned, so its row
+        is sliced."""
         table = self.table
         trail = self.trail
         code = self.code
-        tq = self.tq
-        stride = self.stride
-        while len(trail) > mark:
-            rank = trail.pop()
-            weight = _WEIGHTS[table[rank]]
+        rows = self.rows
+        for rank in trail[mark:]:
+            weight = _DELTAS[table[rank]][HOLE]
             table[rank] = HOLE
-            start = rank * stride
-            for e in tq[start:start + stride]:
-                code[e >> 2] -= weight[e & 3]
+            for e in rows[rank]:
+                code[e >> 2] += weight[e & 3]
+        del trail[mark:]
 
     def propagate(self, worklist: deque) -> int | None:
         """Run unit propagation to fixpoint; return a conflicting quad id
@@ -222,6 +269,7 @@ class _Engine:
         code = self.code
         qt = self.qt
         action = self.action
+        assign = self.assign
         while worklist:
             qi = worklist.popleft()
             act = action[code[qi]]
@@ -229,7 +277,7 @@ class _Engine:
                 continue
             if act < 0:
                 return qi
-            self.assign(qt[(qi << 2) + (act >> 2)], act & 3, worklist)
+            assign(qt[(qi << 2) + (act >> 2)], act & 3, worklist)
         return None
 
     def search(self) -> Iterator[bytes]:
@@ -239,28 +287,32 @@ class _Engine:
 
         One frame (rank, trail mark) is stacked per decision whose MINUS
         branch is still to be tried; a conflict or a yielded completion pops
-        the latest frame, undoes the trail to its mark and assigns MINUS."""
+        the latest frame, undoes the trail to just after the decision and
+        flips it to MINUS in place (see assign).  The search runs on one
+        worklist, the root's, cleared after a conflict; propagation empties
+        it otherwise."""
         stack: list[tuple[int, int]] = []
         worklist = self.root
+        table, trail, conflicts, n = self.table, self.trail, self.conflicts, self.n
+        propagate, assign, undo_to = self.propagate, self.assign, self.undo_to
         while True:
             self.nodes += 1
-            qi = self.propagate(worklist)
+            qi = propagate(worklist)
             if qi is not None:
-                self.conflicts.add(quad_vertices(self.n, qi))
+                conflicts.add(quad_vertices(n, qi))
+                worklist.clear()
             else:
-                rank = self.table.find(HOLE)
+                rank = table.find(HOLE)
                 if rank >= 0:
-                    stack.append((rank, len(self.trail)))
-                    worklist = deque()
-                    self.assign(rank, PLUS, worklist)
+                    stack.append((rank, len(trail)))
+                    assign(rank, PLUS, worklist)
                     continue
-                yield bytes(self.table)
+                yield bytes(table)
             if not stack:
                 return
             rank, mark = stack.pop()
-            self.undo_to(mark)
-            worklist = deque()
-            self.assign(rank, MINUS, worklist)
+            undo_to(mark + 1)
+            assign(rank, MINUS, worklist)
 
 
 def _check_sound(structure: HoleyHT, allowed: ConstraintSet, tables) -> None:
@@ -316,7 +368,7 @@ def complete(structure: HoleyHT, allowed) -> SolveResult:
     completion = None
     if table is not None:
         _check_sound(structure, allowed, [table])
-        completion = HoleyHT(structure.n, table)
+        completion = HoleyHT._trusted(structure.n, table)
     return SolveResult(
         sat=completion is not None,
         completion=completion,
@@ -348,7 +400,7 @@ def all_completions(structure: HoleyHT, allowed, cap: int | None = None) -> list
             f"enumeration budget of {_ENUMERATION_BYTES} bytes; cap at most {limit}"
         )
     _check_sound(structure, allowed, tables)
-    return [HoleyHT(structure.n, table) for table in tables]
+    return [HoleyHT._trusted(structure.n, table) for table in tables]
 
 
 def _deletion_job(args) -> tuple[int, SolveResult]:

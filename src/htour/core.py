@@ -303,6 +303,17 @@ class HoleyHT:
         self.table = data
 
     @classmethod
+    def _trusted(cls, n: int, table: bytes) -> HoleyHT:
+        """The structure with this table, unchecked: for `bytes` of length
+        C(n,3) and valid values only, such as a table read from a valid one
+        or one that the completion check has just passed.  Equal to, and
+        hashing and pickling like, `HoleyHT(n, table)`."""
+        self = object.__new__(cls)
+        self.n = n
+        self.table = table
+        return self
+
+    @classmethod
     def empty(cls, n: int) -> HoleyHT:
         """The structure on 1..n where every triple is a hole."""
         return cls(n, bytes(comb(n, 3)))
@@ -346,7 +357,9 @@ class HoleyHT:
     def along(self, f) -> HoleyHT:
         """The structure read along the distinct vertices `f`: new vertex i
         is old vertex f[i-1], and every triple keeps its relation, so a
-        stored value flips with the parity of the sort (see orientation_of)."""
+        stored value flips with the parity of the sort (see orientation_of).
+        Every value is copied from this valid table, so the result skips the
+        checks of the constructor."""
         f = tuple(f)
         for v in f:
             if not 1 <= v <= self.n:
@@ -372,7 +385,7 @@ class HoleyHT:
                     out.append(keep[a + below] if a < lo
                                else swap[lo + t2[a] + t3[hi]] if a < hi
                                else keep[lo + t2[hi] + t3[a]])
-        return HoleyHT(len(f), out)
+        return HoleyHT._trusted(len(f), bytes(out))
 
     def induced(self, vertices) -> HoleyHT:
         """Substructure on a vertex subset, relabeled 1..|S| preserving the

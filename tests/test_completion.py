@@ -1,6 +1,8 @@
 import concurrent.futures
+import gc
 import hashlib
 import itertools
+import pickle
 import random
 import sys
 import tracemalloc
@@ -691,6 +693,63 @@ def test_golden_enumeration_order():
     assert hashlib.sha256(b"".join(tables)).hexdigest() == digest
 
 
+# capped enumerations of seeded planted structures on 13 vertices with 80%
+# holes, where every completion after the first comes out of a flipped
+# decision: under {C4, O4}, which mixes parities, each of the 1,171 branch
+# nodes has a one-hole 4-subset open; EVEN has one parity and closes them
+# all.  ({H4, O4} has no structure past 8 vertices.)  kind -> count, sha256
+GOLDEN_PLANTED_ENUMERATION = {
+    "cyclic": (1000, "11e3d9c247dd4d9c42f73d1d94cbae381b412b098da09a011e78cc1f89d64884"),
+    "even": (1000, "7c55952b376e2504d764a1836c2d5b6ea550f24b5489ebe9010a6144cbd2296e"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(GOLDEN_PLANTED_ENUMERATION))
+def test_golden_enumeration_through_flips(kind):
+    count, digest = GOLDEN_PLANTED_ENUMERATION[kind]
+    structure = _planted(random.Random(1), 13, kind, 0.8)
+    allowed = EVEN if kind == "even" else H4_FREE
+    tables = [c.table for c in all_completions(structure, allowed, cap=1000)]
+    assert len(tables) == count
+    assert hashlib.sha256(b"".join(tables)).hexdigest() == digest
+
+
+def test_results_built_unchecked_are_plain_structures():
+    # complete and all_completions build their results without the
+    # constructor's checks, after the soundness check has passed them
+    structure = _planted(random.Random(2), 12, "cyclic", 0.9)
+    results = [complete(structure, H4_FREE).completion,
+               *all_completions(structure, H4_FREE, cap=50)]
+    for c in results:
+        plain = HoleyHT(c.n, bytes(c.table))
+        assert type(c) is HoleyHT and type(c.table) is bytes
+        assert c == plain and hash(c) == hash(plain)
+        assert pickle.dumps(c) == pickle.dumps(plain)
+        assert pickle.loads(pickle.dumps(c)) == plain
+
+
+def test_rows_live_as_long_as_their_index():
+    # the solver reads row r of triple_quad_ids(n) from a cached array
+    # sliced on first use; clearing the index cache drops the rows too
+    n = 11
+    res = complete(_planted(random.Random(3), n, "cyclic", 0.9), CYCLIC)
+    assert res.sat
+    tq, stride = triple_quad_ids(n), n - 3
+    rows = completion._ROWS[n][1]
+    sliced = [r for r, row in enumerate(rows) if row is not None]
+    assert len(rows) == comb(n, 3) and sliced
+    for r in sliced:
+        assert rows[r] == tq[r * stride:(r + 1) * stride]
+    del tq
+    for fn in (core.triples, core.quads, core.quad_triple_ranks, core.triple_quad_ids):
+        fn.cache_clear()
+    gc.collect()
+    assert n not in completion._ROWS
+    # a fresh index gets fresh rows, and the results are the same
+    assert complete(_planted(random.Random(3), n, "cyclic", 0.9), CYCLIC) == res
+    assert completion._ROWS[n][1] is not rows
+
+
 # -- 4-subset codes across backtracks ----------------------------------------
 
 
@@ -712,10 +771,11 @@ def _planted(rng, n, kind, holes=0.9):
 def checked_nodes(monkeypatch):
     """Recount the 4-subset codes from the table before and after every
     propagation, one per node, and check them; check that each 4-subset an
-    assign queues has one hole and acts; returns the node count in a
-    one-element list."""
+    assign queues has one hole and acts, and recount the codes after every
+    flip (an assign to a triple that holds PLUS: the MINUS branch of a
+    backtrack); returns the node and flip counts in a two-element list."""
     original, original_assign = _Engine.propagate, _Engine.assign
-    calls = [0]
+    calls = [0, 0]
 
     def recount(engine):
         t = engine.table
@@ -732,11 +792,15 @@ def checked_nodes(monkeypatch):
         return qi
 
     def checked_assign(engine, rank, value, worklist):
-        queued = len(worklist)
+        queued, flip = len(worklist), engine.table[rank] == PLUS
         original_assign(engine, rank, value, worklist)
         for qi in itertools.islice(worklist, queued, None):
             code = engine.code[qi]
             assert classify._CODES[code].count(HOLE) == 1 and engine.action[code]
+        if flip:
+            assert value == MINUS and engine.trail.count(rank) == 1
+            recount(engine)
+            calls[1] += 1
 
     monkeypatch.setattr(_Engine, "propagate", checked)
     monkeypatch.setattr(_Engine, "assign", checked_assign)
@@ -778,6 +842,7 @@ def test_hole_counts_match_recount_under_backtracking(checked_nodes, undos):
     assert res.sat and res.completion.extends(structure)
     assert (res.nodes, len(res.conflicts)) == (2100, 57)
     assert undos[0] > 1000
+    assert checked_nodes[1] == undos[0]
     assert is_minimal_obstruction(gen_bn(8), H4_FREE).is_minimal
 
 
@@ -794,6 +859,8 @@ def test_hole_counts_match_recount_after_backtracks(checked_nodes, undos):
     # so the 1,532 nodes are the two roots and two children per decision
     assert checked_nodes[0] == 1111 + 421
     assert undos[0] == (1111 - 1) // 2 + (421 - 1) // 2
+    # each undo is followed by the flip of its decision
+    assert checked_nodes[1] == undos[0]
 
 
 def test_single_parity_classes_leave_no_one_hole_subset_open():

@@ -364,6 +364,15 @@ def test_value_semantics_and_pickle():
     A = random_holey_ht(rng, 6, 4)
     assert pickle.loads(pickle.dumps(A)) == A
     assert hash(A) == hash(HoleyHT(A.n, A.table))
+    # along builds its result unchecked, from values of a valid table: the
+    # results of along, induced and relabel are plain structures
+    for B in (A.along([5, 2, 6]), A.along([]), A.induced([1, 3, 4, 6]),
+              A.relabel([3, 1, 2, 6, 5, 4])):
+        plain = HoleyHT(B.n, bytes(B.table))
+        assert type(B) is HoleyHT and type(B.table) is bytes
+        assert B == plain and hash(B) == hash(plain)
+        assert pickle.dumps(B) == pickle.dumps(plain)
+        assert pickle.loads(pickle.dumps(B)) == plain
 
 
 def test_hypergraph_validation():
