@@ -45,10 +45,10 @@ entries that are kept keep their FIFO order, so trails, conflicts and node
 counts are those of queueing a 4-subset whenever it falls to one hole or
 to none.  The flip
 gives the codes, and so the queue, of undoing the decision and assigning
-MINUS.  The 4-subset index is the pair of flat arrays of core
-(quad_triple_ranks, triple_quad_ids).  The first is read by direct offset;
-the 4-subsets through a triple are read from its row, an array sliced from
-the second on first use and cached for as long as that index is.
+MINUS.  The 4-subset index is core's: the triple ranks of a 4-subset are
+read from the flat quad_triple_ranks by direct offset, and the 4-subsets
+through a triple from its row in triple_quad_ids, computed on first read
+and cached for as long as that index is.
 
 Soundness is checked on every run, outside the search: every table that
 `complete` or `all_completions` returns must be hole-free, keep every
@@ -66,8 +66,6 @@ validation (HoleyHT._trusted).
 from __future__ import annotations
 
 import itertools
-import weakref
-from array import array
 from collections import deque, namedtuple
 from collections.abc import Iterator
 from math import comb
@@ -101,8 +99,6 @@ _DELTAS = tuple(
     tuple(tuple((new - old) * 3 ** pos for pos in range(4)) for new in range(3))
     for old in range(3)
 )
-# n -> (weak reference to triple_quad_ids(n), its rows): see _triple_rows
-_ROWS: dict[int, tuple] = {}
 
 
 class SolveResult(namedtuple("SolveResult", "sat completion conflicts nodes",
@@ -141,23 +137,6 @@ class MinimalityReport(namedtuple("MinimalityReport", "is_minimal whole deletion
         return self.is_minimal
 
 
-def _triple_rows(n: int, tq: array) -> list:
-    """The rows of `tq`, that is triple_quad_ids(n), by triple rank: row r
-    holds the tagged entries of the 4-subsets through triple r, an
-    array('I') that `_Engine.assign` slices from `tq` on first use, None
-    until then.  The rows live as long as their index: the entry in _ROWS
-    goes when `tq` does, so clearing the index cache leaves no copy of
-    it."""
-    entry = _ROWS.get(n)
-    if entry is None or entry[0]() is not tq:
-        def drop(ref) -> None:
-            if _ROWS.get(n, (None,))[0] is ref:
-                del _ROWS[n]
-
-        entry = _ROWS[n] = (weakref.ref(tq, drop), [None] * comb(n, 3))
-    return entry[1]
-
-
 class _Engine:
     """Search state over a mutable copy of the orientation table.
 
@@ -170,7 +149,6 @@ class _Engine:
         "n",
         "table",
         "qt",
-        "tq",
         "rows",
         "action",
         "queue",
@@ -186,11 +164,9 @@ class _Engine:
         given = structure.table
         self.table = bytearray(len(given))
         # quad qi's triple ranks are qt[4*qi : 4*qi+4]; the tagged entries
-        # 4*qi + pos of the quads through the triple of rank r are row r of
-        # the flat tq, read from rows[r]
+        # 4*qi + pos of the quads through the triple of rank r are rows[r]
         self.qt = quad_triple_ranks(self.n)
-        self.tq = triple_quad_ids(self.n)
-        self.rows = _triple_rows(self.n, self.tq)
+        self.rows = triple_quad_ids(self.n)
         self.action = allowed.action_table
         self.queue = allowed.queue_table
         # the root judges quads as every node does, in assign: the table
@@ -227,9 +203,6 @@ class _Engine:
         table[rank] = value
         weight = _DELTAS[old][value]
         row = self.rows[rank]
-        if row is None:
-            stride = self.n - 3
-            row = self.rows[rank] = self.tq[rank * stride:(rank + 1) * stride]
         code = self.code
         queue = self.queue
         for e in row:
@@ -242,8 +215,7 @@ class _Engine:
     def undo_to(self, mark: int) -> None:
         """Cut the trail back to `mark`, making its triples holes again and
         taking their weights off the codes (in any order: the weights add
-        up the same).  Every triple on the trail was assigned, so its row
-        is sliced."""
+        up the same)."""
         table = self.table
         trail = self.trail
         code = self.code

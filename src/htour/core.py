@@ -24,21 +24,20 @@ gives the rank of the sorted triple and the parity of the sort, which
 the chain builder of `families` all read.
 
 The 4-subset index that the solver reads, and the class test for a batch
-of tables, is two flat ``array('I')`` tables, cached per n (the class test
-for one table needs none): `quad_triple_ranks` holds the four triple ranks
-of each 4-subset (4-subsets in lexicographic order, four entries each), and
-`triple_quad_ids` holds the tagged entries 4*qi + pos of the n-3 4-subsets
-through each triple, pos being the triple's place among the four (fixed
-stride n-3, so it needs no offsets; `quad_triple_ranks(n)[4*qi + pos]` is
-the triple again).  Together they cost 32 bytes per 4-subset, about 7 MB
-at 49 vertices.  Vertex tuples of 4-subsets are computed from their ids by
-arithmetic, only when a witness needs one (`quad_vertices`).
-Each table is built in blocks of consecutive entries: a block is a fixed
-template plus per-block constants, added by one big-int add with the int
-read as 32-bit lanes, and appended to the array whole; the terms of
-`triple_quad_ids` are pre-scaled by 4 and its template carries the places,
-so its blocks come out tagged.  Both tables, and `htfile.parse`, refuse
-more than VERTEX_GUARD vertices.
+of tables, is cached per n (the class test for one table needs none).
+`quad_triple_ranks` is one flat ``array('I')`` of the four triple ranks of
+each 4-subset (4-subsets in lexicographic order, four entries each), 16
+bytes per 4-subset, about 3.4 MB at 49 vertices; it is built in blocks of
+consecutive entries, a fixed template plus per-block constants added by
+one big-int add with the int read as 32-bit lanes.  `triple_quad_ids`
+gives the row of each triple: the tagged entries 4*qi + pos of the n-3
+4-subsets through it, pos being the triple's place among the four
+(`quad_triple_ranks(n)[4*qi + pos]` is the triple again).  A row is
+computed from the id formula on its first read and kept, so a search pays
+only for the rows of the triples it assigns.  Vertex tuples of 4-subsets
+are computed from their ids by arithmetic, only when a witness needs one
+(`quad_vertices`).  Both, and `htfile.parse`, refuse more than
+VERTEX_GUARD vertices.
 """
 
 from __future__ import annotations
@@ -46,6 +45,7 @@ from __future__ import annotations
 import itertools
 import sys
 from array import array
+from bisect import bisect_right
 from collections import namedtuple
 from functools import lru_cache
 from math import comb
@@ -62,10 +62,12 @@ REVERSED = MINUS
 
 ISO_GUARD = 10  # is_isomorphic refuses above this many vertices
 # htfile.parse and the 4-subset index refuse above this many vertices; the
-# index costs 32 bytes per 4-subset, about 125 MB at 100 vertices
+# triple ranks of the index take 16 bytes per 4-subset, about 63 MB at 100
+# vertices, and the solver keeps a code for each 4-subset besides
 VERTEX_GUARD = 100
 
-# array("I") is native-endian; the index builders read it as one big int
+# array("I") is native-endian; quad_triple_ranks reads its blocks as one
+# big int
 _ORDER = sys.byteorder
 
 _SIGN_CHAR = {PLUS: "+", MINUS: "-"}
@@ -130,8 +132,8 @@ def triples(n: int) -> tuple[tuple[int, int, int], ...]:
 def quads(n: int) -> tuple[tuple[int, int, int, int], ...]:
     """All sorted 4-subsets over 1..n in lexicographic order.
 
-    The library never builds this: it is the reference that the flat index
-    below is tested against.  `quad_vertices` gives one entry on demand."""
+    The library never builds this: it is the reference that the 4-subset
+    index below is tested against.  `quad_vertices` gives one entry on demand."""
     return tuple(itertools.combinations(range(1, n + 1), 4))
 
 
@@ -143,16 +145,10 @@ def _rank_terms(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
             tuple((v - 1) * (v - 2) * (v - 3) // 6 for v in vs))
 
 
-def _add_lanes(block: bytes, pattern: bytes, sign: int = 1) -> bytes:
-    """`block` read as native 32-bit lanes, plus (or, with sign -1, minus)
-    `pattern` repeated over its length, by one big-int add (the
-    int-as-byte-lanes idiom of classify.first_offence).  Callers keep every
-    lane of the result inside 0 .. 2**32-1, so no carry or borrow crosses a
-    lane."""
-    size = len(block)
-    total = int.from_bytes(block, _ORDER) + sign * int.from_bytes(
-        pattern * (size // len(pattern)), _ORDER)
-    return total.to_bytes(size, _ORDER)
+def _guard_index(n: int) -> None:
+    if n > VERTEX_GUARD:
+        raise GuardExceeded(f"the 4-subset index is limited to {VERTEX_GUARD} "
+                            f"vertices, got {n}")
 
 
 @lru_cache(maxsize=None)
@@ -173,9 +169,7 @@ def quad_triple_ranks(n: int) -> array:
     Each block is one big-int add on 32-bit lanes, appended whole.  16 bytes
     per 4-subset.  Refuses n > VERTEX_GUARD.
     """
-    if n > VERTEX_GUARD:
-        raise GuardExceeded(f"the 4-subset index is limited to {VERTEX_GUARD} "
-                            f"vertices, got {n}")
+    _guard_index(n)
     c2 = [comb(x, 2) for x in range(n)]
     c3 = [comb(x, 3) for x in range(n)]
     pairs = array("I", [
@@ -186,7 +180,9 @@ def quad_triple_ranks(n: int) -> array:
     rows = bytearray()
     for b in range(1, n - 2):
         tail = pairs[len(pairs) - 16 * comb(n - 1 - b, 2):]
-        rows += _add_lanes(tail, array("I", (c2[b], c2[b], 0, b)).tobytes())
+        terms = array("I", (c2[b], c2[b], 0, b)).tobytes() * (len(tail) // 16)
+        block = int.from_bytes(tail, _ORDER) + int.from_bytes(terms, _ORDER)
+        rows += block.to_bytes(len(tail), _ORDER)
     total = len(rows)
     step = int.from_bytes(array("I", (1, 1, 1, 0)).tobytes() * (total // 16), _ORDER)
     out = array("I")
@@ -198,70 +194,72 @@ def quad_triple_ranks(n: int) -> array:
     return out
 
 
+class _TripleRows(dict):
+    """The rows of `triple_quad_ids(n)`, each computed on its first read and
+    kept."""
+
+    __slots__ = ("_size", "_c2", "_c3", "_terms")
+
+    def __init__(self, n: int) -> None:
+        super().__init__()
+        self._size = comb(n, 3)
+        self._c2 = [comb(x, 2) for x in range(n)]
+        self._c3 = [comb(x, 3) for x in range(n)]
+        # the mirrored colex terms of a vertex in position 1, 2, 3, 4 of a
+        # 4-subset, and the largest id, all times 4
+        self._terms = tuple([4 * comb(n - 1 - x, m) for x in range(n)]
+                            for m in (4, 3, 2, 1)) + (4 * comb(n, 4) - 4,)
+
+    def __missing__(self, r: int) -> array:
+        if not 0 <= r < self._size:
+            raise KeyError(r)
+        c2, c3 = self._c2, self._c3
+        # the triple {i<j<k} (0-based) of colex rank i + C(j,2) + C(k,3)
+        k = bisect_right(c3, r) - 1
+        i = r - c3[k]
+        j = bisect_right(c2, i) - 1
+        i -= c2[j]
+        u1, u2, u3, u4, last = self._terms
+        # the 4-subsets {i,j,k,x}, x below i, between i and j, between j and
+        # k and above k, less the term of x
+        t3 = last + 3 - u2[i] - u3[j] - u4[k]
+        t2 = last + 2 - u1[i] - u3[j] - u4[k]
+        t1 = last + 1 - u1[i] - u2[j] - u4[k]
+        t0 = last - u1[i] - u2[j] - u3[k]
+        row = self[r] = array("I", [t3 - t for t in u1[:i]] + [t2 - t for t in u2[i + 1:j]]
+                              + [t1 - t for t in u3[j + 1:k]] + [t0 - t for t in u4[k + 1:]])
+        return row
+
+
 @lru_cache(maxsize=None)
-def triple_quad_ids(n: int) -> array:
-    """Flat table with stride n-3: entries r*(n-3) .. r*(n-3)+n-4 are the
-    tagged entries 4*qi + pos of the n-3 4-subsets containing the triple of
-    rank r, by ascending id qi, where pos is the place of the triple in the
-    4-subset: 0 {abc}, 1 {abd}, 2 {acd}, 3 {bcd}.  So
-    `quad_triple_ranks(n)[e] == r` for every entry e of row r (ids as in
-    `quad_triple_ranks`, which this call builds too, so one call warms the
-    whole index).
+def triple_quad_ids(n: int) -> _TripleRows:
+    """The 4-subsets through each triple: `triple_quad_ids(n)[r]` is the
+    array('I') of the tagged entries 4*qi + pos of the n-3 4-subsets
+    containing the triple of rank r, by ascending id qi, where pos is the
+    place of the triple in the 4-subset: 0 {abc}, 1 {abd}, 2 {acd}, 3 {bcd}.
+    So `quad_triple_ranks(n)[e] == r` for every entry e of row r.  A row is
+    computed on its first read and kept as long as this cache entry; the
+    largest entry, 4*C(100,4) - 1, is below 2**24.
 
     Each triple {i<j<k} lies in {i,j,k,x} for every other vertex x, and the
     ids ascend with x; x below i, between i and j, between j and k and above
     k gives pos 3, 2, 1 and 0.  The lexicographic id of {a<b<c<d} over
     0..n-1 is C(n,4) - 1 - (C(n-1-a,4) + C(n-1-b,3) + C(n-1-c,2) + (n-1-d)),
-    the colex rank of the mirrored set counted from the end.
-
-    Built in blocks, one per largest vertex k: the rows of the triples
-    {i<j<k} are consecutive in colex order.  A template row for {i<j} reads
-    every x > j as if it stayed below k, in position 3 with pos 1; the terms
-    it lacks then depend on k alone.  So the block for k is a prefix of the
-    template less one row of k terms repeated over all C(k,2) rows: one
-    big-int add on 32-bit lanes, appended whole.  Every term is pre-scaled
-    by 4 and the template rows carry pos, so a block yields tagged entries
-    directly; the largest, 4*C(100,4) - 1, is below 2**24.  16 bytes per
-    4-subset.  Refuses n > VERTEX_GUARD.
+    the colex rank of the mirrored set counted from the end: a row is one
+    comprehension per place of x over these terms, pre-scaled by 4.
+    Refuses n > VERTEX_GUARD.
     """
-    quad_triple_ranks(n)
-    if n < 4:
-        return array("I")  # no 4-subsets: every row is empty
-    last = 4 * comb(n, 4) - 4
-    # the mirrored colex terms of a vertex in position 1, 2, 3, 4, times 4
-    u1 = [4 * comb(n - 1 - x, 4) for x in range(n)]
-    u2 = [4 * comb(n - 1 - x, 3) for x in range(n)]
-    u3 = [4 * comb(n - 1 - x, 2) for x in range(n)]
-    u4 = [4 * (n - 1 - x) for x in range(n)]
-    # the row of {i<j<k} less its k terms, with every x > j in position 3
-    template = array("I")
-    for j in range(1, n - 1):
-        above = [last + 1 - u2[j] - u3[x] for x in range(j + 1, n - 1)]
-        for i in range(j):
-            template.extend([last + 3 - u1[x] - u2[i] - u3[j] for x in range(i)])
-            template.extend([last + 2 - u1[i] - u2[x] - u3[j] for x in range(i + 1, j)])
-            template.extend([t - u1[i] for t in above])
-    template = template.tobytes()
-    out = array("I")
-    for k in range(2, n):
-        # the k terms, one row for every {i<j<k}: in the lanes of x < k the
-        # template lacks k in position 4; in the lane of each v > k it has
-        # v-1 in position 3 with pos 1 where the 4-subset has k in 3 and v
-        # in 4 with pos 0
-        terms = array("I", [u4[k]] * (k - 2) + [
-            u3[k] + u4[v] - u3[v - 1] + 1 for v in range(k + 1, n)
-        ]).tobytes()
-        out.frombytes(_add_lanes(template[:len(terms) * comb(k, 2)], terms, -1))
-    return out
+    _guard_index(n)
+    return _TripleRows(n)
 
 
 def quad_vertices(n: int, qi: int) -> tuple[int, int, int, int]:
     """The 4-subset {a<b<c<d} with id qi, i.e. `quads(n)[qi]`, by inverting
-    the id formula of `triple_quad_ids`: C(n,4) - 1 - qi is the colex rank
-    C(x4,4) + C(x3,3) + C(x2,2) + x1 of the mirrored set, whose entries the
-    greedy search of the combinatorial number system reads off, largest
-    first, in one descent over x; vertex x (0-based) of the mirror is vertex
-    n - x here."""
+    the id formula that the rows of `triple_quad_ids` are computed from:
+    C(n,4) - 1 - qi is the colex rank C(x4,4) + C(x3,3) + C(x2,2) + x1 of
+    the mirrored set, whose entries the greedy search of the combinatorial
+    number system reads off, largest first, in one descent over x; vertex x
+    (0-based) of the mirror is vertex n - x here."""
     m = comb(n, 4) - 1 - qi
     x, out = n, []
     for k in (4, 3, 2, 1):

@@ -6,6 +6,7 @@ import pickle
 import random
 import sys
 import tracemalloc
+import weakref
 from math import comb
 
 import pytest
@@ -194,6 +195,31 @@ def test_all_completions_budget_counts_results(monkeypatch):
     with pytest.raises(GuardExceeded):
         all_completions(gen_on(6), H4_FREE)
     assert len(all_completions(gen_on(6), H4_FREE, cap=8)) == 8
+
+
+def test_all_completions_fetches_one_table_past_the_budget(monkeypatch):
+    # the search is asked for one completion more than the budget holds,
+    # which tells a refusal from an enumeration that fits exactly, and for
+    # no more; under the budget it is asked for `cap` of them
+    fetched = []
+    search = _Engine.search
+
+    def counted(engine):
+        for table in search(engine):
+            fetched.append(table)
+            yield table
+
+    monkeypatch.setattr(_Engine, "search", counted)
+    monkeypatch.setattr(completion, "_ENUMERATION_BYTES", 100)
+    structure = _thirty_holes()
+    limit = 100 // comb(7, 3)
+    for cap in (None, limit + 1, 2**30):
+        fetched.clear()
+        with pytest.raises(GuardExceeded):
+            all_completions(structure, ALL_TYPES, cap=cap)
+        assert len(fetched) == limit + 1
+    fetched.clear()
+    assert len(all_completions(structure, ALL_TYPES, cap=limit)) == len(fetched) == limit
 
 
 def test_sat_results_extend_and_belong():
@@ -729,25 +755,51 @@ def test_results_built_unchecked_are_plain_structures():
 
 
 def test_rows_live_as_long_as_their_index():
-    # the solver reads row r of triple_quad_ids(n) from a cached array
-    # sliced on first use; clearing the index cache drops the rows too
+    # the solver reads row r of triple_quad_ids(n), computed on first read
+    # and kept by the index; clearing the index cache drops the rows too
     n = 11
     res = complete(_planted(random.Random(3), n, "cyclic", 0.9), CYCLIC)
     assert res.sat
-    tq, stride = triple_quad_ids(n), n - 3
-    rows = completion._ROWS[n][1]
-    sliced = [r for r, row in enumerate(rows) if row is not None]
-    assert len(rows) == comb(n, 3) and sliced
-    for r in sliced:
-        assert rows[r] == tq[r * stride:(r + 1) * stride]
-    del tq
+    # a completion assigns every triple, so every row has been read
+    rows = triple_quad_ids(n)
+    assert len(rows) == comb(n, 3)
+    qt = quad_triple_ranks(n)
+    for r, row in rows.items():
+        assert len(row) == n - 3 and all(qt[e] == r for e in row)
+    refs = [weakref.ref(row) for row in rows.values()]
+    del rows, row
     for fn in (core.triples, core.quads, core.quad_triple_ranks, core.triple_quad_ids):
         fn.cache_clear()
     gc.collect()
-    assert n not in completion._ROWS
+    assert not any(ref() for ref in refs)
     # a fresh index gets fresh rows, and the results are the same
+    assert len(triple_quad_ids(n)) == 0
     assert complete(_planted(random.Random(3), n, "cyclic", 0.9), CYCLIC) == res
-    assert completion._ROWS[n][1] is not rows
+    assert len(triple_quad_ids(n)) == len(refs)
+
+
+def test_cold_solve_at_49_vertices_holds_ranks_codes_and_the_rows_it_reads():
+    # bn(26) is Unsat in 3 nodes and reads the rows of its 104 assigned
+    # triples and of its decisions.  The ceiling derives from the layout,
+    # not from a measurement: 16 bytes of triple ranks per 4-subset with the
+    # 1/16 headroom that a growing array keeps, 8 bytes per code slot, the
+    # rows read and their store, the search's table of C(n,3) bytes, and
+    # 32 KiB for its worklist, trail and stack and the store's terms.  An
+    # index of every row, 16 more bytes per 4-subset, does not fit
+    n = 49
+    structure = gen_bn(26)
+    for fn in (core.triples, core.quads, core.quad_triple_ranks, core.triple_quad_ids):
+        fn.cache_clear()
+    try:
+        res, peak = _traced_peak(lambda: complete(structure, H4_FREE))
+        rows = triple_quad_ids(n)
+        read = sys.getsizeof(rows) + sum(map(sys.getsizeof, rows.values()))
+    finally:
+        for fn in (core.quad_triple_ranks, core.triple_quad_ids):
+            fn.cache_clear()
+    assert (res.verdict, res.nodes, structure.n) == ("Unsat", 3, n)
+    ceiling = (17 + 8) * comb(n, 4) + read + comb(n, 3) + 32 * 1024
+    assert peak < ceiling, (peak, ceiling)
 
 
 # -- 4-subset codes across backtracks ----------------------------------------

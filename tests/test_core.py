@@ -388,8 +388,8 @@ def test_hypergraph_validation():
 
 
 def test_flat_index_matches_its_definition():
-    # the block builders change template at every b and j: cover sizes on
-    # both sides of several of those boundaries
+    # the block builder of the ranks changes template at every b: cover
+    # sizes on both sides of several of those boundaries
     for n in [*range(14), 16, 23, 24, 31]:
         qt = quad_triple_ranks(n)
         expected = []
@@ -406,20 +406,24 @@ def test_flat_index_matches_its_definition():
             for pos, r in enumerate(qt[4 * qi:4 * qi + 4]):
                 incidence[r].append(4 * qi + pos)
         assert all(len(ids) == max(n - 3, 0) for ids in incidence)
-        assert list(triple_quad_ids(n)) == [e for ids in incidence for e in ids]
+        rows = triple_quad_ids(n)
+        assert [list(rows[r]) for r in range(len(incidence))] == incidence
+        for r in (-1, len(incidence)):
+            with pytest.raises(KeyError):
+                rows[r]
+        assert len(rows) == len(incidence)
     # sampled rows at 49 and 100 vertices, read through quad_vertices: the
     # 4-subset of entry e less its vertex at place 3 - (e & 3) is the
     # triple, and the vertices left out ascend over all the others
     rng = random.Random(23)
     try:
         for n in (49, 100):
-            tq = triple_quad_ids(n)
+            rows = triple_quad_ids(n)
             for triple in [(1, 2, 3), (n - 2, n - 1, n)] + [
                 tuple(sorted(rng.sample(range(1, n + 1), 3))) for _ in range(200)
             ]:
-                start = triple_rank(*triple) * (n - 3)
                 others = []
-                for e in tq[start:start + n - 3]:
+                for e in rows[triple_rank(*triple)]:
                     quad = list(quad_vertices(n, e >> 2))
                     others.append(quad.pop(3 - (e & 3)))
                     assert tuple(quad) == triple
@@ -429,7 +433,8 @@ def test_flat_index_matches_its_definition():
 
 
 # sha256 of the little-endian bytes of quad_triple_ranks(n) and of the ids
-# e >> 2 of triple_quad_ids(n), pinned from the earlier per-element builders
+# e >> 2 of the rows of triple_quad_ids(n) in rank order, pinned from the
+# earlier per-element builders
 _INDEX_SHA256 = {
     37: ("f3f22c7d3778b581bd201c3d5e7c9818817d75dfe4b133caaf4e1445df12b6fe",
          "08489c8b20b3e9aaaf7d01a993952092789208f22505024c34b1471782940cac"),
@@ -441,7 +446,8 @@ _INDEX_SHA256 = {
 @pytest.mark.parametrize("n", sorted(_INDEX_SHA256))
 def test_index_bytes_are_golden(n):
     try:
-        ids = array("I", (e >> 2 for e in triple_quad_ids(n)))
+        rows = triple_quad_ids(n)
+        ids = array("I", (e >> 2 for r in range(comb(n, 3)) for e in rows[r]))
         for table, digest in zip((quad_triple_ranks(n), ids), _INDEX_SHA256[n]):
             if sys.byteorder == "big":
                 table = array("I", table)
@@ -470,36 +476,24 @@ def _clear_index_caches():
         fn.cache_clear()
 
 
-def test_index_memory_stays_small():
-    # 27,405 4-subsets at 32 bytes each come to 0.9 MB; tables of tuples
-    # would take about 10 MB
-    _clear_index_caches()
-    tracemalloc.start()
-    try:
-        triple_quad_ids(30)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-        _clear_index_caches()
-    assert peak < 2.5e6
-
-
-def test_index_at_49_vertices_holds_its_output_and_eight_blocks():
+def test_quad_triple_ranks_at_49_vertices_holds_its_output_and_four_blocks():
     # the ceiling derives from the layout, not from a measurement: the
-    # output, 32 bytes per 4-subset (6.78 MB), plus 8 of the largest blocks
-    # of triple_quad_ids, the C(48,2) rows of k = 48 at 46 entries each
+    # output, 16 bytes per 4-subset (3.39 MB) with the 1/16 headroom that a
+    # growing array keeps, plus four of the largest blocks, the C(48,3)
+    # 4-subsets with a = 0: the sets {b<c<d} that a is added to, the step,
+    # their sum and its bytes
     n = 49
     _clear_index_caches()
     tracemalloc.start()
     try:
-        triple_quad_ids(n)
+        quad_triple_ranks(n)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
         _clear_index_caches()
-    block = 4 * (n - 3) * comb(n - 1, 2)
-    assert block == 207_552
-    assert peak < 32 * comb(n, 4) + 8 * block
+    block = 16 * comb(n - 1, 3)
+    assert block == 276_736
+    assert peak < 17 * comb(n, 4) + 4 * block, peak
 
 
 def test_index_guard_refuses_before_building():
