@@ -8,12 +8,18 @@ or the output pipe closes, 2 for input and usage errors (an unreadable
 input file among them), 3 for guard refusals.
 
 `main` alone reads the input file, parses `--allow`, reads the clock and
-writes the output; each `_cmd_*` handler only computes.
+writes the output; each `_cmd_*` handler only computes.  The clock stops
+before anything is written.  Output goes out as it is made: a report in the
+layout of `json.dumps(report, indent=2)`, piece by piece, and the text form
+of many structures one structure at a time, so `enumerate` holds no more
+than its completion tables and one completion's lines, and a closed pipe
+stops the writing at the next flush.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -52,10 +58,6 @@ def _read_document(path: str) -> htfile.Document:
         reason = getattr(exc, "strerror", None) or exc
         raise InputError(f"cannot read {path}: {reason}") from exc
     return htfile.parse(text)
-
-
-def _structure_lines(structure: HoleyHT) -> list[str]:
-    return htfile.emit(structure).splitlines()
 
 
 def _parse_order_flag(text: str, n: int) -> tuple[int, ...]:
@@ -124,7 +126,7 @@ def _cmd_gen(args, doc, allowed):
         {"family": family, "n": structure.n, "seed": args.seed},
         "ok",
         {
-            "structure": _structure_lines(structure),
+            "structure": htfile.lines(structure),
             "order": list(order) if order else None,
             "edges": sorted(edges) if edges else None,
         },
@@ -140,7 +142,7 @@ def _cmd_validate(args, doc, allowed):
         {
             "assigned": doc.structure.assigned_count(),
             "holes": doc.structure.hole_count(),
-            "canonical": htfile.emit_document(doc).splitlines(),
+            "canonical": htfile.lines(*doc),
         },
     )
 
@@ -176,7 +178,7 @@ def _cmd_complete(args, doc, allowed):
     if args.format == "ht" and res.sat:
         return htfile.emit(res.completion)
     witness = (
-        {"completion": _structure_lines(res.completion)}
+        {"completion": htfile.lines(res.completion)}
         if res.sat
         else {"conflicts": [list(q) for q in res.conflicts]}
     )
@@ -189,12 +191,9 @@ def _cmd_enumerate(args, doc, allowed):
 
     comps = all_completions(doc.structure, allowed, cap=args.cap)
     if args.format == "ht":
-        return "\n".join(htfile.emit(c) for c in comps)
-    return (
-        {"cap": args.cap},
-        len(comps),
-        {"completions": [_structure_lines(c) for c in comps]},
-    )
+        # one table at a time, a blank line between two
+        return (("\n" if i else "") + htfile.emit(c) for i, c in enumerate(comps))
+    return {"cap": args.cap}, len(comps), {"completions": map(htfile.lines, comps)}
 
 
 def _cmd_minimal_obstruction(args, doc, allowed):
@@ -204,7 +203,7 @@ def _cmd_minimal_obstruction(args, doc, allowed):
     per_vertex = {
         str(v): {
             "verdict": r.verdict,
-            "completion": _structure_lines(r.completion) if r.sat else None,
+            "completion": htfile.lines(r.completion) if r.sat else None,
         }
         for v, r in sorted(rep.deletions.items())
     }
@@ -277,6 +276,60 @@ def _cmd_verify(args, doc, allowed):
     item_seconds = {item["name"]: item.pop("seconds") for item in summary["items"]}
     return _Report({"level": args.level}, summary["ok"], summary,
                    {"items": item_seconds}, 0 if summary["ok"] else 1)
+
+
+# -- output ---------------------------------------------------------------
+
+_encode = json.encoder.encode_basestring_ascii
+_SCALARS = (str, int, float, type(None))
+
+
+@functools.lru_cache(maxsize=None)
+def _scalars_encoder(sep: str):
+    return json.JSONEncoder(separators=(sep, ": ")).encode
+
+
+def _flat_items(value, sep: str) -> str | None:
+    """The items of a nonempty list of scalars, encoded and joined by `sep`;
+    None for any other list."""
+    if isinstance(value[0], str):
+        try:
+            return sep.join(map(_encode, value))
+        except TypeError:  # not only strings
+            return None
+    if all(isinstance(item, _SCALARS) for item in value):
+        return _scalars_encoder(sep)(value)[1:-1]
+    return None
+
+
+def _write_json(write, value, indent: str = "\n") -> None:
+    """Write `value` exactly as `json.dumps(value, indent=2)` lays it out,
+    piece by piece: an iterator goes out as a list, one item at a time, and
+    a nonempty list of scalars in one piece.  Keys and strings are encoded
+    by the stdlib's encoder, every other scalar by `json.dumps`; keys must
+    be strings."""
+    inner = indent + "  "
+    if isinstance(value, str):
+        write(_encode(value))
+    elif isinstance(value, dict):
+        sep = "{" + inner
+        for key, item in value.items():
+            write(sep + _encode(key) + ": ")
+            _write_json(write, item, inner)
+            sep = "," + inner
+        write(indent + "}" if value else "{}")
+    elif isinstance(value, (list, tuple)) and value and (
+            flat := _flat_items(value, "," + inner)) is not None:
+        write("[" + inner + flat + indent + "]")
+    elif isinstance(value, (list, tuple)) or hasattr(value, "__next__"):
+        sep = "[" + inner
+        for item in value:
+            write(sep)
+            _write_json(write, item, inner)
+            sep = "," + inner
+        write("[]" if sep == "[" + inner else indent + "]")
+    else:
+        write(json.dumps(value))
 
 
 # -- parser --------------------------------------------------------------
@@ -357,8 +410,9 @@ def main(argv=None) -> int:
         doc = _read_document(args.file) if "file" in args else None
         allowed = ConstraintSet.parse(args.allow) if "allow" in args else None
         result = args.func(args, doc, allowed)
-        if isinstance(result, str):
-            sys.stdout.write(result)
+        if not isinstance(result, tuple):
+            # text: one string, or its pieces as they are made
+            sys.stdout.writelines([result] if isinstance(result, str) else result)
             return 0
         report = _Report(*result)
         inputs = {"file": args.file} if doc is not None else {}
@@ -369,14 +423,15 @@ def main(argv=None) -> int:
             if args.timing
             else None
         )
-        sys.stdout.write(json.dumps({
+        _write_json(sys.stdout.write, {
             "schema": REPORT_SCHEMA,
             "command": args.command,
             "inputs": {**inputs, **report.inputs},
             "verdict": report.verdict,
             "witness": report.witness,
             "timing": timing,
-        }, indent=2) + "\n")
+        })
+        sys.stdout.write("\n")
         return report.code
     except GuardExceeded as exc:
         print(f"refused: {exc}", file=sys.stderr)

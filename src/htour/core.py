@@ -13,7 +13,9 @@ unrepresentable.  A structure with no ``HOLE`` entries is a (full)
 3-hypertournament.
 
 Tables are flat ``bytes`` indexed by the colexicographic rank of the sorted
-triple, which keeps lookups O(1) and the solver cache-friendly.
+triple, which keeps lookups O(1) and the solver cache-friendly;
+`triple_of_rank` gives the triple of a rank back without a table of
+triples.
 
 One method, `HoleyHT.along`, reads a structure through a sequence of its
 vertices: a restriction (`induced`), a relabeling (`relabel`), a structure
@@ -118,6 +120,23 @@ def slot(n: int, x: int, y: int, z: int) -> tuple[int, int]:
 
 
 @lru_cache(maxsize=None)
+def _binomials(n: int) -> tuple[list[int], list[int]]:
+    """Lists c2, c3 over 0..n-1 with c2[x] = C(x, 2) and c3[x] = C(x, 3)."""
+    return [comb(x, 2) for x in range(n)], [comb(x, 3) for x in range(n)]
+
+
+def triple_of_rank(n: int, r: int) -> tuple[int, int, int]:
+    """The sorted triple (a, b, c) over 1..n of colex rank r, 0 <= r <
+    C(n, 3): the inverse of `triple_rank`, which is a-1 + C(b-1, 2) +
+    C(c-1, 3), read off largest term first."""
+    c2, c3 = _binomials(n)
+    k = bisect_right(c3, r) - 1
+    r -= c3[k]
+    j = bisect_right(c2, r) - 1
+    return r - c2[j] + 1, j + 1, k + 1
+
+
+@lru_cache(maxsize=None)
 def triples(n: int) -> tuple[tuple[int, int, int], ...]:
     """All sorted triples over 1..n in rank (colex) order."""
     out = []
@@ -198,13 +217,12 @@ class _TripleRows(dict):
     """The rows of `triple_quad_ids(n)`, each computed on its first read and
     kept."""
 
-    __slots__ = ("_size", "_c2", "_c3", "_terms")
+    __slots__ = ("_n", "_size", "_terms")
 
     def __init__(self, n: int) -> None:
         super().__init__()
+        self._n = n
         self._size = comb(n, 3)
-        self._c2 = [comb(x, 2) for x in range(n)]
-        self._c3 = [comb(x, 3) for x in range(n)]
         # the mirrored colex terms of a vertex in position 1, 2, 3, 4 of a
         # 4-subset, and the largest id, all times 4
         self._terms = tuple([4 * comb(n - 1 - x, m) for x in range(n)]
@@ -213,12 +231,9 @@ class _TripleRows(dict):
     def __missing__(self, r: int) -> array:
         if not 0 <= r < self._size:
             raise KeyError(r)
-        c2, c3 = self._c2, self._c3
-        # the triple {i<j<k} (0-based) of colex rank i + C(j,2) + C(k,3)
-        k = bisect_right(c3, r) - 1
-        i = r - c3[k]
-        j = bisect_right(c2, i) - 1
-        i -= c2[j]
+        # the triple {i<j<k}, 0-based
+        a, b, c = triple_of_rank(self._n, r)
+        i, j, k = a - 1, b - 1, c - 1
         u1, u2, u3, u4, last = self._terms
         # the 4-subsets {i,j,k,x}, x below i, between i and j, between j and
         # k and above k, less the term of x

@@ -8,12 +8,17 @@
 
 Unlisted triples are holes.  emit() is canonical: triples in rank order,
 then the order section, then edges sorted; parse(emit(x)) round-trips and
-emit(parse(emit(x))) is byte-identical.
+emit(parse(emit(x))) is byte-identical.  `lines` gives the same lines
+without their ends, as the JSON reports list them.  The line of a triple is
+made on its first use, from its rank, and kept per vertex count, so printing
+a structure walks only its assigned triples.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
+from functools import lru_cache
+from itertools import compress
 from math import comb
 
 from .core import (
@@ -26,12 +31,31 @@ from .core import (
     HoleyHT,
     InputError,
     check_order,
+    triple_of_rank,
     triple_rank,
-    triples,
 )
 
-_SIGN = {PLUS: "+", MINUS: "-"}
 _VALUE = {"+": PLUS, "-": MINUS}
+
+
+class _TripleLines(dict):
+    """Rank r -> the lines of triple r indexed by its value (PLUS 1, MINUS
+    2): (None, its line with PLUS, its line with MINUS), made on the first
+    read and kept."""
+
+    __slots__ = ("_n",)
+
+    def __init__(self, n: int) -> None:
+        super().__init__()
+        self._n = n
+
+    def __missing__(self, r: int) -> tuple:
+        triple = "%d %d %d " % triple_of_rank(self._n, r)
+        entry = self[r] = (None, triple + "+", triple + "-")
+        return entry
+
+
+_triple_lines = lru_cache(maxsize=None)(_TripleLines)
 
 
 class Document(namedtuple("Document", "structure order edges", defaults=(None, None))):
@@ -44,23 +68,29 @@ class Document(namedtuple("Document", "structure order edges", defaults=(None, N
         return self.structure.n
 
 
-def emit(structure: HoleyHT, order=None, edges=None) -> str:
-    """Canonical text form.
+def lines(structure: HoleyHT, order=None, edges=None) -> list[str]:
+    """The lines of the canonical text form, without their ends.
 
     An empty edge set has no representation distinct from an absent graph
     (there are only `edge` lines, no section marker), so it serializes the
     same way.
     """
-    lines = [f"htour {structure.n}"]
-    for (a, b, c), v in zip(triples(structure.n), structure.table):
-        if v != HOLE:
-            lines.append(f"{a} {b} {c} {_SIGN[v]}")
+    table = structure.table
+    store = _triple_lines(structure.n)
+    out = [f"htour {structure.n}"]
+    # HOLE is 0, so compress keeps the ranks of the assigned triples
+    out += [store[r][table[r]] for r in compress(range(len(table)), table)]
     if order is not None:
-        lines.append("order: " + " ".join(str(v) for v in order))
+        out.append("order: " + " ".join(str(v) for v in order))
     if edges:
         for a, b in sorted(edges):
-            lines.append(f"edge {a} {b}")
-    return "\n".join(lines) + "\n"
+            out.append(f"edge {a} {b}")
+    return out
+
+
+def emit(structure: HoleyHT, order=None, edges=None) -> str:
+    """Canonical text form: `lines`, each ended by a newline."""
+    return "\n".join(lines(structure, order, edges)) + "\n"
 
 
 def emit_document(doc: Document) -> str:

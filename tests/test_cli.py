@@ -1,16 +1,20 @@
 import hashlib
 import importlib
+import io
 import json
+import os
+import random
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import pytest
 
-from htour import cli, families, htfile, verify
+from htour import cli, completion, families, htfile, verify
 from htour.classify import H4_FREE
 from htour.completion import complete
-from htour.core import HOLE, PLUS, HoleyHT
+from htour.core import HOLE, PLUS, HoleyHT, quad_triple_ranks, triple_quad_ids
 from htour.families import gen_bn, gen_cyclic, gen_even, gen_on
 
 
@@ -69,6 +73,32 @@ def test_enumerate_cap_zero_and_negative(tmp_path, capsys):
     assert report["verdict"] == 0 and report["witness"]["completions"] == []
     assert cli.main(["enumerate", str(path), "--cap", "-1"]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_enumerate_report_holds_its_tables_and_one_completion(tmp_path, monkeypatch):
+    # the report is written as it is made: the peak is the completion
+    # tables, within the 4 MiB budget, with per completion its bytes object
+    # and HoleyHT, each with a list slot, plus 64 KiB for one completion's
+    # lines and the stream's buffers.  Writing the whole report as one
+    # string held about 18 MB for these 2,000 completions of on(8)
+    path = tmp_path / "on8.ht"
+    structure = gen_on(8)
+    path.write_text(htfile.emit(structure))
+    cap = 2000
+    quad_triple_ranks(8)
+    triple_quad_ids(8)
+    with open(os.devnull, "w") as devnull:
+        monkeypatch.setattr(sys, "stdout", devnull)
+        assert cli.main(["enumerate", "--cap", "1", str(path)]) == 0
+        tracemalloc.start()
+        try:
+            assert cli.main(["enumerate", "--cap", str(cap), str(path)]) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    per_table = sys.getsizeof(b"") + 8 + sys.getsizeof(structure) + 8
+    ceiling = completion._ENUMERATION_BYTES + cap * per_table + 64 * 1024
+    assert peak < ceiling, (peak, ceiling)
 
 
 def test_gen_classify_pipeline():
@@ -371,6 +401,61 @@ def test_verify_report_is_byte_deterministic(monkeypatch, capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["timing"]["items"]["c1-sleepy"] >= 0.02
     assert "seconds" not in report["witness"]["items"][1]
+
+
+def _written(value) -> str:
+    out = io.StringIO()
+    cli._write_json(out.write, value)
+    return out.getvalue()
+
+
+_ODD_TEXT = ["", "plain", 'a "quoted" word', "back\\slash", "\t\n\r\x00\x1f\x7f",
+             "ünïcödé €", "\U0001d11e clef", "</end>"]
+_ODD_SCALARS = [0, -7, 2**70, 0.1, 1e-07, 1e300, -0.0, float("inf"), float("nan"),
+                True, False, None]
+
+
+def _random_json(rng, depth=0):
+    kind = rng.randrange(7 if depth < 4 else 2)
+    if kind == 0:
+        return rng.choice(_ODD_SCALARS)
+    if kind == 1:
+        return rng.choice(_ODD_TEXT)
+    items = [_random_json(rng, depth + 1) for _ in range(rng.randrange(4))]
+    if kind == 2:
+        return {rng.choice(_ODD_TEXT) + str(i): item for i, item in enumerate(items)}
+    if kind == 3:
+        return items
+    if kind == 4:
+        return tuple(items)
+    if kind == 5:
+        return [rng.choice(_ODD_TEXT) for _ in items]
+    return [rng.choice(_ODD_SCALARS + _ODD_TEXT) for _ in items]
+
+
+def test_report_writer_lays_out_as_json_dumps_with_indent_2():
+    fixed = [{}, [], (), {"a": {}}, {"a": []}, [[]], [{}], [[], {}, ()], ["a", 1],
+             {'k"\\\n€': ["\u00e9", None]}, *_ODD_SCALARS, *_ODD_TEXT]
+    rng = random.Random(2718)
+    for value in fixed + [_random_json(rng) for _ in range(500)]:
+        assert _written(value) == json.dumps(value, indent=2), value
+
+
+def test_report_writer_writes_an_iterator_as_its_list_one_item_at_a_time():
+    for items in ([], ["a"], [1, 2], [["x", "y"], {"k": []}, None]):
+        assert _written(iter(items)) == json.dumps(items, indent=2)
+        assert (_written({"s": iter(items), "t": 1})
+                == json.dumps({"s": items, "t": 1}, indent=2))
+    written, pulled = [], []
+
+    def items():
+        for i in range(3):
+            pulled.append(len(written))
+            yield [f"line {i}"]
+
+    cli._write_json(written.append, {"completions": items()})
+    # each item is taken only after the one before it was written
+    assert pulled[0] < pulled[1] < pulled[2] < len(written)
 
 
 def _golden_files() -> dict:

@@ -27,6 +27,7 @@ from htour.core import (
     quad_triple_ranks,
     quad_vertices,
     quads,
+    triple_of_rank,
     triple_quad_ids,
     triple_rank,
     triples,
@@ -43,9 +44,10 @@ def all_plus(n=4):
 
 
 def test_triple_rank_is_a_bijection():
-    for n in (3, 5, 8):
+    for n in (3, 5, 8, 40):
         ranks = [triple_rank(a, b, c) for a, b, c in triples(n)]
         assert ranks == list(range(len(triples(n))))
+        assert [triple_of_rank(n, r) for r in ranks] == list(triples(n))
 
 
 def test_triple_rank_rejects_unsorted():

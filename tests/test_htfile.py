@@ -1,9 +1,12 @@
 import random
+import tracemalloc
+from math import comb
 
 import pytest
 
-from htour import htfile
+from htour import core, htfile
 from htour.core import (
+    HOLE,
     VERTEX_GUARD,
     ContradictoryTriple,
     GuardExceeded,
@@ -13,7 +16,7 @@ from htour.core import (
     PLUS,
     triples,
 )
-from htour.families import gen_on
+from htour.families import gen_bn, gen_on
 from htour.rand import random_graph, random_holey_ht, random_order
 
 
@@ -23,6 +26,34 @@ def test_emit_canonical_shape():
     assert lines[0] == "htour 6"
     assert len(lines) == 1 + 11
     assert text.endswith("\n")
+
+
+def test_emit_lists_the_assigned_triples_in_rank_order():
+    rng = random.Random(40)
+    for _ in range(100):
+        n = rng.randint(0, 12)
+        A = random_holey_ht(rng, n, rng.randint(0, len(triples(n))))
+        expected = [f"htour {n}"] + [
+            f"{a} {b} {c} {'+' if v == PLUS else '-'}"
+            for (a, b, c), v in zip(triples(n), A.table) if v != HOLE
+        ]
+        assert htfile.lines(A) == expected
+        assert htfile.emit(A) == "\n".join(expected) + "\n"
+
+
+def test_emit_builds_no_table_of_triples():
+    # bn(51) has 99 vertices and 204 assigned triples: emitting it reads
+    # their ranks and builds their lines, under one byte per triple in all
+    structure = gen_bn(51)
+    core.triples.cache_clear()
+    tracemalloc.start()
+    try:
+        text = htfile.emit(structure)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(text.splitlines()) == 1 + 204
+    assert peak < comb(99, 3), peak
 
 
 def test_round_trip_structures():
@@ -44,6 +75,7 @@ def test_round_trip_sections():
     doc = htfile.parse(text)
     assert (doc.structure, doc.order, doc.edges) == (A, order, edges)
     assert htfile.emit_document(doc) == text
+    assert htfile.lines(*doc) == text.splitlines()
 
 
 def test_parse_tolerates_comments_and_duplicates():
