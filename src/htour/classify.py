@@ -35,12 +35,13 @@ Python steps instead of C(n,4).  The runs hold at most _CHECK_BYTES codes
 each.  Only when a table fails is the lexicographically least witness
 looked for, by the same kernel on the table read backwards.
 
-A batch is judged column-wise.  It is transposed into one int per triple
-rank whose byte k is the value of that triple in table k, so one evaluation
-of the code formula on these ints, over the ranks of core.quad_triple_ranks,
-yields the codes of a 4-subset in every table, byte by byte.  The codes of
-all 4-subsets, 4-subset-major, name the least offending 4-subset and the
-first table it offends in.
+A batch goes in chunks of at most _CHECK_BYTES codes, a narrow chunk table
+by table, one of more tables than vertices column-wise: transposed into one
+int per triple rank whose byte k is the value of that triple in table k, so
+one evaluation of the code formula on these ints, over the 4-subsets in
+lexicographic order with their ranks from the colex formula, yields the
+codes of a 4-subset in every table, byte by byte.  Neither path reads a
+4-subset index.
 """
 
 from __future__ import annotations
@@ -58,7 +59,6 @@ from .core import (
     HoleyHT,
     HoleyInput,
     InputError,
-    quad_triple_ranks,
     quad_vertices,
 )
 
@@ -292,29 +292,45 @@ def first_offence(n: int, tables, allowed) -> tuple[int, int] | None:
 
     An offending 4-subset is fully assigned with a type outside `allowed`;
     4-subsets containing a hole are not judged.  Ids are those of
-    core.quad_triple_ranks (lexicographic order).  One table goes through
-    the block kernel and holds at most _CHECK_BYTES bytes of codes at once;
-    a batch is judged column-wise in one pass, about one byte per table and
-    4-subset, so callers bound its memory by the width of their chunks.
+    core.quads (lexicographic order).  The batch goes in chunks of at most
+    _CHECK_BYTES codes, one byte per table and 4-subset: a chunk of more
+    than n tables column-wise, a narrower one table by table through the
+    kernel, which is faster there (measured from 12 to 30 vertices).
     Both are described in the module docstring.
     """
-    allowed = ConstraintSet.coerce(allowed)
+    ok = ConstraintSet.coerce(allowed).ok_table
+    step = max(1, _CHECK_BYTES // max(comb(n, 4), 1))
+    hits = []
+    for start in range(0, len(tables), step):
+        chunk = tables[start:start + step]
+        if len(chunk) > n:
+            hit = _column_offence(n, chunk, ok)
+            hits += [(hit[0], start + hit[1])] if hit else []
+        else:
+            qis = enumerate(_least_offence(n, t, ok) for t in chunk)
+            hits += [(qi, start + k) for k, qi in qis if qi is not None]
+    return min(hits, default=None)
+
+
+def _column_offence(n: int, tables, ok: bytes) -> tuple[int, int] | None:
+    """`first_offence` of one chunk, judged column-wise, with the ranks from
+    the colex formula a + C(b,2) + C(c,3) over 0-based vertices."""
     width = len(tables)
-    if not width:
-        return None
-    if width == 1:
-        qi = _least_offence(n, tables[0], allowed.ok_table)
-        return None if qi is None else (qi, 0)
     # byte k of cols[r] is the value of triple r in table k
     cols = [int.from_bytes(bytes(col), "little") for col in zip(*tables)]
-    ranks = iter(quad_triple_ranks(n))
+    c2, c3 = ([comb(x, k) for x in range(n)] for k in (2, 3))
     # appended in place: joining one string per 4-subset would also hold a
     # list slot and a buffer view (about 120 bytes) per 4-subset
     verdict = bytearray()
-    for r0, r1, r2, r3 in zip(ranks, ranks, ranks, ranks):
-        code = cols[r0] + 3 * cols[r1] + 9 * cols[r2] + 27 * cols[r3]
-        verdict += code.to_bytes(width, "little")
-    pos = verdict.translate(allowed.ok_table).find(0)
+    for a in range(n):
+        for b in range(a + 1, n):
+            ab = a + c2[b]
+            for c in range(b + 1, n):
+                abc, ac, bc = cols[ab + c3[c]], a + c2[c], b + c2[c]
+                for t in c3[c + 1:]:
+                    code = abc + 3 * cols[ab + t] + 9 * cols[ac + t] + 27 * cols[bc + t]
+                    verdict += code.to_bytes(width, "little")
+    pos = verdict.translate(ok).find(0)
     return None if pos < 0 else divmod(pos, width)
 
 

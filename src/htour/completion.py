@@ -45,22 +45,23 @@ entries that are kept keep their FIFO order, so trails, conflicts and node
 counts are those of queueing a 4-subset whenever it falls to one hole or
 to none.  The flip
 gives the codes, and so the queue, of undoing the decision and assigning
-MINUS.  The 4-subset index is core's: the triple ranks of a 4-subset are
-read from the flat quad_triple_ranks by direct offset, and the 4-subsets
-through a triple from its row in triple_quad_ids, computed on first read
-and cached for as long as that index is.
+MINUS.  The 4-subset index is core's, and both its halves are computed on
+first read and kept for as long as it is cached: the 4-subsets through a
+triple, its row in triple_quad_ids, read at every assignment, and the
+triple ranks of a 4-subset in quad_triple_ranks, read only to name the hole
+of a forced pop.
 
 Soundness is checked on every run, outside the search: every table that
 `complete` or `all_completions` returns must be hole-free, keep every
 assigned triple of the input (one masked int compare per table) and lie in
-the class, or a RuntimeError is raised.  The class test is
-classify.first_offence: one table, such as the completion of `complete`,
-goes through its block kernel, which reads no 4-subset index and takes
-about C(n-1,2) Python steps; a batch is judged column-wise, and
-`all_completions` hands it its completions in chunks of bounded size, so an
-enumeration pays one pass over the 4-subsets per chunk instead of one per
-completion.  The tables that pass become structures without a second
-validation (HoleyHT._trusted).
+the class, or a RuntimeError is raised.  The class test is one call of
+classify.first_offence on all the tables, which chunks them itself: one
+table, such as the completion of `complete`, goes through its block kernel,
+which takes about C(n-1,2) Python steps; a wide chunk of an enumeration's
+completions is judged column-wise, so it pays one pass over the 4-subsets
+per chunk instead of one per completion.  Neither reads a 4-subset index.
+The tables that pass become structures without a second validation
+(HoleyHT._trusted).
 """
 
 from __future__ import annotations
@@ -70,7 +71,6 @@ from collections import deque, namedtuple
 from collections.abc import Iterator
 from math import comb
 
-from . import classify
 from .classify import ConstraintSet, class_member, first_offence
 from .core import (
     HOLE,
@@ -79,11 +79,12 @@ from .core import (
     GuardExceeded,
     HoleyHT,
     InputError,
+    _LANE,
     glue,
     quad_triple_ranks,
     quad_vertices,
+    triple_of_rank,
     triple_quad_ids,
-    triples,
 )
 
 ENUMERATION_HOLE_GUARD = 30
@@ -99,6 +100,9 @@ _DELTAS = tuple(
     tuple(tuple((new - old) * 3 ** pos for pos in range(4)) for new in range(3))
     for old in range(3)
 )
+# by forcing action pos << 2 | value: the shift of the hole's lane in qt[qi]
+_SHIFT = tuple(_LANE * (act >> 2) for act in range(16))
+_RANK = (1 << _LANE) - 1
 
 
 class SolveResult(namedtuple("SolveResult", "sat completion conflicts nodes",
@@ -163,8 +167,8 @@ class _Engine:
         self.n = structure.n
         given = structure.table
         self.table = bytearray(len(given))
-        # quad qi's triple ranks are qt[4*qi : 4*qi+4]; the tagged entries
-        # 4*qi + pos of the quads through the triple of rank r are rows[r]
+        # qt[qi] packs quad qi's triple ranks; the tagged entries 4*qi + pos
+        # of the quads through the triple of rank r are rows[r]
         self.qt = quad_triple_ranks(self.n)
         self.rows = triple_quad_ids(self.n)
         self.action = allowed.action_table
@@ -175,7 +179,7 @@ class _Engine:
         # queued on its three-digit code, but its verdict is that of its
         # input code: keep the quads whose input code acts, sorted, so the
         # root queue is in quad order
-        self.code = [0] * (len(self.qt) >> 2)
+        self.code = [0] * comb(self.n, 4)
         self.trail: list[int] = []
         self.conflicts: set = set()
         self.nodes = 0
@@ -239,7 +243,7 @@ class _Engine:
         before, and either it was queued then, or both values were allowed
         and so is any fill."""
         code = self.code
-        qt = self.qt
+        qt, shift, mask = self.qt, _SHIFT, _RANK
         action = self.action
         assign = self.assign
         while worklist:
@@ -249,7 +253,7 @@ class _Engine:
                 continue
             if act < 0:
                 return qi
-            assign(qt[(qi << 2) + (act >> 2)], act & 3, worklist)
+            assign(qt[qi] >> shift[act] & mask, act & 3, worklist)
         return None
 
     def search(self) -> Iterator[bytes]:
@@ -290,20 +294,15 @@ class _Engine:
 def _check_sound(structure: HoleyHT, allowed: ConstraintSet, tables) -> None:
     """Raise unless every table is a completion of `structure` in the class:
     no hole, every assigned triple of `structure` kept, every 4-subset
-    allowed.  The class test runs on chunks of at most classify._CHECK_BYTES
-    bytes of codes (one byte per table and 4-subset); a chunk of one table
-    is chunked by the class test itself."""
+    allowed (one class test over the batch, which bounds its own memory)."""
     given = structure.table
     keep = int.from_bytes(given.translate(_ASSIGNED_MASK), "little")
     want = int.from_bytes(given, "little")
     for table in tables:
         if HOLE in table or int.from_bytes(table, "little") & keep != want:
             raise RuntimeError("solver produced an unsound completion")
-    n = structure.n
-    step = max(1, classify._CHECK_BYTES // max(comb(n, 4), 1))
-    for start in range(0, len(tables), step):
-        if first_offence(n, tables[start:start + step], allowed) is not None:
-            raise RuntimeError("solver produced an unsound completion")
+    if first_offence(structure.n, tables, allowed) is not None:
+        raise RuntimeError("solver produced an unsound completion")
 
 
 def propagate(structure: HoleyHT, allowed) -> PropagationResult:
@@ -317,8 +316,8 @@ def propagate(structure: HoleyHT, allowed) -> PropagationResult:
     qi = engine.propagate(engine.root)
     if qi is not None:
         return PropagationResult(ok=False, conflict=quad_vertices(structure.n, qi))
-    ts = triples(structure.n)
-    forced = tuple((ts[r], engine.table[r]) for r in engine.trail)
+    n, table = structure.n, engine.table
+    forced = tuple((triple_of_rank(n, r), table[r]) for r in engine.trail)
     return PropagationResult(
         ok=True,
         structure=HoleyHT(structure.n, bytes(engine.table)),

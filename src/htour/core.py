@@ -25,27 +25,17 @@ gives the rank of the sorted triple and the parity of the sort, which
 `triple_value`, `orientation_of`, `with_value`, `validate`, `glue` and
 the chain builder of `families` all read.
 
-The 4-subset index that the solver reads, and the class test for a batch
-of tables, is cached per n (the class test for one table needs none).
-`quad_triple_ranks` is one flat ``array('I')`` of the four triple ranks of
-each 4-subset (4-subsets in lexicographic order, four entries each), 16
-bytes per 4-subset, about 3.4 MB at 49 vertices; it is built in blocks of
-consecutive entries, a fixed template plus per-block constants added by
-one big-int add with the int read as 32-bit lanes.  `triple_quad_ids`
-gives the row of each triple: the tagged entries 4*qi + pos of the n-3
-4-subsets through it, pos being the triple's place among the four
-(`quad_triple_ranks(n)[4*qi + pos]` is the triple again).  A row is
-computed from the id formula on its first read and kept, so a search pays
-only for the rows of the triples it assigns.  Vertex tuples of 4-subsets
-are computed from their ids by arithmetic, only when a witness needs one
-(`quad_vertices`).  Both, and `htfile.parse`, refuse more than
-VERTEX_GUARD vertices.
+The 4-subset index that the solver reads has two halves, cached per n,
+whose entries are computed from the lexicographic 4-subset id formula on
+their first read and kept (`_Store`): `quad_triple_ranks`, the four triple
+ranks of each 4-subset packed in one int, and `triple_quad_ids`, the row of
+the n-3 4-subsets through each triple.  `quad_vertices` inverts the id
+formula.  Both, and `htfile.parse`, refuse more than VERTEX_GUARD vertices.
 """
 
 from __future__ import annotations
 
 import itertools
-import sys
 from array import array
 from bisect import bisect_right
 from collections import namedtuple
@@ -64,13 +54,12 @@ REVERSED = MINUS
 
 ISO_GUARD = 10  # is_isomorphic refuses above this many vertices
 # htfile.parse and the 4-subset index refuse above this many vertices; the
-# triple ranks of the index take 16 bytes per 4-subset, about 63 MB at 100
-# vertices, and the solver keeps a code for each 4-subset besides
+# solver keeps a code for each 4-subset, 8 bytes each, about 31 MB at 100
+# vertices
 VERTEX_GUARD = 100
-
-# array("I") is native-endian; quad_triple_ranks reads its blocks as one
-# big int
-_ORDER = sys.byteorder
+# the triple ranks of a 4-subset are packed in lanes of this many bits: a
+# rank is below C(100,3) < 2**18
+_LANE = 18
 
 _SIGN_CHAR = {PLUS: "+", MINUS: "-"}
 _VALUES = bytes([HOLE, PLUS, MINUS])
@@ -120,16 +109,17 @@ def slot(n: int, x: int, y: int, z: int) -> tuple[int, int]:
 
 
 @lru_cache(maxsize=None)
-def _binomials(n: int) -> tuple[list[int], list[int]]:
-    """Lists c2, c3 over 0..n-1 with c2[x] = C(x, 2) and c3[x] = C(x, 3)."""
-    return [comb(x, 2) for x in range(n)], [comb(x, 3) for x in range(n)]
+def _binomials(n: int) -> tuple[list[int], list[int], list[int]]:
+    """Lists c2, c3, c4 over 0..n with c2[x] = C(x, 2), c3[x] = C(x, 3) and
+    c4[x] = C(x, 4)."""
+    return tuple([comb(x, k) for x in range(n + 1)] for k in (2, 3, 4))
 
 
 def triple_of_rank(n: int, r: int) -> tuple[int, int, int]:
     """The sorted triple (a, b, c) over 1..n of colex rank r, 0 <= r <
     C(n, 3): the inverse of `triple_rank`, which is a-1 + C(b-1, 2) +
     C(c-1, 3), read off largest term first."""
-    c2, c3 = _binomials(n)
+    c2, c3, _ = _binomials(n)
     k = bisect_right(c3, r) - 1
     r -= c3[k]
     j = bisect_right(c2, r) - 1
@@ -170,91 +160,82 @@ def _guard_index(n: int) -> None:
                             f"vertices, got {n}")
 
 
-@lru_cache(maxsize=None)
-def quad_triple_ranks(n: int) -> array:
-    """Flat table: entries 4*qi .. 4*qi+3 are the ranks of {abc}, {abd},
-    {acd}, {bcd} for the 4-subset {a<b<c<d} with id qi, 4-subsets numbered
-    in lexicographic order (the order of `quads`).
+class _Store(dict):
+    """One half of the 4-subset index on n vertices: entry k, for 0 <= k <
+    size, is make(n, k), computed on its first read and kept."""
 
-    The position of each triple in this sequence matches its position after
-    the order-preserving relabeling of the 4-subset to {1, 2, 3, 4}, so the
-    four table values can be classified directly (see classify.mask_of).
-    Built in blocks, one per first vertex: with 0-based vertices and the
-    colex rank i + C(j,2) + C(k,3), the lanes of {a<b<c<d} are
-    [C(c,3), C(d,3), C(c,2)+C(d,3), C(c,2)+C(d,3)] plus the constants
-    [a+C(b,2), a+C(b,2), a, b].  The 4-subsets with a fixed b are a suffix of
-    one template over the pairs c<d, plus the b terms; those with a fixed a
-    are a suffix of the concatenation of these, plus `a` times [1, 1, 1, 0].
-    Each block is one big-int add on 32-bit lanes, appended whole.  16 bytes
-    per 4-subset.  Refuses n > VERTEX_GUARD.
+    __slots__ = ("_n", "_size", "_make")
+
+    def __init__(self, n: int, size: int, make) -> None:
+        super().__init__()
+        self._n, self._size, self._make = n, size, make
+
+    def __missing__(self, key: int):
+        if not 0 <= key < self._size:
+            raise KeyError(key)
+        entry = self[key] = self._make(self._n, key)
+        return entry
+
+
+def _quad_ranks(n: int, qi: int) -> int:
+    """Entry qi of `quad_triple_ranks(n)`."""
+    a, b, c, d = quad_vertices(n, qi)
+    t2, t3 = _rank_terms(n)
+    ab, cd = a + t2[b], t2[c] + t3[d]
+    return ab + t3[c] | (ab + t3[d]) << _LANE | (a + cd) << 2 * _LANE | (b + cd) << 3 * _LANE
+
+
+@lru_cache(maxsize=None)
+def quad_triple_ranks(n: int) -> _Store:
+    """The triples of each 4-subset: `quad_triple_ranks(n)[qi]` packs the
+    ranks of {abc}, {abd}, {acd}, {bcd} of the 4-subset {a<b<c<d} with id
+    qi, 4-subsets numbered in lexicographic order (the order of `quads`),
+    in lanes of _LANE bits: the rank at place pos is
+    ``entry >> _LANE * pos & (1 << _LANE) - 1``.
+
+    The place of each triple matches its place after the order-preserving
+    relabeling of the 4-subset to {1, 2, 3, 4}, so the four table values
+    can be classified directly (see classify.mask_of).  An entry is made
+    from `quad_vertices` on its first read (`_Store`).  Refuses n >
+    VERTEX_GUARD.
     """
     _guard_index(n)
-    c2 = [comb(x, 2) for x in range(n)]
-    c3 = [comb(x, 3) for x in range(n)]
-    pairs = array("I", [
-        r for c in range(1, n) for d in range(c + 1, n)
-        for r in (c3[c], c3[d], c2[c] + c3[d], c2[c] + c3[d])
-    ]).tobytes()
-    # every {b<c<d} with 0 < b, less its a terms
-    rows = bytearray()
-    for b in range(1, n - 2):
-        tail = pairs[len(pairs) - 16 * comb(n - 1 - b, 2):]
-        terms = array("I", (c2[b], c2[b], 0, b)).tobytes() * (len(tail) // 16)
-        block = int.from_bytes(tail, _ORDER) + int.from_bytes(terms, _ORDER)
-        rows += block.to_bytes(len(tail), _ORDER)
-    total = len(rows)
-    step = int.from_bytes(array("I", (1, 1, 1, 0)).tobytes() * (total // 16), _ORDER)
-    out = array("I")
-    for a in range(n - 3):
-        size = 16 * comb(n - 1 - a, 3)
-        # step repeats every 16 bytes, so its top bytes are a shorter step
-        block = int.from_bytes(rows[total - size:], _ORDER) + a * (step >> 8 * (total - size))
-        out.frombytes(block.to_bytes(size, _ORDER))
-    return out
-
-
-class _TripleRows(dict):
-    """The rows of `triple_quad_ids(n)`, each computed on its first read and
-    kept."""
-
-    __slots__ = ("_n", "_size", "_terms")
-
-    def __init__(self, n: int) -> None:
-        super().__init__()
-        self._n = n
-        self._size = comb(n, 3)
-        # the mirrored colex terms of a vertex in position 1, 2, 3, 4 of a
-        # 4-subset, and the largest id, all times 4
-        self._terms = tuple([4 * comb(n - 1 - x, m) for x in range(n)]
-                            for m in (4, 3, 2, 1)) + (4 * comb(n, 4) - 4,)
-
-    def __missing__(self, r: int) -> array:
-        if not 0 <= r < self._size:
-            raise KeyError(r)
-        # the triple {i<j<k}, 0-based
-        a, b, c = triple_of_rank(self._n, r)
-        i, j, k = a - 1, b - 1, c - 1
-        u1, u2, u3, u4, last = self._terms
-        # the 4-subsets {i,j,k,x}, x below i, between i and j, between j and
-        # k and above k, less the term of x
-        t3 = last + 3 - u2[i] - u3[j] - u4[k]
-        t2 = last + 2 - u1[i] - u3[j] - u4[k]
-        t1 = last + 1 - u1[i] - u2[j] - u4[k]
-        t0 = last - u1[i] - u2[j] - u3[k]
-        row = self[r] = array("I", [t3 - t for t in u1[:i]] + [t2 - t for t in u2[i + 1:j]]
-                              + [t1 - t for t in u3[j + 1:k]] + [t0 - t for t in u4[k + 1:]])
-        return row
+    return _Store(n, comb(n, 4), _quad_ranks)
 
 
 @lru_cache(maxsize=None)
-def triple_quad_ids(n: int) -> _TripleRows:
+def _mirror_terms(n: int) -> tuple:
+    """4*C(n-1-x, m) for m = 4, 3, 2, 1, the mirrored colex terms of vertex
+    x (0-based) in place 1, 2, 3, 4 of a 4-subset; and 4 times the last id."""
+    return tuple([4 * comb(n - 1 - x, m) for x in range(n)]
+                 for m in (4, 3, 2, 1)) + (4 * comb(n, 4) - 4,)
+
+
+def _triple_row(n: int, r: int) -> array:
+    """Row r of `triple_quad_ids(n)`."""
+    # the triple {i<j<k}, 0-based
+    a, b, c = triple_of_rank(n, r)
+    i, j, k = a - 1, b - 1, c - 1
+    u1, u2, u3, u4, last = _mirror_terms(n)
+    # the 4-subsets {i,j,k,x}, x below i, between i and j, between j and k
+    # and above k, less the term of x
+    t3 = last + 3 - u2[i] - u3[j] - u4[k]
+    t2 = last + 2 - u1[i] - u3[j] - u4[k]
+    t1 = last + 1 - u1[i] - u2[j] - u4[k]
+    t0 = last - u1[i] - u2[j] - u3[k]
+    return array("I", [t3 - t for t in u1[:i]] + [t2 - t for t in u2[i + 1:j]]
+                 + [t1 - t for t in u3[j + 1:k]] + [t0 - t for t in u4[k + 1:]])
+
+
+@lru_cache(maxsize=None)
+def triple_quad_ids(n: int) -> _Store:
     """The 4-subsets through each triple: `triple_quad_ids(n)[r]` is the
     array('I') of the tagged entries 4*qi + pos of the n-3 4-subsets
     containing the triple of rank r, by ascending id qi, where pos is the
     place of the triple in the 4-subset: 0 {abc}, 1 {abd}, 2 {acd}, 3 {bcd}.
-    So `quad_triple_ranks(n)[e] == r` for every entry e of row r.  A row is
-    computed on its first read and kept as long as this cache entry; the
-    largest entry, 4*C(100,4) - 1, is below 2**24.
+    So place e & 3 of `quad_triple_ranks(n)[e >> 2]` is r for every entry e
+    of row r.  A row is computed on its first read and kept as long as this
+    cache entry; the largest entry, 4*C(100,4) - 1, is below 2**24.
 
     Each triple {i<j<k} lies in {i,j,k,x} for every other vertex x, and the
     ids ascend with x; x below i, between i and j, between j and k and above
@@ -265,25 +246,23 @@ def triple_quad_ids(n: int) -> _TripleRows:
     Refuses n > VERTEX_GUARD.
     """
     _guard_index(n)
-    return _TripleRows(n)
+    return _Store(n, comb(n, 3), _triple_row)
 
 
 def quad_vertices(n: int, qi: int) -> tuple[int, int, int, int]:
     """The 4-subset {a<b<c<d} with id qi, i.e. `quads(n)[qi]`, by inverting
-    the id formula that the rows of `triple_quad_ids` are computed from:
-    C(n,4) - 1 - qi is the colex rank C(x4,4) + C(x3,3) + C(x2,2) + x1 of
-    the mirrored set, whose entries the greedy search of the combinatorial
-    number system reads off, largest first, in one descent over x; vertex x
-    (0-based) of the mirror is vertex n - x here."""
-    m = comb(n, 4) - 1 - qi
-    x, out = n, []
-    for k in (4, 3, 2, 1):
-        x -= 1
-        while comb(x, k) > m:
-            x -= 1
-        m -= comb(x, k)
-        out.append(n - x)
-    return tuple(out)
+    the id formula of `triple_quad_ids`: C(n,4) - 1 - qi is the colex rank
+    C(x,4) + C(y,3) + C(z,2) + w of the mirrored set {w<z<y<x}, read off
+    largest term first as in `triple_of_rank`; vertex x of the mirror
+    (0-based) is vertex n - x here."""
+    c2, c3, c4 = _binomials(n)
+    m = c4[n] - 1 - qi
+    x = bisect_right(c4, m) - 1
+    m -= c4[x]
+    y = bisect_right(c3, m) - 1
+    m -= c3[y]
+    z = bisect_right(c2, m) - 1
+    return n - x, n - y, n - z, n - m + c2[z]
 
 
 def check_order(order, n: int) -> tuple[int, ...]:

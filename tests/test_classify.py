@@ -161,10 +161,13 @@ def test_class_member_matches_brute_force(types):
 @pytest.mark.parametrize(
     "types", NONEMPTY_TYPE_SETS, ids=lambda ts: ",".join(map(str, ts))
 )
-def test_first_offence_over_a_batch(types):
-    # the least offending 4-subset over the batch, and the first table in it
+def test_first_offence_over_a_batch(types, monkeypatch):
+    # the least offending 4-subset over the batch, and the first table in
+    # it, in one chunk and in chunks of 12 tables (judged column-wise below
+    # 12 vertices) with a last chunk of 4 (judged table by table)
     allowed = ConstraintSet.of(*types)
     rng = random.Random(15)
+    whole = classify._CHECK_BYTES
     for n in range(10):
         pool = [A.table for _ in range(2) for A in seeded_inputs(rng, n)]
         for size in (1, 2, 3, 40):
@@ -173,7 +176,9 @@ def test_first_offence_over_a_batch(types):
             least = min((qis[0] for qis in offences if qis), default=None)
             expect = None if least is None else (
                 least, next(k for k, qis in enumerate(offences) if least in qis))
-            assert first_offence(n, tables, allowed) == expect
+            for chunk in (whole, 12 * max(comb(n, 4), 1)):
+                monkeypatch.setattr(classify, "_CHECK_BYTES", chunk)
+                assert first_offence(n, tables, allowed) == expect
     assert first_offence(5, [], allowed) is None
 
 
@@ -213,45 +218,46 @@ def test_one_table_agrees_with_a_batch_of_two():
     # the one-table kernel against the column-wise batch path, past the
     # sizes the brute-force scan reaches
     rng = random.Random(17)
-    try:
-        for n in range(17, 41):
-            allowed = ConstraintSet.of(*NONEMPTY_TYPE_SETS[n % 7])
-            cyclic = gen_cyclic(n, rng.sample(range(1, n + 1), n))
-            for A in (cyclic, plant_random_quads(rng, cyclic, rng.randint(1, 3))):
-                one = first_offence(n, [A.table], allowed)
-                assert one == first_offence(n, [A.table, A.table], allowed)
-                if FourType.C4 in allowed and A is cyclic:
-                    assert one is None
-    finally:
-        core.quad_triple_ranks.cache_clear()
+    for n in range(17, 41):
+        allowed = ConstraintSet.of(*NONEMPTY_TYPE_SETS[n % 7])
+        cyclic = gen_cyclic(n, rng.sample(range(1, n + 1), n))
+        for A in (cyclic, plant_random_quads(rng, cyclic, rng.randint(1, 3))):
+            one = first_offence(n, [A.table], allowed)
+            assert one == classify._column_offence(n, [A.table, A.table], allowed.ok_table)
+            if FourType.C4 in allowed and A is cyclic:
+                assert one is None
 
 
 def test_class_member_builds_no_index():
-    core.quad_triple_ranks.cache_clear()
-    core.triples.cache_clear()
+    # one table, a batch of two (table by table at 23 vertices) and the
+    # column-wise path on the same two
+    for fn in (core.quad_triple_ranks, core.triple_quad_ids, core.quads, core.triples):
+        fn.cache_clear()
     rng = random.Random(18)
     A = random_full_ht(rng, 23)
     assert class_member(A, ALL_TYPES)
     assert not class_member(A, CYCLIC)
-    assert core.quad_triple_ranks.cache_info().currsize == 0
-    assert core.triples.cache_info().currsize == 0
+    pair = [A.table, random_full_ht(rng, 23).table]
+    least = min((first_offence(23, [t], CYCLIC)[0], k) for k, t in enumerate(pair))
+    assert first_offence(23, pair, CYCLIC) == least == classify._column_offence(
+        23, pair, CYCLIC.ok_table)
+    for fn in (core.quad_triple_ranks, core.triple_quad_ids, core.quads, core.triples):
+        assert fn.cache_info().currsize == 0
 
 
 def test_failing_member_at_49_vertices():
-    # the witness of the column-wise scan over the whole 4-subset index, in
-    # a fraction of its time: the kernel judges the table and its mirror
+    # the witness of the column-wise scan over every 4-subset, in a fraction
+    # of its time: the kernel judges the table and its mirror
     A = random_full_ht(random.Random(49), 49)
-    try:
-        assert first_offence(49, [A.table, A.table], CYCLIC) == (1, 0)
-        kernel, scan = [], []
-        for _ in range(3):
-            start = time.perf_counter()
-            res = class_member(A, CYCLIC)
-            kernel.append(time.perf_counter() - start)
-            first_offence(49, [A.table, A.table], CYCLIC)
-            scan.append(time.perf_counter() - start - kernel[-1])
-    finally:
-        core.quad_triple_ranks.cache_clear()
+    pair, ok = [A.table, A.table], CYCLIC.ok_table
+    assert classify._column_offence(49, pair, ok) == (1, 0)
+    kernel, scan = [], []
+    for _ in range(3):
+        start = time.perf_counter()
+        res = class_member(A, CYCLIC)
+        kernel.append(time.perf_counter() - start)
+        classify._column_offence(49, pair, ok)
+        scan.append(time.perf_counter() - start - kernel[-1])
     assert not res and res.witness == (1, 2, 3, 5)
     assert min(kernel) < min(scan)
 
@@ -341,7 +347,7 @@ def test_quad_shortcut_matches_induced_classification():
     # that must agree with relabeling via induced() and classifying
     import random
 
-    from htour.core import quad_triple_ranks, quads
+    from htour.core import _LANE, quad_triple_ranks, quads
 
     rng = random.Random(13)
     for _ in range(40):
@@ -349,7 +355,7 @@ def test_quad_shortcut_matches_induced_classification():
         A = random_full_ht(rng, n)
         qt = quad_triple_ranks(n)
         for qi, q in enumerate(quads(n)):
-            ranks = qt[4 * qi:4 * qi + 4]
+            ranks = [qt[qi] >> _LANE * pos & (1 << _LANE) - 1 for pos in range(4)]
             mask_type = four_type(HoleyHT(4, bytes(A.table[r] for r in ranks)))
             assert mask_type == four_type(A.induced(q))
 

@@ -14,7 +14,7 @@ import pytest
 from htour import cli, completion, families, htfile, verify
 from htour.classify import H4_FREE
 from htour.completion import complete
-from htour.core import HOLE, PLUS, HoleyHT, quad_triple_ranks, triple_quad_ids
+from htour.core import HOLE, PLUS, HoleyHT
 from htour.families import gen_bn, gen_cyclic, gen_even, gen_on
 
 
@@ -85,8 +85,6 @@ def test_enumerate_report_holds_its_tables_and_one_completion(tmp_path, monkeypa
     structure = gen_on(8)
     path.write_text(htfile.emit(structure))
     cap = 2000
-    quad_triple_ranks(8)
-    triple_quad_ids(8)
     with open(os.devnull, "w") as devnull:
         monkeypatch.setattr(sys, "stdout", devnull)
         assert cli.main(["enumerate", "--cap", "1", str(path)]) == 0
@@ -250,6 +248,20 @@ def test_ramsey_takes_sizes_or_files_not_both(argv, capsys):
     assert exc.value.code == 2
     out = capsys.readouterr()
     assert out.out == "" and "not allowed with argument" in out.err
+
+
+def test_ramsey_refuses_a_count_too_long_for_the_report(capsys):
+    # 2**19448 colorings have 5,855 digits: past the interpreter's limit on
+    # writing an integer, the report is refused, and nothing is written
+    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not digits or digits >= 5855:
+        pytest.skip("this interpreter writes integers of 5,855 digits")
+    argv = ["ramsey", "--sizes", "17,15,7", "--max-embeddings", "20000"]
+    assert cli.main(argv) == 3
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == (f"refused: 19448 embeddings give more colorings than an "
+                       f"integer of {digits} digits, the most a report can write\n")
 
 
 def test_ramsey_refuses_a_negative_embedding_guard(capsys):

@@ -1,4 +1,5 @@
 import concurrent.futures
+import functools
 import gc
 import hashlib
 import itertools
@@ -38,7 +39,9 @@ from htour.core import (
     HoleyHT,
     InputError,
     quad_triple_ranks,
+    quads,
     triple_quad_ids,
+    triple_rank,
     triples,
     validate,
 )
@@ -77,6 +80,21 @@ def test_propagate_conflict():
     h4 = HoleyHT(4, bytes([PLUS, MINUS, PLUS, MINUS]))
     r = propagate(h4, H4_FREE)
     assert not r.ok and r.conflict == (1, 2, 3, 4)
+
+
+def test_propagate_builds_no_table_of_triples():
+    # the forced triples are named from their ranks: bn(51), on 99
+    # vertices, forces none, and the forward gadget forces one
+    structure, g = gen_bn(51), gadget(LinkKind.FWD).with_value(1, 2, 3, PLUS)
+    core.triples.cache_clear()
+    try:
+        r = propagate(structure, H4_FREE)
+        assert r.ok and r.forced == ()
+        assert propagate(g, H4_FREE).forced == (((2, 3, 4), PLUS),)
+        assert core.triples.cache_info().currsize == 0
+    finally:
+        for fn in (core.quad_triple_ranks, core.triple_quad_ids):
+            fn.cache_clear()
 
 
 def test_entry_points_coerce_the_allowed_types():
@@ -347,11 +365,11 @@ def test_soundness_check_of_a_batch_holds_one_chunk_of_codes(n):
     # twice _CHECK_BYTES of codes: at 7 vertices a chunk is 29,959 tables and
     # its columns are as large as its codes; at 30 a chunk is 38 tables over
     # 27,405 4-subsets, where a string per 4-subset would outweigh the codes.
-    # The index is built first: its own test bounds it
+    # Both are judged column-wise, and read no index
     full = gen_cyclic(n)
     width = classify._CHECK_BYTES // comb(n, 4)
+    assert width > n
     tables = [full.table] * (2 * width)
-    quad_triple_ranks(n)
     _, peak = _traced_peak(lambda: _check_sound(full, CYCLIC, tables))
     assert peak < _check_ceiling(n, width), (peak, _check_ceiling(n, width))
 
@@ -363,8 +381,6 @@ def test_all_completions_at_the_budget_holds_its_tables_and_one_check_chunk():
     structure = HoleyHT(n, bytes(12) + gen_cyclic(n).table[12:])
     limit = completion._ENUMERATION_BYTES // comb(n, 3)
     assert limit == 3679
-    quad_triple_ranks(n)
-    triple_quad_ids(n)
     comps, peak = _traced_peak(lambda: all_completions(structure, ALL_TYPES, cap=limit))
     assert len(comps) == limit
     # each table is a bytes object with a slot in the list of tables, and
@@ -379,7 +395,7 @@ def test_all_completions_at_the_budget_holds_its_tables_and_one_check_chunk():
 
 
 def test_oracle_does_not_read_the_flat_index(monkeypatch):
-    # a fault in the block-built 4-subset index or in the action table must
+    # a fault in the solver's 4-subset index or in the action table must
     # not reach the oracles that the solver is checked against
     on7, h4 = gen_on(7), HoleyHT(5, bytes([PLUS, MINUS, PLUS, MINUS] + [HOLE] * 6))
     expected = all_completions(on7, H4_FREE)
@@ -763,9 +779,8 @@ def test_rows_live_as_long_as_their_index():
     # a completion assigns every triple, so every row has been read
     rows = triple_quad_ids(n)
     assert len(rows) == comb(n, 3)
-    qt = quad_triple_ranks(n)
     for r, row in rows.items():
-        assert len(row) == n - 3 and all(qt[e] == r for e in row)
+        assert len(row) == n - 3 and all(_quad_ranks(n)[e >> 2][e & 3] == r for e in row)
     refs = [weakref.ref(row) for row in rows.values()]
     del rows, row
     for fn in (core.triples, core.quads, core.quad_triple_ranks, core.triple_quad_ids):
@@ -780,25 +795,26 @@ def test_rows_live_as_long_as_their_index():
 
 def test_cold_solve_at_49_vertices_holds_ranks_codes_and_the_rows_it_reads():
     # bn(26) is Unsat in 3 nodes and reads the rows of its 104 assigned
-    # triples and of its decisions.  The ceiling derives from the layout,
-    # not from a measurement: 16 bytes of triple ranks per 4-subset with the
-    # 1/16 headroom that a growing array keeps, 8 bytes per code slot, the
-    # rows read and their store, the search's table of C(n,3) bytes, and
-    # 32 KiB for its worklist, trail and stack and the store's terms.  An
-    # index of every row, 16 more bytes per 4-subset, does not fit
+    # triples and of its decisions, and the ranks of the quads it forces
+    # from.  The ceiling derives from the layout, not from a measurement:
+    # 8 bytes per code slot, the rows and ranks read with their stores, the
+    # search's table of C(n,3) bytes, and 32 KiB for its worklist, trail and
+    # stack and the per-n terms.  An index of every rank, 16 more bytes per
+    # 4-subset, does not fit
     n = 49
     structure = gen_bn(26)
     for fn in (core.triples, core.quads, core.quad_triple_ranks, core.triple_quad_ids):
         fn.cache_clear()
     try:
         res, peak = _traced_peak(lambda: complete(structure, H4_FREE))
-        rows = triple_quad_ids(n)
-        read = sys.getsizeof(rows) + sum(map(sys.getsizeof, rows.values()))
+        rows, qt = triple_quad_ids(n), quad_triple_ranks(n)
+        read = (sys.getsizeof(rows) + sum(map(sys.getsizeof, rows.values()))
+                + sys.getsizeof(qt) + sum(map(sys.getsizeof, itertools.chain(*qt.items()))))
     finally:
         for fn in (core.quad_triple_ranks, core.triple_quad_ids):
             fn.cache_clear()
     assert (res.verdict, res.nodes, structure.n) == ("Unsat", 3, n)
-    ceiling = (17 + 8) * comb(n, 4) + read + comb(n, 3) + 32 * 1024
+    ceiling = 8 * comb(n, 4) + read + comb(n, 3) + 32 * 1024
     assert peak < ceiling, (peak, ceiling)
 
 
@@ -819,6 +835,13 @@ def _planted(rng, n, kind, holes=0.9):
     return HoleyHT(n, bytes(table))
 
 
+@functools.lru_cache(maxsize=None)
+def _quad_ranks(n):
+    """The ranks of {abc}, {abd}, {acd}, {bcd} of each 4-subset {a<b<c<d},
+    in id order, from core.quads and triple_rank rather than the index."""
+    return [tuple(triple_rank(*t) for t in itertools.combinations(q, 3)) for q in quads(n)]
+
+
 @pytest.fixture
 def checked_nodes(monkeypatch):
     """Recount the 4-subset codes from the table before and after every
@@ -831,9 +854,8 @@ def checked_nodes(monkeypatch):
 
     def recount(engine):
         t = engine.table
-        it = iter(engine.qt)
         assert engine.code == [
-            t[a] + 3 * t[b] + 9 * t[c] + 27 * t[d] for a, b, c, d in zip(it, it, it, it)
+            t[a] + 3 * t[b] + 9 * t[c] + 27 * t[d] for a, b, c, d in _quad_ranks(engine.n)
         ]
 
     def checked(engine, worklist):
@@ -958,13 +980,13 @@ def test_root_queue_is_the_acting_quads_in_id_order():
         for holes in (0.0, 0.3, 0.6, 0.9, 1.0):
             structure = _planted(rng, 12, rng.choice(["even", "cyclic"]), holes)
             engine = _Engine(structure, allowed)
-            table, qt = structure.table, core.quad_triple_ranks(12)
+            table = structure.table
             codes, acting = [], []
-            for qi in range(comb(12, 4)):
-                values = [table[r] for r in qt[4 * qi:4 * qi + 4]]
+            for ranks in _quad_ranks(12):
+                values = [table[r] for r in ranks]
                 codes.append(values[0] + 3 * values[1] + 9 * values[2] + 27 * values[3])
                 if values.count(HOLE) <= 1 and allowed.action_table[codes[-1]]:
-                    acting.append(qi)
+                    acting.append(len(codes) - 1)
             assert list(engine.root) == acting
             assert engine.code == codes
             assert engine.trail == []

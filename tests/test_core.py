@@ -389,9 +389,12 @@ def test_hypergraph_validation():
     assert empty._replace(n=5) == Hypergraph3(5, frozenset())
 
 
-def test_flat_index_matches_its_definition():
-    # the block builder of the ranks changes template at every b: cover
-    # sizes on both sides of several of those boundaries
+def _places(entry):
+    """The four triple ranks packed in an entry of quad_triple_ranks."""
+    return [entry >> core._LANE * pos & (1 << core._LANE) - 1 for pos in range(4)]
+
+
+def test_index_matches_its_definition():
     for n in [*range(14), 16, 23, 24, 31]:
         qt = quad_triple_ranks(n)
         expected = []
@@ -400,13 +403,17 @@ def test_flat_index_matches_its_definition():
                 triple_rank(a, b, c), triple_rank(a, b, d),
                 triple_rank(a, c, d), triple_rank(b, c, d),
             ]
-        assert list(qt) == expected
+        flat = [r for qi in range(comb(n, 4)) for r in _places(qt[qi])]
+        assert flat == expected
+        for qi in (-1, comb(n, 4)):
+            with pytest.raises(KeyError):
+                qt[qi]
+        assert len(qt) == comb(n, 4)
         # every triple lies in n-3 4-subsets, listed by ascending id and
         # tagged with the triple's place in each: entry 4*qi + pos
         incidence = [[] for _ in triples(n)]
-        for qi in range(len(qt) // 4):
-            for pos, r in enumerate(qt[4 * qi:4 * qi + 4]):
-                incidence[r].append(4 * qi + pos)
+        for e, r in enumerate(flat):
+            incidence[r].append(e)
         assert all(len(ids) == max(n - 3, 0) for ids in incidence)
         rows = triple_quad_ids(n)
         assert [list(rows[r]) for r in range(len(incidence))] == incidence
@@ -434,9 +441,10 @@ def test_flat_index_matches_its_definition():
         _clear_index_caches()
 
 
-# sha256 of the little-endian bytes of quad_triple_ranks(n) and of the ids
-# e >> 2 of the rows of triple_quad_ids(n) in rank order, pinned from the
-# earlier per-element builders
+# sha256 of the little-endian bytes of the ranks of quad_triple_ranks(n),
+# four 32-bit entries per 4-subset in id order, and of the ids e >> 2 of the
+# rows of triple_quad_ids(n) in rank order, pinned from the earlier
+# per-element builders
 _INDEX_SHA256 = {
     37: ("f3f22c7d3778b581bd201c3d5e7c9818817d75dfe4b133caaf4e1445df12b6fe",
          "08489c8b20b3e9aaaf7d01a993952092789208f22505024c34b1471782940cac"),
@@ -450,7 +458,9 @@ def test_index_bytes_are_golden(n):
     try:
         rows = triple_quad_ids(n)
         ids = array("I", (e >> 2 for r in range(comb(n, 3)) for e in rows[r]))
-        for table, digest in zip((quad_triple_ranks(n), ids), _INDEX_SHA256[n]):
+        qt = quad_triple_ranks(n)
+        ranks = array("I", (r for qi in range(comb(n, 4)) for r in _places(qt[qi])))
+        for table, digest in zip((ranks, ids), _INDEX_SHA256[n]):
             if sys.byteorder == "big":
                 table = array("I", table)
                 table.byteswap()
@@ -478,24 +488,68 @@ def _clear_index_caches():
         fn.cache_clear()
 
 
-def test_quad_triple_ranks_at_49_vertices_holds_its_output_and_four_blocks():
-    # the ceiling derives from the layout, not from a measurement: the
-    # output, 16 bytes per 4-subset (3.39 MB) with the 1/16 headroom that a
-    # growing array keeps, plus four of the largest blocks, the C(48,3)
-    # 4-subsets with a = 0: the sets {b<c<d} that a is added to, the step,
-    # their sum and its bytes
+def _traced(call):
+    """The memory that call() holds after it returns, and its peak."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+
+
+def test_quad_triple_ranks_builds_nothing_until_read():
     n = 49
+    _clear_index_caches()
+    try:
+        _, peak = _traced(lambda: quad_triple_ranks(n))
+        assert len(quad_triple_ranks(n)) == 0
+    finally:
+        _clear_index_caches()
+    # the store object and its cache entry, against 3.4 MB of flat ranks
+    assert peak < 1024, peak
+
+
+@pytest.mark.parametrize("n,reads", [(49, 1000), (49, 9139), (99, 50_000)])
+def test_quad_triple_ranks_holds_at_most_96_bytes_per_quad_read(n, reads):
+    # what the store keeps per quad read: the entry's int, of four 18-bit
+    # lanes, and its slot in the store's table.  The ids are the caller's
+    # ints, made here before tracing as the solver's queue makes them (the
+    # store keeps each alive, 28 bytes more); a 4-tuple of ranks would keep
+    # about 220 bytes
+    ids = random.Random(reads).sample(range(comb(n, 4)), reads)
+    _clear_index_caches()
+    try:
+        qt = quad_triple_ranks(n)
+        qt[ids[0]]  # the per-n terms that every read shares
+        kept, _ = _traced(lambda: [qt[qi] for qi in ids[1:]])
+        assert len(qt) == reads
+    finally:
+        _clear_index_caches()
+    assert kept <= 96 * (reads - 1), kept / (reads - 1)
+
+
+def test_quad_triple_ranks_drops_its_entries_with_the_cache():
+    # the per-n terms that every read shares stay cached
+    n = 49
+    quad_triple_ranks(n)[0]
     _clear_index_caches()
     tracemalloc.start()
     try:
-        quad_triple_ranks(n)
-        _, peak = tracemalloc.get_traced_memory()
+        qt = quad_triple_ranks(n)
+        reads = range(0, comb(n, 4), 97)
+        for qi in reads:
+            qt[qi]
+        held = tracemalloc.get_traced_memory()[0]
+        del qt
+        _clear_index_caches()
+        dropped = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
         _clear_index_caches()
-    block = 16 * comb(n - 1, 3)
-    assert block == 276_736
-    assert peak < 17 * comb(n, 4) + 4 * block, peak
+    # each entry holds at least its id and its int, 28 and 36 bytes
+    assert held > 64 * len(reads) and dropped < 4096, (held, dropped)
+    assert len(quad_triple_ranks(n)) == 0
 
 
 def test_index_guard_refuses_before_building():
