@@ -36,12 +36,12 @@ each.  Only when a table fails is the lexicographically least witness
 looked for, by the same kernel on the table read backwards.
 
 A batch goes in chunks of at most _CHECK_BYTES codes, a narrow chunk table
-by table, one of more tables than vertices column-wise: transposed into one
-int per triple rank whose byte k is the value of that triple in table k, so
-one evaluation of the code formula on these ints, over the 4-subsets in
-lexicographic order with their ranks from the colex formula, yields the
-codes of a 4-subset in every table, byte by byte.  Neither path reads a
-4-subset index.
+by table, one of more tables than vertices column-wise: transposed, by
+strided slices of the joined chunk, into one int per triple rank whose byte
+k is the value of that triple in table k, so one evaluation of the code
+formula on these ints, over the 4-subsets in lexicographic order with their
+ranks from the colex formula, yields the codes of a 4-subset in every
+table, byte by byte.  Neither path reads a 4-subset index.
 """
 
 from __future__ import annotations
@@ -314,10 +314,13 @@ def first_offence(n: int, tables, allowed) -> tuple[int, int] | None:
 
 def _column_offence(n: int, tables, ok: bytes) -> tuple[int, int] | None:
     """`first_offence` of one chunk, judged column-wise, with the ranks from
-    the colex formula a + C(b,2) + C(c,3) over 0-based vertices."""
-    width = len(tables)
-    # byte k of cols[r] is the value of triple r in table k
-    cols = [int.from_bytes(bytes(col), "little") for col in zip(*tables)]
+    the colex formula a + C(b,2) + C(c,3) over 0-based vertices.  Column r,
+    byte k of which is the value of triple r in table k, is every C(n,3)-th
+    byte of the joined chunk from r; the joined copy goes before the walk."""
+    width, m = len(tables), comb(n, 3)
+    joined = b"".join(tables)
+    cols = [int.from_bytes(joined[r::m], "little") for r in range(m)]
+    del joined
     c2, c3 = ([comb(x, k) for x in range(n)] for k in (2, 3))
     # appended in place: joining one string per 4-subset would also hold a
     # list slot and a buffer view (about 120 bytes) per 4-subset

@@ -9,17 +9,21 @@ are excluded the 4-subset is a conflict.
 
 There is one search loop, `_Engine.search`: a depth-first search over the
 assignment trail with an explicit stack of (rank, trail mark) frames, after
-MiniSat (Een and Sorensson, SAT 2003).  It branches on the least-rank hole,
-PLUS before MINUS, so it yields the completions in lexicographic order of
-the hole assignment vector (a forced value is the only one that any
-completion below the node takes).  A backtrack undoes the trail to just
-after the decision and flips the decision from PLUS to MINUS in place, in
-the one row loop of `assign`.  Its callers differ only in when they
-stop: `complete` takes the first completion, the least one, which is
-`all_completions(structure, allowed, cap=1)[0]`; `all_completions` takes up
-to `cap` of them.  Propagation worklists are FIFO, so identical inputs give
-identical results.  The search is iterative and changes no interpreter-wide
-state.
+MiniSat (Een and Sorensson, SAT 2003).  It is one flat loop that calls an
+engine method only to backtrack: each turn pops the worklist, or at an
+empty worklist decides the least-rank hole PLUS, or yields a completion; a
+conflict or a completion backtracks, undoing the trail to just after the
+latest decision and flipping it to MINUS in place.  Every forced, decided
+or flipped value goes through the one row block at the foot of the loop.
+Branching PLUS before MINUS on the least-rank hole, it yields the
+completions in lexicographic order of the hole assignment vector (a forced
+value is the only one that any completion below the node takes).  Its
+callers differ only in when they stop: `complete` takes the first
+completion, the least one, which is `all_completions(structure, allowed,
+cap=1)[0]`; `all_completions` takes up to `cap` of them; `propagate` runs
+the same loop up to its first branch.  Propagation worklists are FIFO, so
+identical inputs give identical results.  The search is iterative and
+changes no interpreter-wide state.
 
 Propagation judges a 4-subset by one lookup in the constraint set's 81-entry
 action table (see classify.ConstraintSet.action_table), keyed by the code
@@ -30,20 +34,18 @@ conflict, or which hole is forced to which value.  The engine keeps each
 in the 4-subset, tagged on each entry of the index), flipping it from PLUS
 to MINUS adds the difference, 3**pos, and undoing it takes its weight off.
 HOLE is 0, so the code also shows which triples are holes.  There is one
-judging rule, at the root as at every other node: `assign` judges a
-4-subset once, when its code falls to one hole, and queues it only when
-its action is not 0 (one lookup in the constraint set's queue table); a
-4-subset whose last hole fills is never queued.  The root starts from a
-table of holes and assigns every assigned triple of the input, so it
-judges each 4-subset with at most one hole, keeps those whose input code
-acts, and queues them in ascending id order.  A pop is one lookup,
-`action[code]`, and reads no table value.  Only no-op pops go: a one-hole
-4-subset's three assigned triples cannot change during a propagation, so
-its action when queued is its action when popped, until its hole fills;
-and if both values were allowed then, any fill is allowed too.  The
-entries that are kept keep their FIFO order, so trails, conflicts and node
-counts are those of queueing a 4-subset whenever it falls to one hole or
-to none.  The flip
+judging rule: the row block judges a 4-subset once, when its code falls to
+one hole, and queues it only when its action is not 0 (one lookup in the
+constraint set's queue table); a 4-subset whose last hole fills is never
+queued.  The root adds up the input's codes from a table of holes by the
+same rule, so its queue is the 4-subsets with at most one hole whose input
+code acts, in ascending id order.  A pop is one lookup, `action[code]`, and
+reads no table value.  Only no-op pops go: a one-hole 4-subset's three
+assigned triples cannot change during a propagation, so its action when
+queued is its action when popped, until its hole fills; and if both values
+were allowed then, any fill is allowed too.  The entries that are kept keep
+their FIFO order, so trails, conflicts and node counts are those of
+queueing a 4-subset whenever it falls to one hole or to none.  The flip
 gives the codes, and so the queue, of undoing the decision and assigning
 MINUS.  The 4-subset index is core's, and both its halves are computed on
 first read and kept for as long as it is cached: the 4-subsets through a
@@ -164,57 +166,34 @@ class _Engine:
     )
 
     def __init__(self, structure: HoleyHT, allowed: ConstraintSet) -> None:
-        self.n = structure.n
+        self.n = n = structure.n
         given = structure.table
-        self.table = bytearray(len(given))
+        self.table = bytearray(given)
         # qt[qi] packs quad qi's triple ranks; the tagged entries 4*qi + pos
         # of the quads through the triple of rank r are rows[r]
-        self.qt = quad_triple_ranks(self.n)
-        self.rows = triple_quad_ids(self.n)
-        self.action = allowed.action_table
-        self.queue = allowed.queue_table
-        # the root judges quads as every node does, in assign: the table
-        # and each quad start all holes, at code 0, and every assigned
-        # triple of the input is assigned.  A quad assigned in full is
-        # queued on its three-digit code, but its verdict is that of its
-        # input code: keep the quads whose input code acts, sorted, so the
-        # root queue is in quad order
-        self.code = [0] * comb(self.n, 4)
+        self.qt = quad_triple_ranks(n)
+        self.rows = rows = triple_quad_ids(n)
+        self.action = action = allowed.action_table
+        self.queue = queue = allowed.queue_table
+        self.code = code = [0] * comb(n, 4)
         self.trail: list[int] = []
         self.conflicts: set = set()
         self.nodes = 0
-        root: deque = deque()
+        # the input's codes, added up triple by triple from a table of holes.
+        # A quad passes through one hole at most once on the way, and its
+        # queue entry there keeps every quad that acts at the end with at
+        # most one hole (a full quad that offends had only one allowed fill
+        # at one hole); sorted, the root queue is in quad order
+        seen = []
         for r in itertools.compress(range(len(given)), given):
-            self.assign(r, given[r], root)
-        self.trail.clear()
-        code, action = self.code, self.action
-        self.root = deque(sorted(qi for qi in root if action[code[qi]]))
-
-    def assign(self, rank: int, value: int, worklist: deque) -> None:
-        """Set triple `rank` to `value`, add the change of its weight to the
-        code of each 4-subset through it and queue those that fall to one
-        hole with a nonzero action.
-
-        A hole goes on the trail.  A triple that holds PLUS is the decision
-        of a backtrack, undone to just after it: flipping it to MINUS in
-        place keeps its place on the trail, and adding the difference of
-        the two weights gives each code, and so the queue, that undoing it
-        and assigning MINUS would give."""
-        table = self.table
-        old = table[rank]
-        if not old:
-            self.trail.append(rank)
-        table[rank] = value
-        weight = _DELTAS[old][value]
-        row = self.rows[rank]
-        code = self.code
-        queue = self.queue
-        for e in row:
-            qi = e >> 2
-            c = code[qi] + weight[e & 3]
-            code[qi] = c
-            if queue[c]:
-                worklist.append(qi)
+            weight = _DELTAS[HOLE][given[r]]
+            for e in rows[r]:
+                qi = e >> 2
+                c = code[qi] + weight[e & 3]
+                code[qi] = c
+                if queue[c]:
+                    seen.append(qi)
+        self.root = deque(sorted(qi for qi in seen if action[code[qi]]))
 
     def undo_to(self, mark: int) -> None:
         """Cut the trail back to `mark`, making its triples holes again and
@@ -231,64 +210,78 @@ class _Engine:
                 code[e >> 2] += weight[e & 3]
         del trail[mark:]
 
-    def propagate(self, worklist: deque) -> int | None:
-        """Run unit propagation to fixpoint; return a conflicting quad id
-        or None.  Forced assignments extend the trail.
-
-        A queued quad had a nonzero action when it was queued, at the root
-        as at every other node.  Its three assigned triples cannot change
-        before its pop, so the pop re-judges its current code only for the
-        case that its hole filled meanwhile: then it gives 0 or a conflict.
-        A quad whose last hole fills is never queued: it had one hole just
-        before, and either it was queued then, or both values were allowed
-        and so is any fill."""
-        code = self.code
-        qt, shift, mask = self.qt, _SHIFT, _RANK
-        action = self.action
-        assign = self.assign
-        while worklist:
-            qi = worklist.popleft()
-            act = action[code[qi]]
-            if act == 0:
-                continue
-            if act < 0:
-                return qi
-            assign(qt[qi] >> shift[act] & mask, act & 3, worklist)
-        return None
-
-    def search(self) -> Iterator[bytes]:
+    def search(self, branch: bool = True) -> Iterator[bytes]:
         """Yield every completion, depth first, branching on the least-rank
         hole, PLUS before MINUS, so completions come out in lexicographic
-        order.
+        order; with `branch` false, stop at the first branch instead, at
+        the root's propagation fixpoint or conflict.
 
-        One frame (rank, trail mark) is stacked per decision whose MINUS
-        branch is still to be tried; a conflict or a yielded completion pops
-        the latest frame, undoes the trail to just after the decision and
-        flips it to MINUS in place (see assign).  The search runs on one
-        worklist, the root's, cleared after a conflict; propagation empties
-        it otherwise."""
+        Each turn of the loop pops the worklist, decides, or yields and
+        backtracks, and every value it sets (forced, decided or flipped)
+        goes through the one row block at its foot.  One frame (rank, trail
+        mark) is stacked per decision whose MINUS branch is still to be
+        tried; a conflict or a yielded completion pops the latest frame,
+        undoes the trail to just after the decision and flips it to MINUS in
+        place: the decision keeps its place on the trail, and adding the
+        difference of the two weights gives each code, and so the queue,
+        that undoing it and assigning MINUS would give.  The search runs on
+        one worklist, the root's, cleared after a conflict.
+
+        A queued quad had a nonzero action when it was queued.  Its three
+        assigned triples cannot change before its pop, so the pop re-judges
+        its current code only for the case that its hole filled meanwhile:
+        then it gives 0 or a conflict.  A quad whose last hole fills is
+        never queued: it had one hole just before, and either it was queued
+        then, or both values were allowed and so is any fill."""
         stack: list[tuple[int, int]] = []
         worklist = self.root
-        table, trail, conflicts, n = self.table, self.trail, self.conflicts, self.n
-        propagate, assign, undo_to = self.propagate, self.assign, self.undo_to
+        popleft, push = worklist.popleft, worklist.append
+        table, trail, code, rows = self.table, self.trail, self.code, self.rows
+        qt, shift, mask = self.qt, _SHIFT, _RANK
+        action, queue, deltas = self.action, self.queue, _DELTAS
+        conflicts, n, undo_to = self.conflicts, self.n, self.undo_to
+        self.nodes += 1
         while True:
-            self.nodes += 1
-            qi = propagate(worklist)
-            if qi is not None:
-                conflicts.add(quad_vertices(n, qi))
-                worklist.clear()
+            if worklist:
+                qi = popleft()
+                act = action[code[qi]]
+                if not act:
+                    continue
+                if act > 0:
+                    rank, value = qt[qi] >> shift[act] & mask, act & 3
+                else:
+                    conflicts.add(quad_vertices(n, qi))
+                    worklist.clear()
+                    rank = -1
+            elif not branch:
+                return
             else:
                 rank = table.find(HOLE)
                 if rank >= 0:
                     stack.append((rank, len(trail)))
-                    assign(rank, PLUS, worklist)
-                    continue
-                yield bytes(table)
-            if not stack:
-                return
-            rank, mark = stack.pop()
-            undo_to(mark + 1)
-            assign(rank, MINUS, worklist)
+                    self.nodes += 1
+                    value = PLUS
+                else:
+                    yield bytes(table)
+            if rank < 0:
+                if not stack:
+                    return
+                rank, mark = stack.pop()
+                self.nodes += 1
+                undo_to(mark + 1)
+                value = MINUS
+            # the row block: a hole goes on the trail, a flip keeps its place
+            old = table[rank]
+            if not old:
+                trail.append(rank)
+            table[rank] = value
+            weight = deltas[old][value]
+            for e in rows[rank]:
+                qi = e >> 2
+                c = code[qi] + weight[e & 3]
+                code[qi] = c
+                if queue[c]:
+                    push(qi)
 
 
 def _check_sound(structure: HoleyHT, allowed: ConstraintSet, tables) -> None:
@@ -313,9 +306,10 @@ def propagate(structure: HoleyHT, allowed) -> PropagationResult:
     """
     allowed = ConstraintSet.coerce(allowed)
     engine = _Engine(structure, allowed)
-    qi = engine.propagate(engine.root)
-    if qi is not None:
-        return PropagationResult(ok=False, conflict=quad_vertices(structure.n, qi))
+    # up to its first branch the search yields nothing; a conflict ends it
+    next(engine.search(branch=False), None)
+    if engine.conflicts:
+        return PropagationResult(ok=False, conflict=engine.conflicts.pop())
     n, table = structure.n, engine.table
     forced = tuple((triple_of_rank(n, r), table[r]) for r in engine.trail)
     return PropagationResult(

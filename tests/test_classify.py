@@ -182,6 +182,34 @@ def test_first_offence_over_a_batch(types, monkeypatch):
     assert first_offence(5, [], allowed) is None
 
 
+@pytest.mark.parametrize("n", range(4, 13))
+def test_column_offence_agrees_with_the_kernel_table_by_table(n):
+    # the column-wise path transposes a chunk by strided slices of the
+    # joined tables: against the one-table kernel on seeded holey batches
+    # just past the crossover (n + 1 tables), about twice as wide, and one
+    # full chunk, drawn from a pool of 40 tables with any number of holes;
+    # then on batches of holey cyclic tables whose only offender is the last
+    rng = random.Random(20 + n)
+    chunk = classify._CHECK_BYTES // comb(n, 4)
+    pool = [random_holey_ht(rng, n, rng.randrange(comb(n, 3) + 1)).table for _ in range(40)]
+    offender = next(t for t in (random_full_ht(rng, n).table for _ in range(100))
+                    if classify._least_offence(n, t, CYCLIC.ok_table) is not None)
+    for width in (n + 1, 2 * n + 3, chunk):
+        tables = rng.choices(pool, k=width)
+        for allowed in (CYCLIC, EVEN, H4_FREE, ConstraintSet.of(FourType.O4)):
+            least = {t: classify._least_offence(n, t, allowed.ok_table) for t in set(tables)}
+            expect = min(((qi, tables.index(t)) for t, qi in least.items() if qi is not None),
+                         default=None)
+            assert classify._column_offence(n, tables, allowed.ok_table) == expect
+    cyclic = [bytes(v if rng.random() < 0.8 else HOLE
+                    for v in gen_cyclic(n, rng.sample(range(1, n + 1), n)).table)
+              for _ in range(8)]
+    last = classify._least_offence(n, offender, CYCLIC.ok_table)
+    for width in (n + 1, 2 * n + 3, chunk):
+        batch = rng.choices(cyclic, k=width - 1) + [offender]
+        assert classify._column_offence(n, batch, CYCLIC.ok_table) == (last, width - 1)
+
+
 def plant_random_quads(rng, structure, count):
     """A copy with `count` random 4-subsets given random values."""
     table = bytearray(structure.table)

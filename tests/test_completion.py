@@ -8,6 +8,7 @@ import random
 import sys
 import tracemalloc
 import weakref
+from collections import deque
 from math import comb
 
 import pytest
@@ -353,8 +354,11 @@ def _check_ceiling(n: int, width: int) -> int:
     bytes of codes, as three chunk-sized strings at most (the codes as they
     grow, with their headroom, and their translation); and, as stated
     per-object overhead, the columns (an int of `width` bytes per triple,
-    with its header and its list slot) and two pointers per table (the
-    chunk's list and one column's tuple)."""
+    with its header and its list slot) and two pointers per table (one for
+    the chunk's list, one to spare).  The joined chunk that the columns are
+    sliced from, and the join's buffer view of each table (80 bytes), are
+    gone before the codes grow, and fit in their allowance from 7 vertices
+    on."""
     return (3 * classify._CHECK_BYTES
             + comb(n, 3) * (width + sys.getsizeof(0) + 8)
             + 16 * width)
@@ -844,12 +848,14 @@ def _quad_ranks(n):
 
 @pytest.fixture
 def checked_nodes(monkeypatch):
-    """Recount the 4-subset codes from the table before and after every
-    propagation, one per node, and check them; check that each 4-subset an
-    assign queues has one hole and acts, and recount the codes after every
-    flip (an assign to a triple that holds PLUS: the MINUS branch of a
-    backtrack); returns the node and flip counts in a two-element list."""
-    original, original_assign = _Engine.propagate, _Engine.assign
+    """Give every engine a trail and a worklist that check its invariants.
+    The trail recounts the 4-subset codes from the table at every append,
+    and before and after every cut; the worklist checks that each 4-subset
+    queued has one hole and acts.  Returns [checked nodes, flips]: a node is
+    counted when a recount first sees its number (the root's, as the engine
+    is made), and a flip when a cut leaves the trail ending on its decision,
+    which holds PLUS there and MINUS at the next recount that keeps it."""
+    init = _Engine.__init__
     calls = [0, 0]
 
     def recount(engine):
@@ -858,26 +864,52 @@ def checked_nodes(monkeypatch):
             t[a] + 3 * t[b] + 9 * t[c] + 27 * t[d] for a, b, c, d in _quad_ranks(engine.n)
         ]
 
-    def checked(engine, worklist):
-        recount(engine)
-        qi = original(engine, worklist)
-        recount(engine)
-        calls[0] += 1
-        return qi
+    class Trail(list):
+        def __init__(self, engine):
+            super().__init__()
+            self.engine, self.node, self.flip = engine, 1, None
 
-    def checked_assign(engine, rank, value, worklist):
-        queued, flip = len(worklist), engine.table[rank] == PLUS
-        original_assign(engine, rank, value, worklist)
-        for qi in itertools.islice(worklist, queued, None):
-            code = engine.code[qi]
-            assert classify._CODES[code].count(HOLE) == 1 and engine.action[code]
-        if flip:
-            assert value == MINUS and engine.trail.count(rank) == 1
+        def check(self, kept):
+            # the last flip's decision holds MINUS unless a cut undid it
+            engine = self.engine
             recount(engine)
+            if self.flip is not None and self.flip < kept:
+                assert engine.table[self[self.flip]] == MINUS
+            self.flip = None
+            if engine.nodes > self.node:
+                self.node = engine.nodes
+                calls[0] += 1
+
+        def append(self, rank):
+            self.check(len(self))
+            assert self.engine.table[rank] == HOLE and rank not in self
+            super().append(rank)
+
+        def __delitem__(self, key):
+            self.check(key.start)
+            super().__delitem__(key)
+            self.check(len(self))
+            self.flip = len(self) - 1
+            assert self.engine.table[self[-1]] == PLUS and self.count(self[-1]) == 1
             calls[1] += 1
 
-    monkeypatch.setattr(_Engine, "propagate", checked)
-    monkeypatch.setattr(_Engine, "assign", checked_assign)
+    class Worklist(deque):
+        def __init__(self, engine):
+            super().__init__(engine.root)
+            self.engine = engine
+
+        def append(self, qi):
+            code = self.engine.code[qi]
+            assert classify._CODES[code].count(HOLE) == 1 and self.engine.action[code]
+            super().append(qi)
+
+    def checked_init(engine, structure, allowed):
+        init(engine, structure, allowed)
+        engine.trail, engine.root = Trail(engine), Worklist(engine)
+        recount(engine)
+        calls[0] += 1
+
+    monkeypatch.setattr(_Engine, "__init__", checked_init)
     return calls
 
 
@@ -972,9 +1004,9 @@ def test_golden_backtracking_search(n, seed):
 
 
 def test_root_queue_is_the_acting_quads_in_id_order():
-    # the root judges quads in assign, as every node does: its queue is the
-    # quads with at most one hole and a nonzero action, ascending, its codes
-    # are the input's, and its trail is empty
+    # the root judges quads by the rule of the search's row block: its
+    # queue is the quads with at most one hole and a nonzero action,
+    # ascending, its codes are the input's, and its trail is empty
     for allowed in TYPE_SETS:
         rng = random.Random(5)
         for holes in (0.0, 0.3, 0.6, 0.9, 1.0):

@@ -176,6 +176,55 @@ def test_embeddings_match_reference_when_pruning(kind):
     assert pruned
 
 
+def test_embedding_searches_stay_within_their_step_bound(monkeypatch):
+    # _search_steps as a count: every gather embeddings makes is counted,
+    # with the triples it reads, and a gather over the C(k-1, 2) triples of
+    # a last position is one try of that position.  Pairs: a cyclic
+    # structure into another, where every position set embeds, so that
+    # position j is tried once for each of the C(m-k+j, j) prefixes that fit
+    # and reads C(j-1, 2) triples (at k = 3 that meets the bound); and
+    # pieces restricted from, or drawn apart from, a cyclic or even structure
+    getter, gathers = ramsey._tuple_getter, []
+
+    def counted(offsets):
+        gather, calls = getter(offsets), [0]
+        gathers.append((offsets, calls))
+
+        def wrapped(row):
+            calls[0] += 1
+            return gather(row)
+        return wrapped
+
+    monkeypatch.setattr(ramsey, "_tuple_getter", counted)
+    rng = random.Random(22)
+    pairs = [(cyc(k), cyc(m)) for k, m in ((3, 6), (4, 9), (5, 10), (6, 12))]
+    for kind in (ExpansionKind.CYCLIC, ExpansionKind.EVEN):
+        for k, m in ((3, 8), (4, 10), (5, 11), (6, 12)):
+            big = _random_ordered(rng, kind, m)
+            pairs += [(_sub_ordered(rng, big, k), big), (_random_ordered(rng, kind, k), big)]
+    counts = []
+    for small, big in pairs:
+        gathers.clear()
+        embeddings(small, big)
+        lead = big.n if small.kind == ExpansionKind.EVEN else 0
+        steps = 0
+        for offsets, calls in gathers[1:]:  # the first arranges each embedding
+            triples = sum(o >= lead for o in offsets)
+            steps += calls[0] * (triples + (triples == comb(small.n - 1, 2)))
+        assert 0 < steps <= ramsey._search_steps(small, big), (small, big)
+        counts.append(steps)
+    for (small, big), steps in zip(pairs[:4], counts):
+        k, m = small.n, big.n
+        assert steps == comb(m, k) + sum(comb(m - k + j, j) * comb(j - 1, 2)
+                                         for j in range(1, k + 1))
+    assert counts[0] == ramsey._search_steps(cyc(3), cyc(6)) == 40
+    # past MAX_ARROW_STEPS the arrow check refuses before its first gather
+    gathers.clear()
+    with pytest.raises(GuardExceeded, match="steps"):
+        arrow_check(cyc(40), cyc(20), cyc(10))
+    assert sum(calls[0] for _, calls in gathers) == 0
+
+
 @pytest.mark.parametrize("kind", [ExpansionKind.EVEN, ExpansionKind.ALL],
                          ids=lambda k: k.value)
 def test_arrow_matches_plain_sweep_seeded(kind):
