@@ -59,6 +59,7 @@ from .core import (
     HoleyHT,
     HoleyInput,
     InputError,
+    _binomials,
     quad_vertices,
 )
 
@@ -106,6 +107,9 @@ _TIMES_3, _TIMES_9, _TIMES_27 = (
 # the class test holds at most this many bytes of 4-subset codes at once, so
 # its memory is bounded at any vertex count
 _CHECK_BYTES = 1 << 20
+# a column-wise chunk is joined in pieces of this many tables: a join holds a
+# buffer view (80 bytes) per part, more than a small table itself
+_JOIN_TABLES = 4096
 
 
 def _action(bits: int, values) -> int:
@@ -318,10 +322,11 @@ def _column_offence(n: int, tables, ok: bytes) -> tuple[int, int] | None:
     byte k of which is the value of triple r in table k, is every C(n,3)-th
     byte of the joined chunk from r; the joined copy goes before the walk."""
     width, m = len(tables), comb(n, 3)
-    joined = b"".join(tables)
+    joined = b"".join([b"".join(tables[i:i + _JOIN_TABLES])
+                       for i in range(0, width, _JOIN_TABLES)])
     cols = [int.from_bytes(joined[r::m], "little") for r in range(m)]
     del joined
-    c2, c3 = ([comb(x, k) for x in range(n)] for k in (2, 3))
+    c2, c3, _ = _binomials(n)
     # appended in place: joining one string per 4-subset would also hold a
     # list slot and a buffer view (about 120 bytes) per 4-subset
     verdict = bytearray()
@@ -330,7 +335,7 @@ def _column_offence(n: int, tables, ok: bytes) -> tuple[int, int] | None:
             ab = a + c2[b]
             for c in range(b + 1, n):
                 abc, ac, bc = cols[ab + c3[c]], a + c2[c], b + c2[c]
-                for t in c3[c + 1:]:
+                for t in c3[c + 1:n]:
                     code = abc + 3 * cols[ab + t] + 9 * cols[ac + t] + 27 * cols[bc + t]
                     verdict += code.to_bytes(width, "little")
     pos = verdict.translate(ok).find(0)

@@ -71,6 +71,7 @@ from __future__ import annotations
 import itertools
 from collections import deque, namedtuple
 from collections.abc import Iterator
+from functools import partial
 from math import comb
 
 from .classify import ConstraintSet, class_member, first_offence
@@ -368,10 +369,9 @@ def all_completions(structure: HoleyHT, allowed, cap: int | None = None) -> list
     return [HoleyHT._trusted(structure.n, table) for table in tables]
 
 
-def _deletion_job(args) -> tuple[int, SolveResult]:
-    structure, allowed, vertex = args
+def _deletion(structure: HoleyHT, allowed: ConstraintSet, vertex: int) -> SolveResult:
     sub = structure.induced([v for v in structure.vertices if v != vertex])
-    return vertex, complete(sub, allowed)
+    return complete(sub, allowed)
 
 
 def is_minimal_obstruction(structure: HoleyHT, allowed, jobs: int = 1) -> MinimalityReport:
@@ -383,24 +383,20 @@ def is_minimal_obstruction(structure: HoleyHT, allowed, jobs: int = 1) -> Minima
     """
     allowed = ConstraintSet.coerce(allowed)
     whole = complete(structure, allowed)
-    deletions: dict[int, SolveResult] = {}
     if whole.sat:
-        return MinimalityReport(False, whole, deletions)
-    args = [(structure, allowed, v) for v in structure.vertices]
+        return MinimalityReport(False, whole, {})
+    job = partial(_deletion, structure, allowed)
     # the pool starts all its workers at once: no more than there are deletions
     workers = min(jobs, structure.n)
     if workers > 1:
         import concurrent.futures
 
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_deletion_job, args))
+            results = list(pool.map(job, structure.vertices))
     else:
-        results = [_deletion_job(a) for a in args]
-    for vertex, res in results:
-        deletions[vertex] = res
-    return MinimalityReport(
-        all(r.sat for r in deletions.values()), whole, deletions
-    )
+        results = map(job, structure.vertices)
+    deletions = dict(zip(structure.vertices, results))
+    return MinimalityReport(all(r.sat for r in deletions.values()), whole, deletions)
 
 
 def amalgamate(first: HoleyHT, second: HoleyHT, base, allowed) -> SolveResult:

@@ -25,12 +25,13 @@ gives the rank of the sorted triple and the parity of the sort, which
 `triple_value`, `orientation_of`, `with_value`, `validate`, `glue` and
 the chain builder of `families` all read.
 
-The 4-subset index that the solver reads has two halves, cached per n,
-whose entries are computed from the lexicographic 4-subset id formula on
-their first read and kept (`_Store`): `quad_triple_ranks`, the four triple
-ranks of each 4-subset packed in one int, and `triple_quad_ids`, the row of
-the n-3 4-subsets through each triple.  `quad_vertices` inverts the id
-formula.  Both, and `htfile.parse`, refuse more than VERTEX_GUARD vertices.
+The 4-subset index that the solver reads has two halves, cached per n:
+`quad_triple_ranks`, the four triple ranks of each 4-subset packed in one
+int, and `triple_quad_ids`, the row of the n-3 4-subsets through each
+triple.  One lazy store class, `_Store`, serves both halves and the text
+lines of `htfile`: an entry is computed from its rank on its first read and
+kept.  `quad_vertices` inverts the lexicographic 4-subset id formula.  Both
+halves, and `htfile.parse`, refuse more than VERTEX_GUARD vertices.
 """
 
 from __future__ import annotations
@@ -161,8 +162,8 @@ def _guard_index(n: int) -> None:
 
 
 class _Store(dict):
-    """One half of the 4-subset index on n vertices: entry k, for 0 <= k <
-    size, is make(n, k), computed on its first read and kept."""
+    """A lazy per-rank table on n vertices: entry k, for 0 <= k < size, is
+    make(n, k), computed on its first read and kept."""
 
     __slots__ = ("_n", "_size", "_make")
 
@@ -332,8 +333,7 @@ class HoleyHT:
         return 3 - v if v != HOLE and odd else v
 
     def holes(self) -> list[tuple[int, int, int]]:
-        ts = triples(self.n)
-        return [ts[r] for r, v in enumerate(self.table) if v == HOLE]
+        return [triple_of_rank(self.n, r) for r, v in enumerate(self.table) if v == HOLE]
 
     def hole_count(self) -> int:
         return self.table.count(HOLE)
@@ -458,7 +458,7 @@ def validate(tuples_in_r, n: int) -> HoleyHT:
         if table[r] == HOLE:
             table[r] = value
         elif table[r] != value:
-            a, b, c = triples(n)[r]
+            a, b, c = triple_of_rank(n, r)
             raise ContradictoryTriple(
                 f"both orientations of {{{a}, {b}, {c}}} asserted"
             )

@@ -27,6 +27,7 @@ from .core import (
     _order_parities,
     glue,
     slot,
+    triple_of_rank,
     triples,
     validate,
 )
@@ -94,16 +95,18 @@ class ChainBuilder:
         for rank, value in assigned:
             if rank in self.must_hole:
                 raise ChainInconsistent(
-                    f"link {kind.value}@{verts} assigns required hole {triples(self.n)[rank]}"
+                    f"link {kind.value}@{verts} assigns required hole "
+                    f"{triple_of_rank(self.n, rank)}"
                 )
             if self.table[rank] not in (HOLE, value):
                 raise ChainInconsistent(
-                    f"link {kind.value}@{verts} contradicts {triples(self.n)[rank]}"
+                    f"link {kind.value}@{verts} contradicts {triple_of_rank(self.n, rank)}"
                 )
         for rank in holes:
             if self.table[rank] != HOLE:
                 raise ChainInconsistent(
-                    f"link {kind.value}@{verts} needs {triples(self.n)[rank]} to be a hole"
+                    f"link {kind.value}@{verts} needs "
+                    f"{triple_of_rank(self.n, rank)} to be a hole"
                 )
         for rank, value in assigned:
             self.table[rank] = value

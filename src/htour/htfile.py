@@ -9,9 +9,10 @@
 Unlisted triples are holes.  emit() is canonical: triples in rank order,
 then the order section, then edges sorted; parse(emit(x)) round-trips and
 emit(parse(emit(x))) is byte-identical.  `lines` gives the same lines
-without their ends, as the JSON reports list them.  The line of a triple is
-made on its first use, from its rank, and kept per vertex count, so printing
-a structure walks only its assigned triples.
+without their ends, as the JSON reports list them.  The lines of a triple
+are made on their first use, from its rank, and kept per vertex count in a
+`core._Store`, the lazy store of the 4-subset index, so printing a structure
+walks only its assigned triples.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from .core import (
     GuardExceeded,
     HoleyHT,
     InputError,
+    _Store,
     check_order,
     triple_of_rank,
     triple_rank,
@@ -38,24 +40,17 @@ from .core import (
 _VALUE = {"+": PLUS, "-": MINUS}
 
 
-class _TripleLines(dict):
-    """Rank r -> the lines of triple r indexed by its value (PLUS 1, MINUS
-    2): (None, its line with PLUS, its line with MINUS), made on the first
-    read and kept."""
-
-    __slots__ = ("_n",)
-
-    def __init__(self, n: int) -> None:
-        super().__init__()
-        self._n = n
-
-    def __missing__(self, r: int) -> tuple:
-        triple = "%d %d %d " % triple_of_rank(self._n, r)
-        entry = self[r] = (None, triple + "+", triple + "-")
-        return entry
+def _triple_line(n: int, r: int) -> tuple:
+    """The lines of triple r indexed by its value (PLUS 1, MINUS 2): (None,
+    its line with PLUS, its line with MINUS)."""
+    triple = "%d %d %d " % triple_of_rank(n, r)
+    return None, triple + "+", triple + "-"
 
 
-_triple_lines = lru_cache(maxsize=None)(_TripleLines)
+@lru_cache(maxsize=None)
+def _triple_lines(n: int) -> _Store:
+    """Rank r -> `_triple_line(n, r)`, made on the first read and kept."""
+    return _Store(n, comb(n, 3), _triple_line)
 
 
 class Document(namedtuple("Document", "structure order edges", defaults=(None, None))):

@@ -314,6 +314,26 @@ def test_one_table_holds_at_most_a_chunk_of_codes(monkeypatch):
         assert peak < ceiling, (peak, ceiling)
 
 
+def test_wide_chunk_joins_in_pieces():
+    # 200,000 tables of 5 vertices are one chunk of 1,000,000 codes: joined
+    # in one call, the chunk would hold a buffer view of 80 bytes per table
+    # (16 MB) beside its 2 MB copy
+    n, width, m = 5, 200_000, 10
+    assert width * comb(n, 4) <= classify._CHECK_BYTES and m == comb(n, 3)
+    values = bytes(PLUS + (i & 1) for i in range(256))
+    data = random.Random(21).randbytes(width * m).translate(values)
+    tables = [data[i:i + m] for i in range(0, len(data), m)]
+    del data
+    tracemalloc.start()
+    try:
+        hit = first_offence(n, tables, ALL_TYPES)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert hit is None
+    assert peak < 8 * 2**20, peak
+
+
 def test_all_types_unconstrained():
     rng = random.Random(11)
     for _ in range(50):

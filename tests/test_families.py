@@ -3,15 +3,18 @@ import itertools
 
 import pytest
 
+from htour import core
 from htour.classify import CYCLIC, EVEN, H4_FREE, FourType, class_member, four_type
 from htour.core import (
     HOLE,
     MINUS,
     PLUS,
+    ContradictoryTriple,
     HoleyHT,
     InputError,
     is_isomorphic,
     quads,
+    validate,
 )
 from htour.families import (
     ChainBuilder,
@@ -66,6 +69,25 @@ def test_apply_link_protects_holes():
         # FWD at (2,5,3,4) would assign {2,3,4}, which the first link
         # requires to stay a hole
         b.apply_link(LinkKind.FWD, (2, 5, 3, 4))
+
+
+def test_refusals_decode_only_the_triple_they_name():
+    # a refusal names its triple from the rank alone: no table of all
+    # C(60,3) = 34,220 triples is built
+    core.triples.cache_clear()
+    with pytest.raises(ContradictoryTriple) as exc:
+        validate([(58, 59, 60), (58, 60, 59)], 60)
+    assert str(exc.value) == "both orientations of {58, 59, 60} asserted"
+    b = ChainBuilder(60).apply_link(LinkKind.FWD, (57, 58, 59, 60))
+    for kind, verts, message in (
+        (LinkKind.CO_FWD, (57, 58, 59, 60), "contradicts (57, 59, 60)"),
+        (LinkKind.FWD, (58, 1, 59, 60), "assigns required hole (58, 59, 60)"),
+        (LinkKind.FWD, (1, 57, 59, 60), "needs (57, 59, 60) to be a hole"),
+    ):
+        with pytest.raises(ChainInconsistent) as exc:
+            b.apply_link(kind, verts)
+        assert str(exc.value) == f"link {kind.value}@{verts} {message}"
+    assert core.triples.cache_info().currsize == 0
 
 
 def test_refused_link_leaves_the_builder_unchanged():
