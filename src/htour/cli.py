@@ -252,10 +252,6 @@ def _cmd_ramsey(args, doc, allowed):
     else:
         raise InputError("ramsey needs --sizes C,B,A or --files C B A")
     verdict = arrow_check(big, mid, small, max_embeddings=args.max_embeddings)
-    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
-    if digits and verdict.colorings >= 10 ** digits:
-        raise GuardExceeded(f"{len(verdict.a_embeddings)} embeddings give more colorings "
-                            f"than an integer of {digits} digits, the most a report can write")
     witness = {
         "embeddings": len(verdict.a_embeddings),
         "copies": verdict.b_copies,

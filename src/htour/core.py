@@ -17,6 +17,14 @@ triple, which keeps lookups O(1) and the solver cache-friendly;
 `triple_of_rank` gives the triple of a rank back without a table of
 triples.
 
+The parities of an order, a byte per triple that `hat`, `unhat` and the
+cyclic generator read, come from a lane kernel: the columns of the least,
+middle and largest vertex of each triple, cached per n, are translated to
+places in the order and read as ints of byte lanes.  With places below
+128, a lane of (p | 0x80) - q never borrows and has its top bit set exactly
+when p > q, so the three comparisons of a triple take a few int operations
+over all triples at once.  It refuses more than VERTEX_GUARD vertices.
+
 One method, `HoleyHT.along`, reads a structure through a sequence of its
 vertices: a restriction (`induced`), a relabeling (`relabel`), a structure
 along its order (a position table) and a candidate isomorphism.  One
@@ -39,7 +47,7 @@ from __future__ import annotations
 import itertools
 from array import array
 from bisect import bisect_right
-from collections import namedtuple
+from collections import Counter, namedtuple
 from functools import lru_cache
 from math import comb
 
@@ -62,7 +70,6 @@ VERTEX_GUARD = 100
 # rank is below C(100,3) < 2**18
 _LANE = 18
 
-_SIGN_CHAR = {PLUS: "+", MINUS: "-"}
 _VALUES = bytes([HOLE, PLUS, MINUS])
 _COMPLEMENT_MAP = bytes.maketrans(bytes([HOLE, PLUS, MINUS]), bytes([HOLE, MINUS, PLUS]))
 
@@ -128,14 +135,21 @@ def triple_of_rank(n: int, r: int) -> tuple[int, int, int]:
 
 
 @lru_cache(maxsize=None)
+def _triple_columns(n: int) -> tuple[bytes, bytes, bytes]:
+    """The least, middle and largest vertex of each triple over 1..n < 256, in
+    rank order, as byte columns: the triples with largest vertex c are the
+    first C(c-1, 2) pairs {a < b} of the colex pair sequence, each with c."""
+    sizes = _binomials(n)[0][2:n]  # C(c-1, 2) for c = 3..n
+    least = b"".join(bytes(range(1, b)) for b in range(2, n))
+    middle = b"".join(bytes([b]) * (b - 1) for b in range(2, n))
+    return (b"".join(least[:s] for s in sizes), b"".join(middle[:s] for s in sizes),
+            b"".join(bytes([c]) * s for c, s in enumerate(sizes, 3)))
+
+
+@lru_cache(maxsize=None)
 def triples(n: int) -> tuple[tuple[int, int, int], ...]:
-    """All sorted triples over 1..n in rank (colex) order."""
-    out = []
-    for k in range(3, n + 1):
-        for j in range(2, k):
-            for i in range(1, j):
-                out.append((i, j, k))
-    return tuple(out)
+    """All sorted triples over 1..n < 256 in rank (colex) order."""
+    return tuple(zip(*_triple_columns(n)))
 
 
 @lru_cache(maxsize=None)
@@ -148,17 +162,16 @@ def quads(n: int) -> tuple[tuple[int, int, int, int], ...]:
 
 
 @lru_cache(maxsize=None)
-def _rank_terms(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Tuples t2, t3 over 0..n with triple_rank(a, b, c) = a + t2[b] + t3[c]."""
-    vs = range(n + 1)
-    return (tuple((v - 1) * (v - 2) // 2 - 1 for v in vs),
-            tuple((v - 1) * (v - 2) * (v - 3) // 6 for v in vs))
+def _rank_terms(n: int) -> tuple[list[int], list[int]]:
+    """Lists t2, t3 over 0..n with triple_rank(a, b, c) = a + t2[b] + t3[c]
+    for 0 < a < b < c <= n: t2[v] = C(v-1, 2) - 1 and t3[v] = C(v-1, 3)."""
+    c2, c3, _ = _binomials(n)
+    return [0] + [x - 1 for x in c2[:n]], [0] + c3[:n]
 
 
-def _guard_index(n: int) -> None:
+def _guard_index(n: int, what: str = "the 4-subset index") -> None:
     if n > VERTEX_GUARD:
-        raise GuardExceeded(f"the 4-subset index is limited to {VERTEX_GUARD} "
-                            f"vertices, got {n}")
+        raise GuardExceeded(f"{what} is limited to {VERTEX_GUARD} vertices, got {n}")
 
 
 class _Store(dict):
@@ -435,11 +448,10 @@ class HoleyHT:
         return (HoleyHT, (self.n, self.table))
 
     def __repr__(self) -> str:
-        assigned = ", ".join(
-            f"{t}:{_SIGN_CHAR[v]}"
-            for t, v in zip(triples(self.n), self.table)
-            if v != HOLE
-        )
+        table = self.table
+        # HOLE is 0, so compress keeps the ranks of the assigned triples
+        assigned = ", ".join(f"{triple_of_rank(self.n, r)}:{' +-'[table[r]]}"
+                             for r in itertools.compress(range(len(table)), table))
         return f"HoleyHT(n={self.n}, {{{assigned}}})"
 
 
@@ -477,7 +489,7 @@ def glue(first: HoleyHT, second: HoleyHT, base) -> HoleyHT:
     """
     base_ids = sorted(set(base))
     for v in base_ids:
-        if not (1 <= v <= first.n and 1 <= v <= second.n):
+        if not 1 <= v <= min(first.n, second.n):
             raise InputError(f"base vertex {v} missing from a factor")
     for t in itertools.combinations(base_ids, 3):
         if first.triple_value(*t) != second.triple_value(*t):
@@ -492,10 +504,10 @@ def glue(first: HoleyHT, second: HoleyHT, base) -> HoleyHT:
     table = bytearray(first.table) + bytes(comb(total, 3) - len(first.table))
     # base ids may interleave with the fresh ones, so the second factor's
     # relabeling need not be monotone: a value flips with its parity
-    for (a, b, c), v in zip(triples(second.n), second.table):
-        if v != HOLE:
-            r, odd = slot(total, relabel[a], relabel[b], relabel[c])
-            table[r] = 3 - v if odd else v
+    for r in itertools.compress(range(len(second.table)), second.table):
+        v, (a, b, c) = second.table[r], triple_of_rank(second.n, r)
+        s, odd = slot(total, relabel[a], relabel[b], relabel[c])
+        table[s] = 3 - v if odd else v
     return HoleyHT(total, bytes(table))
 
 
@@ -515,8 +527,8 @@ def is_isomorphic(first: HoleyHT, second: HoleyHT) -> tuple[int, ...] | None:
         raise GuardExceeded(f"isomorphism search limited to n <= {ISO_GUARD}, got {n}")
     # hole degrees are the cheap invariant: assigned values flip with the
     # parity of the relabeling, so their multiset is not preserved
-    want, have = _hole_degrees(first), _hole_degrees(second)
-    if sorted(want) != sorted(have):
+    want, have = (Counter(itertools.chain.from_iterable(s.holes())) for s in (first, second))
+    if sorted(want.values()) != sorted(have.values()):
         return None
     stack = [()]
     while stack:
@@ -530,15 +542,6 @@ def is_isomorphic(first: HoleyHT, second: HoleyHT) -> tuple[int, ...] | None:
         stack.extend(prefix + (w,) for w in range(n, 0, -1)
                      if have[w] == degree and w not in prefix)
     return None
-
-
-def _hole_degrees(structure: HoleyHT) -> list[int]:
-    """Entry v is the number of hole triples through vertex v (entry 0 is 0)."""
-    degrees = [0] * (structure.n + 1)
-    for t in structure.holes():
-        for v in t:
-            degrees[v] += 1
-    return degrees
 
 
 class Hypergraph3(namedtuple("Hypergraph3", "n hyperedges")):
@@ -559,14 +562,28 @@ class Hypergraph3(namedtuple("Hypergraph3", "n hyperedges")):
         return cls(*iterable)
 
 
-def _order_parities(n: int, order) -> list[int]:
-    """For each triple in rank order, the parity of the permutation sorting
-    its vertices by position in `order`: 1 exactly when reading the triple
-    along the order flips its stored orientation (see orientation_of)."""
-    pos = [0] * (n + 1)
+def _lanes(data: bytes) -> int:
+    """The bytes as one int, a lane of 8 bits per byte."""
+    return int.from_bytes(data, "big")
+
+
+def _order_parities(n: int, order) -> bytes:
+    """For each triple in rank order, the parity (a byte 0 or 1) of the
+    permutation sorting its vertices by position in `order`: 1 exactly when
+    reading the triple along the order flips its stored orientation (see
+    orientation_of).  Refuses n > VERTEX_GUARD."""
+    _guard_index(n, "the parity table of an order")
+    place = bytearray(256)
     for i, v in enumerate(check_order(order, n)):
-        pos[v] = i
-    return [tuple_parity(pos[a], pos[b], pos[c]) for a, b, c in triples(n)]
+        place[v] = i
+    least, middle, largest = _triple_columns(n)
+    a, b = _lanes(least.translate(place)), _lanes(middle.translate(place))
+    c, top = _lanes(largest.translate(place)), _lanes(b"\x80" * len(least))
+    # a lane (p | 0x80) - q is 0x80 + p - q, in 1..255 for places below 128,
+    # so it never borrows and has its top bit set exactly when p > q
+    a |= top
+    odd = (a - b ^ a - c ^ (b | top) - c) & top
+    return (odd >> 7).to_bytes(len(least), "big")
 
 
 def hat(structure: HoleyHT, order) -> Hypergraph3:
@@ -574,22 +591,21 @@ def hat(structure: HoleyHT, order) -> Hypergraph3:
     with (a, b, c) in the relation.  Requires a hole-free structure."""
     if not structure.is_complete():
         raise HoleyInput("hat is defined for hole-free structures only")
-    parities = _order_parities(structure.n, order)
-    edges = frozenset(
-        t
-        for t, v, odd in zip(triples(structure.n), structure.table, parities)
-        if v == (MINUS if odd else PLUS)
-    )
-    return Hypergraph3(structure.n, edges)
+    n, table = structure.n, structure.table
+    # lanes of PLUS (1) or MINUS (2) less the parity never borrow, and are 1
+    # exactly where the triple read along the order is PLUS
+    ones = (_lanes(table) - _lanes(_order_parities(n, order))).to_bytes(len(table), "big")
+    edges = frozenset(itertools.compress(triples(n), ones.replace(b"\x02", b"\x00")))
+    # sorted triples over 1..n, so __new__ need not check them again
+    return tuple.__new__(Hypergraph3, (n, edges))
 
 
 def unhat(hypergraph: Hypergraph3, order) -> HoleyHT:
     """Inverse of hat: orient each 3-subset {a < b < c in `order`} as
     (a, b, c) when it is a hyperedge and (a, c, b) otherwise."""
-    parities = _order_parities(hypergraph.n, order)
-    edges = hypergraph.hyperedges
-    table = bytes(
-        PLUS if (t in edges) != odd else MINUS
-        for t, odd in zip(triples(hypergraph.n), parities)
-    )
-    return HoleyHT(hypergraph.n, table)
+    n = hypergraph.n
+    parities = _order_parities(n, order)
+    member = bytes(map(hypergraph.hyperedges.__contains__, triples(n)))
+    # PLUS is 2 - 1 and MINUS is 2 - 0, a lane per triple
+    table = _lanes(b"\x02" * len(member)) - (_lanes(member) ^ _lanes(parities))
+    return HoleyHT(n, table.to_bytes(len(member), "big"))

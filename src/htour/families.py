@@ -33,6 +33,10 @@ from .core import (
 )
 
 
+# the value of a triple of a cyclic structure by the parity of its order
+_CYCLIC_VALUES = bytes.maketrans(b"\x00\x01", bytes([PLUS, MINUS]))
+
+
 class LinkKind(Enum):
     """The four gadget embeddings usable as chain links.
 
@@ -163,7 +167,7 @@ def gen_cyclic(n: int, order=None) -> HoleyHT:
     increasing-in-order tuple; every 4-subset then has type C4."""
     if order is None:
         order = range(1, n + 1)
-    return HoleyHT(n, bytes(MINUS if odd else PLUS for odd in _order_parities(n, order)))
+    return HoleyHT(n, _order_parities(n, order).translate(_CYCLIC_VALUES))
 
 
 def gen_even(n: int, edges, order=None) -> HoleyHT:
@@ -171,9 +175,10 @@ def gen_even(n: int, edges, order=None) -> HoleyHT:
     even number of edges get the increasing-in-order tuple, the rest its
     transposition.  Every 4-subset has type C4 or H4."""
     edge_set = normalize_edges(n, edges)
+    # first, so that the vertex guard refuses before the triples are built
+    cyclic = gen_cyclic(n, order).table
     odd = (((a, b) in edge_set) ^ ((a, c) in edge_set) ^ ((b, c) in edge_set)
            for a, b, c in triples(n))
-    cyclic = gen_cyclic(n, order).table
     return HoleyHT(n, bytes(3 - v if flip else v for v, flip in zip(cyclic, odd)))
 
 

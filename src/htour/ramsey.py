@@ -26,6 +26,7 @@ are those of A into C inside that image: two searches, A and B into C.
 
 from __future__ import annotations
 
+import sys
 from collections import namedtuple
 from enum import Enum
 from functools import cmp_to_key
@@ -35,7 +36,6 @@ from operator import itemgetter
 from .classify import CYCLIC as CYCLIC_SET
 from .classify import class_member
 from .core import (
-    IN_R,
     PLUS,
     GuardExceeded,
     HoleyHT,
@@ -259,8 +259,10 @@ def arrow_check(big: OrderedHT, mid: OrderedHT, small: OrderedHT,
     _search_steps on its two embedding searches, `small` and `mid` into
     `big`, exceeds MAX_ARROW_STEPS, and after the first one (which runs to
     its end, so the message names the full count) when `small` has more
-    than `max_embeddings` embeddings into `big`.  A negative
-    `max_embeddings`, or fewer than one color, is an InputError.
+    than `max_embeddings` embeddings into `big`, or when the count of
+    colorings has more digits than the interpreter writes an integer with
+    (`sys.get_int_max_str_digits`).  A negative `max_embeddings`, or fewer
+    than one color, is an InputError.
     """
     if max_embeddings < 0:
         raise InputError(f"max_embeddings must be at least 0, got {max_embeddings}")
@@ -279,12 +281,16 @@ def arrow_check(big: OrderedHT, mid: OrderedHT, small: OrderedHT,
             f"{k} embeddings exceed the exhaustive-coloring guard "
             f"({max_embeddings}); pass a larger max_embeddings to override"
         )
+    total = colors ** k
+    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+    if digits and total >= 10 ** digits:
+        raise GuardExceeded(f"{k} embeddings give more colorings than an integer "
+                            f"of {digits} digits, the most a report can write")
     images = [sum(1 << v for v in e) for e in embs]
     masks = []
     for g in embeddings(mid, big):
         image = sum(1 << v for v in g)
         masks.append(sum(1 << i for i, e in enumerate(images) if e & image == e))
-    total = colors ** k
 
     if any(mask == 0 for mask in masks):
         # a copy containing no embedding of `small` at all is monochromatic
@@ -332,19 +338,15 @@ def compatible_orders_cyclic(structure: HoleyHT) -> list[tuple[int, ...]]:
     """All orders making the structure a valid CYCLIC ordered structure.
 
     For a cyclic-class member there are exactly n of them, one per choice of
-    least element: with v least, x precedes y exactly when (v, x, y) is in
-    the relation.
-    """
+    least element v, listed by v: x precedes y exactly when (v, x, y) is in
+    the relation.  They are the rotations of the one with 1 least."""
     if not structure.is_complete() or not class_member(structure, CYCLIC_SET):
         raise InputError("compatible orders are defined for cyclic-class members")
-    out = []
-    for v in structure.vertices:
-        rest = [u for u in structure.vertices if u != v]
-
-        def after(x: int, y: int) -> int:
-            return -1 if structure.orientation_of(v, x, y) == IN_R else 1
-
-        candidate = (v, *sorted(rest, key=cmp_to_key(after)))
-        if set(structure.along(candidate).table) <= {PLUS}:
-            out.append(candidate)
-    return out
+    n = structure.n
+    # orientation_of is IN_R (1) or REVERSED (2); a rotation turns each
+    # increasing triple into a cyclic rotation of itself
+    after = cmp_to_key(lambda x, y: 2 * structure.orientation_of(1, x, y) - 3)
+    order = (1, *sorted(range(2, n + 1), key=after))[:n]
+    if set(structure.along(order).table) - {PLUS}:
+        return []
+    return sorted(order[i:] + order[:i] for i in range(n))

@@ -97,28 +97,19 @@ def item_census() -> str:
 
 
 def item_forcing() -> str:
+    # per gadget: its other hole, the one H4 fill of {1, 2, 3} and that hole,
+    # and the value that {1, 2, 3} PLUS forces on that hole
+    cases = (("G", LinkKind.FWD, (2, 3, 4), (PLUS, MINUS), PLUS),
+             ("G-neg", LinkKind.FWD_NEG, (1, 3, 4), (PLUS, PLUS), MINUS))
+    for name, kind, hole, fill, forced in cases:
+        g = gadget(kind)
+        h4_fills = [(a, b) for a, b in itertools.product((PLUS, MINUS), repeat=2)
+                    if four_type(g.with_value(1, 2, 3, a).with_value(*hole, b)) == FourType.H4]
+        _check(h4_fills == [fill], f"{name} H4 fills: {h4_fills}")
+        _check(len(oracles.enumerate_completions(g, H4_FREE)) == 3, f"{name} completion count")
+        r = propagate(g.with_value(1, 2, 3, PLUS), H4_FREE)
+        _check(r.ok and r.structure.triple_value(*hole) == forced, f"{name} forcing")
     g = gadget(LinkKind.FWD)
-    h4_fills = []
-    for a, b in itertools.product((PLUS, MINUS), repeat=2):
-        full = g.with_value(1, 2, 3, a).with_value(2, 3, 4, b)
-        if four_type(full) == FourType.H4:
-            h4_fills.append((a, b))
-    _check(h4_fills == [(PLUS, MINUS)], f"G H4 fills: {h4_fills}")
-    _check(len(oracles.enumerate_completions(g, H4_FREE)) == 3, "G completion count")
-
-    gn = gadget(LinkKind.FWD_NEG)
-    h4_fills = []
-    for a, b in itertools.product((PLUS, MINUS), repeat=2):
-        full = gn.with_value(1, 2, 3, a).with_value(1, 3, 4, b)
-        if four_type(full) == FourType.H4:
-            h4_fills.append((a, b))
-    _check(h4_fills == [(PLUS, PLUS)], f"G-neg H4 fills: {h4_fills}")
-    _check(len(oracles.enumerate_completions(gn, H4_FREE)) == 3, "G-neg completion count")
-
-    r = propagate(g.with_value(1, 2, 3, PLUS), H4_FREE)
-    _check(r.ok and r.structure.triple_value(2, 3, 4) == PLUS, "G forcing")
-    r = propagate(gn.with_value(1, 2, 3, PLUS), H4_FREE)
-    _check(r.ok and r.structure.triple_value(1, 3, 4) == MINUS, "G-neg forcing")
     r = propagate(g, H4_FREE)
     _check(r.ok and r.structure == g and not r.forced, "G must be a fixpoint")
     return "unique H4 fills (+,-) / (+,+); both implications reproduced"
@@ -177,14 +168,10 @@ def _part3_one(n: int, v: int, dual: bool) -> None:
     sub = base.induced(kept)
     merged = validate([tuple(relabel[x] for x in t) for t in seed], n - 1)
     table = bytearray(sub.table)
-    for r, val in enumerate(merged.table):
-        if val == HOLE:
-            continue
-        _check(
-            table[r] in (HOLE, val),
-            f"seed conflicts with structure at n={n} v={v}",
-        )
-        table[r] = val
+    # HOLE is 0, so compress keeps the ranks that the seed assigns
+    for r in itertools.compress(range(len(merged.table)), merged.table):
+        _check(table[r] in (HOLE, merged.table[r]), f"seed conflicts at n={n} v={v}")
+        table[r] = merged.table[r]
     res = complete(HoleyHT(n - 1, bytes(table)), H4_FREE)
     _check(res.sat, f"deleted-vertex seed not completable at n={n} v={v}")
     _check(res.completion.triple_value(1, 2, 3) == want, "wrong forced {1,2,3}")
@@ -421,13 +408,7 @@ def run_verify(level: str = "quick", out=sys.stderr) -> dict:
             status = "xfail" if xfail else "fail"
         seconds = round(time.perf_counter() - started, 3)
         counts[status] += 1
-        label = {
-            "pass": "PASS ",
-            "fail": "FAIL ",
-            "xfail": "XFAIL",
-            "upass": "UPASS",
-        }[status]
-        print(f"{label} {name} ({seconds:.2f}s): {detail}", file=out)
+        print(f"{status.upper():5} {name} ({seconds:.2f}s): {detail}", file=out)
         results.append(
             {"name": name, "status": status, "seconds": seconds, "detail": detail}
         )

@@ -11,7 +11,7 @@ import tracemalloc
 
 import pytest
 
-from htour import cli, completion, families, htfile, verify
+from htour import cli, completion, families, htfile, ramsey, verify
 from htour.classify import H4_FREE
 from htour.completion import complete
 from htour.core import HOLE, PLUS, HoleyHT
@@ -250,12 +250,19 @@ def test_ramsey_takes_sizes_or_files_not_both(argv, capsys):
     assert out.out == "" and "not allowed with argument" in out.err
 
 
-def test_ramsey_refuses_a_count_too_long_for_the_report(capsys):
+def test_ramsey_refuses_a_count_too_long_for_the_report(capsys, monkeypatch):
     # 2**19448 colorings have 5,855 digits: past the interpreter's limit on
-    # writing an integer, the report is refused, and nothing is written
+    # writing an integer, the report is refused, and nothing is written.
+    # The count is known after the first embedding search, so the coloring
+    # search never starts
     digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     if not digits or digits >= 5855:
         pytest.skip("this interpreter writes integers of 5,855 digits")
+
+    def search(*args):
+        raise AssertionError("the coloring search ran")
+
+    monkeypatch.setattr(ramsey, "_least_refuting", search)
     argv = ["ramsey", "--sizes", "17,15,7", "--max-embeddings", "20000"]
     assert cli.main(argv) == 3
     out = capsys.readouterr()

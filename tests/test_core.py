@@ -35,7 +35,7 @@ from htour.core import (
     unhat,
     validate,
 )
-from htour.families import ChainBuilder, LinkKind
+from htour.families import ChainBuilder, LinkKind, gen_bn
 from htour.rand import random_full_ht, random_holey_ht, random_order
 
 
@@ -343,6 +343,83 @@ def test_hat_unhat_match_their_definitions():
              for t, (a, b, c) in zip(triples(n), along)],
             n,
         )
+
+
+def _parities_by_triple(n, order):
+    """The parities of an order as one tuple_parity call per triple: the
+    reference for the lane kernel."""
+    pos = [0] * (n + 1)
+    for i, v in enumerate(order):
+        pos[v] = i
+    return bytes(tuple_parity(pos[a], pos[b], pos[c]) for a, b, c in triples(n))
+
+
+def test_triple_columns_follow_the_colex_loop():
+    for n in [*range(9), 20, 100]:
+        loop = tuple((i, j, k) for k in range(3, n + 1) for j in range(2, k)
+                     for i in range(1, j))
+        assert tuple(zip(*core._triple_columns(n))) == triples(n) == loop
+
+
+def test_order_parities_match_tuple_parity():
+    for n in range(7):
+        for order in itertools.permutations(range(1, n + 1)):
+            assert core._order_parities(n, order) == _parities_by_triple(n, order)
+    rng = random.Random(12)
+    for n in range(7, 101):
+        order = random_order(rng, n)
+        parities = core._order_parities(n, order)
+        assert type(parities) is bytes and parities == _parities_by_triple(n, order)
+
+
+def test_order_parities_refuse_past_the_vertex_guard():
+    n = core.VERTEX_GUARD + 1
+    order = range(1, n + 1)
+    with pytest.raises(GuardExceeded, match="parity table of an order is limited to 100"):
+        core._order_parities(n, order)
+    with pytest.raises(GuardExceeded):
+        hat(HoleyHT(n, bytes([PLUS]) * comb(n, 3)), order)
+    with pytest.raises(GuardExceeded):
+        unhat(Hypergraph3(n, frozenset()), order)
+    # the order is still checked below the guard
+    with pytest.raises(InputError):
+        core._order_parities(3, (1, 1, 2))
+
+
+def test_hat_and_unhat_match_the_comprehensions_per_triple():
+    rng = random.Random(13)
+    for n in [*range(10), 31, 64, 100]:
+        for _ in range(3):
+            A, order = random_full_ht(rng, n), random_order(rng, n)
+            parities = _parities_by_triple(n, order)
+            edges = frozenset(t for t, v, odd in zip(triples(n), A.table, parities)
+                              if v == (MINUS if odd else PLUS))
+            H = hat(A, order)
+            assert type(H) is Hypergraph3 and H == Hypergraph3(n, edges)
+            # a random hypergraph, not only the hat of a structure
+            E = frozenset(t for t in triples(n) if rng.random() < 0.5)
+            table = bytes(PLUS if (t in E) != odd else MINUS
+                          for t, odd in zip(triples(n), parities))
+            assert unhat(Hypergraph3(n, E), order) == HoleyHT(n, table)
+            assert unhat(H, order) == A
+
+
+def test_repr_walks_the_assigned_ranks():
+    rng = random.Random(14)
+    for _ in range(100):
+        n = rng.randint(0, 8)
+        A = random_holey_ht(rng, n, rng.randint(0, comb(n, 3)))
+        assigned = ", ".join(f"{t}:{'+' if v == PLUS else '-'}"
+                             for t, v in zip(triples(n), A.table) if v != HOLE)
+        assert repr(A) == f"HoleyHT(n={n}, {{{assigned}}})"
+    assert repr(validate([(1, 3, 2)], 4)) == "HoleyHT(n=4, {(1, 2, 3):-})"
+    # bn(51), on 99 vertices: the 204 assigned triples are named from their
+    # ranks, and no table of the C(99,3) triples is built
+    structure = gen_bn(51)
+    before = core.triples.cache_info().currsize
+    text = repr(structure)
+    assert core.triples.cache_info().currsize == before
+    assert text.count(":") == 204
 
 
 def test_table_values_are_checked():

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import random
 
 import pytest
 
@@ -10,10 +11,12 @@ from htour.core import (
     MINUS,
     PLUS,
     ContradictoryTriple,
+    GuardExceeded,
     HoleyHT,
     InputError,
     is_isomorphic,
     quads,
+    tuple_parity,
     validate,
 )
 from htour.families import (
@@ -29,6 +32,7 @@ from htour.families import (
     on_deletion_tuples,
     on_links,
 )
+from htour.rand import random_order
 
 
 def test_gadget_tables():
@@ -198,6 +202,30 @@ def test_bn_vertex_counts():
 def test_cyclic_examples():
     assert gen_cyclic(4) == HoleyHT(4, bytes([PLUS] * 4))
     assert class_member(gen_cyclic(7, (3, 1, 7, 5, 2, 4, 6)), CYCLIC)
+
+
+def test_cyclic_matches_the_comprehension_per_triple():
+    # the cyclic table from one tuple_parity call per triple, as the
+    # reference for the parity kernel's translation
+    rng = random.Random(15)
+    for n in [*range(10), 40, 100]:
+        order = random_order(rng, n)
+        pos = {v: i for i, v in enumerate(order)}
+        table = bytes(MINUS if tuple_parity(pos[a], pos[b], pos[c]) else PLUS
+                      for a, b, c in core.triples(n))
+        assert gen_cyclic(n, order) == HoleyHT(n, table)
+
+
+def test_cyclic_and_even_refuse_past_the_vertex_guard():
+    # past 255 vertices too, where no byte column of the triples exists
+    for n in (core.VERTEX_GUARD + 1, 300):
+        core.triples.cache_clear()
+        for make in (lambda: gen_cyclic(n), lambda: gen_even(n, ())):
+            with pytest.raises(GuardExceeded):
+                make()
+        assert core.triples.cache_info().currsize == 0
+    with pytest.raises(InputError, match="negative vertex count"):
+        gen_cyclic(-1)
 
 
 def test_cyclic_rotation_invariance():

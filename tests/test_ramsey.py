@@ -1,5 +1,7 @@
 import itertools
 import random
+import sys
+from functools import cmp_to_key
 from math import comb
 
 import pytest
@@ -7,6 +9,7 @@ import pytest
 from htour import oracles, ramsey
 from htour.core import (
     HOLE,
+    IN_R,
     GuardExceeded,
     HoleyHT,
     InputError,
@@ -318,6 +321,23 @@ def test_arrow_three_colors_pigeonhole():
     assert arrow_check(cyc(4), cyc(2), cyc(1), colors=3).holds
 
 
+def test_arrow_check_refuses_a_count_too_long_to_write(monkeypatch):
+    # under a limit of 10 digits, 2**36 colorings (11 digits) are refused as
+    # soon as the embeddings are counted, before the coloring search; 2**28
+    # (9 digits) are searched
+    searched = []
+    least_refuting = ramsey._least_refuting
+    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 10, raising=False)
+    monkeypatch.setattr(ramsey, "_least_refuting",
+                        lambda *args: searched.append(args[0]) or least_refuting(*args))
+    with pytest.raises(GuardExceeded, match="^36 embeddings give more colorings than "
+                                            "an integer of 10 digits"):
+        arrow_check(cyc(9), cyc(3), cyc(2), max_embeddings=40)
+    assert searched == []
+    assert arrow_check(cyc(8), cyc(3), cyc(2), max_embeddings=40).colorings == 2**28
+    assert searched == [28]
+
+
 def test_compatible_orders_counts():
     for n in range(3, 8):
         orders = compatible_orders_cyclic(gen_cyclic(n))
@@ -334,21 +354,41 @@ def test_compatible_orders_rotations():
 
 def test_compatible_orders_match_brute_force():
     # oracle: try all n! orders, keep those where every increasing triple
-    # is in the relation
+    # is in the relation; permutations come in lexicographic order, so by
+    # their first vertex
     rng = random.Random(10)
-    for n in range(3, 7):
+    for n in range(1, 7):
         A = gen_cyclic(n, random_order(rng, n))
-        oracle = set()
-        for perm in itertools.permutations(range(1, n + 1)):
-            if all(
-                A.orientation_of(perm[i], perm[j], perm[k]) == 1
-                for i in range(n)
-                for j in range(i + 1, n)
-                for k in range(j + 1, n)
-            ):
-                oracle.add(perm)
-        assert set(compatible_orders_cyclic(A)) == oracle
+        oracle = [perm for perm in itertools.permutations(range(1, n + 1))
+                  if all(A.orientation_of(*t) == IN_R
+                         for t in itertools.combinations(perm, 3))]
+        assert compatible_orders_cyclic(A) == oracle
         assert len(oracle) == n
+    # no vertex, so no choice of a least one
+    assert compatible_orders_cyclic(gen_cyclic(0)) == []
+    assert compatible_orders_cyclic(gen_cyclic(2, (2, 1))) == [(1, 2), (2, 1)]
+
+
+def _orders_per_vertex(structure):
+    """The orders of compatible_orders_cyclic, one sort and one check per
+    choice of least vertex."""
+    out = []
+    for v in structure.vertices:
+        def after(x, y, v=v):
+            return -1 if structure.orientation_of(v, x, y) == IN_R else 1
+
+        rest = [u for u in structure.vertices if u != v]
+        candidate = (v, *sorted(rest, key=cmp_to_key(after)))
+        if set(structure.along(candidate).table) <= {PLUS}:
+            out.append(candidate)
+    return out
+
+
+def test_compatible_orders_match_the_sort_per_vertex():
+    rng = random.Random(16)
+    for n in range(7, 25):
+        A = gen_cyclic(n, random_order(rng, n))
+        assert compatible_orders_cyclic(A) == _orders_per_vertex(A)
 
 
 def test_compatible_orders_rejects_noncyclic():
