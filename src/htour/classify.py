@@ -32,16 +32,16 @@ The four value strings of a run of blocks, scaled by 1, 3, 9 and 27, are
 summed as one big int read as byte lanes (no lane carries, since a code is
 at most 80), which yields the codes in colex order with about C(n-1,2)
 Python steps instead of C(n,4).  The runs hold at most _CHECK_BYTES codes
-each.  Only when a table fails is the lexicographically least witness
-looked for, by the same kernel on the table read backwards.
+each.  4-subsets are numbered in colex order too (core.quads), so the
+first failing code of the first failing run is the least offender.
 
 A batch goes in chunks of at most _CHECK_BYTES codes, a narrow chunk table
 by table, one of more tables than vertices column-wise: transposed, by
 strided slices of the joined chunk, into one int per triple rank whose byte
 k is the value of that triple in table k, so one evaluation of the code
-formula on these ints, over the 4-subsets in lexicographic order with their
-ranks from the colex formula, yields the codes of a 4-subset in every
-table, byte by byte.  Neither path reads a 4-subset index.
+formula on these ints, over the 4-subsets in colex order with their ranks
+from the colex formula, yields the codes of a 4-subset in every table,
+byte by byte.  Neither path reads a 4-subset index.
 """
 
 from __future__ import annotations
@@ -296,7 +296,7 @@ def first_offence(n: int, tables, allowed) -> tuple[int, int] | None:
 
     An offending 4-subset is fully assigned with a type outside `allowed`;
     4-subsets containing a hole are not judged.  Ids are those of
-    core.quads (lexicographic order).  The batch goes in chunks of at most
+    core.quads (colex order).  The batch goes in chunks of at most
     _CHECK_BYTES codes, one byte per table and 4-subset: a chunk of more
     than n tables column-wise, a narrower one table by table through the
     kernel, which is faster there (measured from 12 to 30 vertices).
@@ -320,7 +320,9 @@ def _column_offence(n: int, tables, ok: bytes) -> tuple[int, int] | None:
     """`first_offence` of one chunk, judged column-wise, with the ranks from
     the colex formula a + C(b,2) + C(c,3) over 0-based vertices.  Column r,
     byte k of which is the value of triple r in table k, is every C(n,3)-th
-    byte of the joined chunk from r; the joined copy goes before the walk."""
+    byte of the joined chunk from r; the joined copy goes before the walk.
+    The walk takes d, c, b, a from the outside in, so the 4-subsets come in
+    id order and the place of a verdict is its id."""
     width, m = len(tables), comb(n, 3)
     joined = b"".join([b"".join(tables[i:i + _JOIN_TABLES])
                        for i in range(0, width, _JOIN_TABLES)])
@@ -330,14 +332,14 @@ def _column_offence(n: int, tables, ok: bytes) -> tuple[int, int] | None:
     # appended in place: joining one string per 4-subset would also hold a
     # list slot and a buffer view (about 120 bytes) per 4-subset
     verdict = bytearray()
-    for a in range(n):
-        for b in range(a + 1, n):
-            ab = a + c2[b]
-            for c in range(b + 1, n):
-                abc, ac, bc = cols[ab + c3[c]], a + c2[c], b + c2[c]
-                for t in c3[c + 1:n]:
-                    code = abc + 3 * cols[ab + t] + 9 * cols[ac + t] + 27 * cols[bc + t]
-                    verdict += code.to_bytes(width, "little")
+    for d in range(n):
+        for c in range(d):
+            cd = c2[c] + c3[d]
+            for b in range(c):
+                abc, abd, bcd = c2[b] + c3[c], c2[b] + c3[d], 27 * cols[b + cd]
+                # the columns of {abc}, {abd} and {acd} for a = 0..b-1
+                for x, y, z in zip(cols[abc:abc + b], cols[abd:abd + b], cols[cd:cd + b]):
+                    verdict += (x + 3 * y + 9 * z + bcd).to_bytes(width, "little")
     pos = verdict.translate(ok).find(0)
     return None if pos < 0 else divmod(pos, width)
 
@@ -408,30 +410,21 @@ def _verdicts(table: bytes, runs, ok: bytes):
 
 
 def _least_offence(n: int, table: bytes, ok: bytes) -> int | None:
-    """Id of the lexicographically least offending 4-subset of one table, or
-    None, judged by the block kernel (`_codes`) over runs of top vertices.
-
-    Only on failure is the witness looked for, in the structure read along
-    n, n-1, ..., 1: types are invariant under relabeling, so the colex-last
-    offender there is the lex-least one here, with id C(n,4) - 1 minus its
-    colex rank.
-    """
-    runs = _top_runs(n)
-    if all(verdict.find(0) < 0 for _, verdict in _verdicts(table, runs, ok)):
-        return None
-    mirror = HoleyHT(n, table).along(range(n, 0, -1)).table
-    for d0, verdict in _verdicts(mirror, runs[::-1], ok):
-        pos = verdict.rfind(0)
+    """Id of the least offending 4-subset of one table, or None, judged by
+    the block kernel (`_codes`) over runs of top vertices: the runs come in
+    id order, and run [d0, d1) starts at id C(d0,4)."""
+    for d0, verdict in _verdicts(table, _top_runs(n), ok):
+        pos = verdict.find(0)
         if pos >= 0:
-            return comb(n, 4) - 1 - comb(d0, 4) - pos
-    raise AssertionError("the mirrored structure has no offending 4-subset")
+            return comb(d0, 4) + pos
+    return None
 
 
 def class_member(structure: HoleyHT, allowed) -> Membership:
     """Does every fully assigned 4-subset have a type in `allowed`?
 
     4-subsets containing a hole are not judged.  On failure the witness is
-    the lexicographically least offending 4-subset.
+    the least offending 4-subset in colex order: least top vertex first.
     """
     found = first_offence(structure.n, [structure.table], allowed)
     if found is None:

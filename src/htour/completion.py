@@ -39,8 +39,11 @@ one hole, and queues it only when its action is not 0 (one lookup in the
 constraint set's queue table); a 4-subset whose last hole fills is never
 queued.  The root adds up the input's codes from a table of holes by the
 same rule, so its queue is the 4-subsets with at most one hole whose input
-code acts, in ascending id order.  A pop is one lookup, `action[code]`, and
-reads no table value.  Only no-op pops go: a one-hole 4-subset's three
+code acts, in ascending id order (core's colex ids, the order of the class
+test too).  The order of the forced values, and which conflicting 4-subset
+is met first, follow the ids; the fixpoint, and so the node counts and the
+completions, do not.  A pop is one lookup, `action[code]`, and reads no
+table value.  Only no-op pops go: a one-hole 4-subset's three
 assigned triples cannot change during a propagation, so its action when
 queued is its action when popped, until its hole fills; and if both values
 were allowed then, any fill is allowed too.  The entries that are kept keep

@@ -38,8 +38,10 @@ The 4-subset index that the solver reads has two halves, cached per n:
 int, and `triple_quad_ids`, the row of the n-3 4-subsets through each
 triple.  One lazy store class, `_Store`, serves both halves and the text
 lines of `htfile`: an entry is computed from its rank on its first read and
-kept.  `quad_vertices` inverts the lexicographic 4-subset id formula.  Both
-halves, and `htfile.parse`, refuse more than VERTEX_GUARD vertices.
+kept.  4-subsets are numbered in colex order, like triples: {a<b<c<d}
+over 0-based vertices has id a + C(b,2) + C(c,3) + C(d,4), and
+`quad_vertices` inverts it.  Both halves, and `htfile.parse`, refuse more
+than VERTEX_GUARD vertices.
 """
 
 from __future__ import annotations
@@ -154,11 +156,12 @@ def triples(n: int) -> tuple[tuple[int, int, int], ...]:
 
 @lru_cache(maxsize=None)
 def quads(n: int) -> tuple[tuple[int, int, int, int], ...]:
-    """All sorted 4-subsets over 1..n in lexicographic order.
+    """All sorted 4-subsets over 1..n in colex order (largest vertices compared
+    first).
 
     The library never builds this: it is the reference that the 4-subset
     index below is tested against.  `quad_vertices` gives one entry on demand."""
-    return tuple(itertools.combinations(range(1, n + 1), 4))
+    return tuple(sorted(itertools.combinations(range(1, n + 1), 4), key=lambda q: q[::-1]))
 
 
 @lru_cache(maxsize=None)
@@ -203,8 +206,8 @@ def _quad_ranks(n: int, qi: int) -> int:
 def quad_triple_ranks(n: int) -> _Store:
     """The triples of each 4-subset: `quad_triple_ranks(n)[qi]` packs the
     ranks of {abc}, {abd}, {acd}, {bcd} of the 4-subset {a<b<c<d} with id
-    qi, 4-subsets numbered in lexicographic order (the order of `quads`),
-    in lanes of _LANE bits: the rank at place pos is
+    qi, 4-subsets numbered in colex order (the order of `quads`), in
+    lanes of _LANE bits: the rank at place pos is
     ``entry >> _LANE * pos & (1 << _LANE) - 1``.
 
     The place of each triple matches its place after the order-preserving
@@ -217,28 +220,20 @@ def quad_triple_ranks(n: int) -> _Store:
     return _Store(n, comb(n, 4), _quad_ranks)
 
 
-@lru_cache(maxsize=None)
-def _mirror_terms(n: int) -> tuple:
-    """4*C(n-1-x, m) for m = 4, 3, 2, 1, the mirrored colex terms of vertex
-    x (0-based) in place 1, 2, 3, 4 of a 4-subset; and 4 times the last id."""
-    return tuple([4 * comb(n - 1 - x, m) for x in range(n)]
-                 for m in (4, 3, 2, 1)) + (4 * comb(n, 4) - 4,)
-
-
 def _triple_row(n: int, r: int) -> array:
     """Row r of `triple_quad_ids(n)`."""
     # the triple {i<j<k}, 0-based
     a, b, c = triple_of_rank(n, r)
     i, j, k = a - 1, b - 1, c - 1
-    u1, u2, u3, u4, last = _mirror_terms(n)
+    c2, c3, c4 = _binomials(n)
     # the 4-subsets {i,j,k,x}, x below i, between i and j, between j and k
     # and above k, less the term of x
-    t3 = last + 3 - u2[i] - u3[j] - u4[k]
-    t2 = last + 2 - u1[i] - u3[j] - u4[k]
-    t1 = last + 1 - u1[i] - u2[j] - u4[k]
-    t0 = last - u1[i] - u2[j] - u3[k]
-    return array("I", [t3 - t for t in u1[:i]] + [t2 - t for t in u2[i + 1:j]]
-                 + [t1 - t for t in u3[j + 1:k]] + [t0 - t for t in u4[k + 1:]])
+    t3 = 4 * (c2[i] + c3[j] + c4[k]) + 3
+    t2 = 4 * (i + c3[j] + c4[k]) + 2
+    t1 = 4 * (i + c2[j] + c4[k]) + 1
+    t0 = 4 * (i + c2[j] + c3[k])
+    return array("I", [*range(t3, t3 + 4 * i, 4)] + [t2 + 4 * t for t in c2[i + 1:j]]
+                 + [t1 + 4 * t for t in c3[j + 1:k]] + [t0 + 4 * t for t in c4[k + 1:n]])
 
 
 @lru_cache(maxsize=None)
@@ -253,11 +248,9 @@ def triple_quad_ids(n: int) -> _Store:
 
     Each triple {i<j<k} lies in {i,j,k,x} for every other vertex x, and the
     ids ascend with x; x below i, between i and j, between j and k and above
-    k gives pos 3, 2, 1 and 0.  The lexicographic id of {a<b<c<d} over
-    0..n-1 is C(n,4) - 1 - (C(n-1-a,4) + C(n-1-b,3) + C(n-1-c,2) + (n-1-d)),
-    the colex rank of the mirrored set counted from the end: a row is one
-    comprehension per place of x over these terms, pre-scaled by 4.
-    Refuses n > VERTEX_GUARD.
+    k gives pos 3, 2, 1 and 0.  The id of {a<b<c<d} over 0..n-1 is
+    a + C(b,2) + C(c,3) + C(d,4), so a row is one comprehension per place
+    of x over the terms of x, pre-scaled by 4.  Refuses n > VERTEX_GUARD.
     """
     _guard_index(n)
     return _Store(n, comb(n, 3), _triple_row)
@@ -265,18 +258,12 @@ def triple_quad_ids(n: int) -> _Store:
 
 def quad_vertices(n: int, qi: int) -> tuple[int, int, int, int]:
     """The 4-subset {a<b<c<d} with id qi, i.e. `quads(n)[qi]`, by inverting
-    the id formula of `triple_quad_ids`: C(n,4) - 1 - qi is the colex rank
-    C(x,4) + C(y,3) + C(z,2) + w of the mirrored set {w<z<y<x}, read off
-    largest term first as in `triple_of_rank`; vertex x of the mirror
-    (0-based) is vertex n - x here."""
-    c2, c3, c4 = _binomials(n)
-    m = c4[n] - 1 - qi
-    x = bisect_right(c4, m) - 1
-    m -= c4[x]
-    y = bisect_right(c3, m) - 1
-    m -= c3[y]
-    z = bisect_right(c2, m) - 1
-    return n - x, n - y, n - z, n - m + c2[z]
+    the id formula of `triple_quad_ids`, a-1 + C(b-1,2) + C(c-1,3) +
+    C(d-1,4): the largest term gives d, and the rest is the colex rank of
+    the triple {a<b<c} (`triple_of_rank`)."""
+    c4 = _binomials(n)[2]
+    d = bisect_right(c4, qi) - 1
+    return (*triple_of_rank(n, qi - c4[d]), d + 1)
 
 
 def check_order(order, n: int) -> tuple[int, ...]:

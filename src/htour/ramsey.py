@@ -33,8 +33,6 @@ from functools import cmp_to_key
 from math import comb
 from operator import itemgetter
 
-from .classify import CYCLIC as CYCLIC_SET
-from .classify import class_member
 from .core import (
     PLUS,
     GuardExceeded,
@@ -339,14 +337,17 @@ def compatible_orders_cyclic(structure: HoleyHT) -> list[tuple[int, ...]]:
 
     For a cyclic-class member there are exactly n of them, one per choice of
     least element v, listed by v: x precedes y exactly when (v, x, y) is in
-    the relation.  They are the rotations of the one with 1 least."""
-    if not structure.is_complete() or not class_member(structure, CYCLIC_SET):
-        raise InputError("compatible orders are defined for cyclic-class members")
+    the relation.  They are the rotations of the one with 1 least.
+
+    The hole-free structures whose 4-subsets are all C4 are exactly those of
+    a cyclic order, so membership is decided by the one order sorted here:
+    any other structure, holey ones among them, reads as something other
+    than all PLUS along it and is refused."""
     n = structure.n
-    # orientation_of is IN_R (1) or REVERSED (2); a rotation turns each
-    # increasing triple into a cyclic rotation of itself
+    # orientation_of is IN_R (1), REVERSED (2) or, at a hole, HOLE (0); a
+    # rotation turns each increasing triple into a cyclic rotation of itself
     after = cmp_to_key(lambda x, y: 2 * structure.orientation_of(1, x, y) - 3)
     order = (1, *sorted(range(2, n + 1), key=after))[:n]
-    if set(structure.along(order).table) - {PLUS}:
-        return []
+    if not set(structure.along(order).table) <= {PLUS}:
+        raise InputError("compatible orders are defined for cyclic-class members")
     return sorted(order[i:] + order[:i] for i in range(n))

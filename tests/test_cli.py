@@ -12,9 +12,9 @@ import tracemalloc
 import pytest
 
 from htour import cli, completion, families, htfile, ramsey, verify
-from htour.classify import H4_FREE
+from htour.classify import CYCLIC, H4_FREE, class_member
 from htour.completion import complete
-from htour.core import HOLE, PLUS, HoleyHT
+from htour.core import HOLE, PLUS, HoleyHT, triple_rank
 from htour.families import gen_bn, gen_cyclic, gen_even, gen_on
 
 
@@ -113,6 +113,24 @@ def test_member_witness():
     report = json.loads(out)
     assert report["verdict"] is False
     assert report["witness"]["offending"] == [1, 2, 3, 4]
+
+
+def test_member_witness_is_the_colex_least_offender():
+    # a cyclic structure with {1,2,9} and {3,4,5} flipped: in lexicographic
+    # order the 4-subsets through {1,2,9} come first, (1,2,3,9) first of all,
+    # but in colex order the least top vertex wins, and (1,3,4,5) is the
+    # first 4-subset through {3,4,5}
+    table = bytearray(gen_cyclic(9).table)
+    for t in ((1, 2, 9), (3, 4, 5)):
+        r = triple_rank(*t)
+        table[r] = 3 - table[r]
+    structure = HoleyHT(9, bytes(table))
+    assert class_member(structure, CYCLIC).witness == (1, 3, 4, 5)
+    proc = run_cli(["member", "--allow", "C4"], stdin=htfile.emit(structure))
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["verdict"] is False
+    assert report["witness"]["offending"] == [1, 3, 4, 5]
 
 
 def test_pipeline_matches_in_process():

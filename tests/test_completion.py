@@ -674,11 +674,12 @@ def test_golden_deletion_nodes(n):
 
 # the order of the forced assignments (the trail) of root propagation on
 # seeded planted instances, and the enumeration order, pinned: a change that
-# reorders the trail but keeps its set turns these red
+# reorders the trail but keeps its set turns these red.  The trail follows
+# the root queue, in order of the colex 4-subset ids
 GOLDEN_TRAIL = {
-    (4, "cyclic", 0.8): (792, "a6fe962c063ecf7ebf90800c1dbcdb40d1023a175292f5945f56447791765d66"),
-    (5, "even", 0.8): (894, "e417466bc06c07c52d6f096a6a7df97d4f32e4dbc8a61d569ebb8936927995c2"),
-    (6, "cyclic", 0.85): (706, "7ba2673895fabc5137005e4397eb4c1d43b28d3e16bb0324ca6b70fb004208cd"),
+    (4, "cyclic", 0.8): (792, "04d245a37d3e7f1a04def51ebe84563289d7158962731ef3a582bd28a5f73edd"),
+    (5, "even", 0.8): (894, "e2fbd0823671f5f268bf88bc8e99645649039fb24054578477943063db05569c"),
+    (6, "cyclic", 0.85): (706, "c88172ea6cb1b6229863f0ffac97929abcfa2aeefa17e9ecc8f756e322c123be"),
 }
 GOLDEN_ENUMERATION = (
     2000, "9ffaa079a46f9be0b450132f20e152e9a2a3ecdd88510e3affa4123a87c63b95"
@@ -701,12 +702,12 @@ def test_golden_propagation_trail(seed, kind, holes):
 # ordered trail or root conflict and each search's nodes, conflicts and
 # completion
 GOLDEN_DENSE = {
-    "C4": (689, 49, "a0c8f8500a1ba6174530c7f37c465d945ae9999f32a5db0b2c6692d3953cdeb1"),
-    "H4": (0, 48, "fdff5fa1b254730849b169158c21ad42ac34ea29c9309babeb4b15c6b5ea14b6"),
-    "O4": (0, 48, "8bbc3108e445cfc7252c18323d2153d398fcc35b712e6b181e264b29b172263f"),
-    "C4,H4": (826, 49, "719c20c506439425fc3a2dab0ec5366f5e045f6fce23abcc607a1826fab5367a"),
-    "C4,O4": (0, 538, "7b15d03be8a42175c6274975ba486068b0ec8ef24155d58b6ca721361b728866"),
-    "H4,O4": (0, 48, "a801acb588ed72962c40fe971cff6dfe1048a0723e777fd4045197ec6aa1ac2f"),
+    "C4": (689, 49, "f0501c80a29e7c20dd56540be79f53533bcdda0ce4aa7863664896e6d43c558c"),
+    "H4": (0, 48, "6f440664f556142cfacee36f6c541053c0bcc63614ccaa9968a2f858a4ec8422"),
+    "O4": (0, 48, "17939b4afe3e751349a0e92aef859b6680968fe72b21a1974872e7efbc57561a"),
+    "C4,H4": (826, 49, "10a073e36022ff27db5b86e7183b26c1f87902b055178e363edb202f86bd8d03"),
+    "C4,O4": (0, 538, "28119fb3b5757accfd6a5653ef6dc917f09ad488ed71dc4ae61b132d20eb6c3f"),
+    "H4,O4": (0, 48, "c564aed2e59540788bfad4be386a8ee7eb5615287b76db3fff427d883e24440b"),
     "C4,H4,O4": (0, 1975, "6488b1c42abbcc153fb68671ae54ab13ac30991f61b9c893e79f309fee170609"),
 }
 

@@ -471,11 +471,21 @@ def _places(entry):
     return [entry >> core._LANE * pos & (1 << core._LANE) - 1 for pos in range(4)]
 
 
+def _colex(n, k):
+    """The sorted k-subsets of 1..n in colex order: largest vertex first."""
+    return sorted(itertools.combinations(range(1, n + 1), k), key=lambda s: s[::-1])
+
+
+def _colex_id(a, b, c, d):
+    """The id of the 4-subset {a<b<c<d}: its place in colex order."""
+    return a - 1 + comb(b - 1, 2) + comb(c - 1, 3) + comb(d - 1, 4)
+
+
 def test_index_matches_its_definition():
     for n in [*range(14), 16, 23, 24, 31]:
         qt = quad_triple_ranks(n)
         expected = []
-        for a, b, c, d in itertools.combinations(range(1, n + 1), 4):
+        for a, b, c, d in _colex(n, 4):
             expected += [
                 triple_rank(a, b, c), triple_rank(a, b, d),
                 triple_rank(a, c, d), triple_rank(b, c, d),
@@ -498,9 +508,9 @@ def test_index_matches_its_definition():
             with pytest.raises(KeyError):
                 rows[r]
         assert len(rows) == len(incidence)
-    # sampled rows at 49 and 100 vertices, read through quad_vertices: the
-    # 4-subset of entry e less its vertex at place 3 - (e & 3) is the
-    # triple, and the vertices left out ascend over all the others
+    # sampled rows at 49 and 100 vertices, against the id formula: the
+    # triple with x added is the 4-subset of entry e, x at place 3 - (e & 3),
+    # and x ascends over all the other vertices
     rng = random.Random(23)
     try:
         for n in (49, 100):
@@ -508,25 +518,26 @@ def test_index_matches_its_definition():
             for triple in [(1, 2, 3), (n - 2, n - 1, n)] + [
                 tuple(sorted(rng.sample(range(1, n + 1), 3))) for _ in range(200)
             ]:
-                others = []
-                for e in rows[triple_rank(*triple)]:
-                    quad = list(quad_vertices(n, e >> 2))
-                    others.append(quad.pop(3 - (e & 3)))
-                    assert tuple(quad) == triple
-                assert others == [x for x in range(1, n + 1) if x not in triple]
+                others = [x for x in range(1, n + 1) if x not in triple]
+                expected = []
+                for x in others:
+                    quad = sorted(triple + (x,))
+                    expected.append(4 * _colex_id(*quad) + 3 - quad.index(x))
+                assert list(rows[triple_rank(*triple)]) == expected
     finally:
         _clear_index_caches()
 
 
 # sha256 of the little-endian bytes of the ranks of quad_triple_ranks(n),
 # four 32-bit entries per 4-subset in id order, and of the ids e >> 2 of the
-# rows of triple_quad_ids(n) in rank order, pinned from the earlier
-# per-element builders
+# rows of triple_quad_ids(n) in rank order, pinned from a reference that
+# imports nothing of htour: the 4-subsets and triples sorted in colex order,
+# with ranks and ids from the colex formulas over math.comb
 _INDEX_SHA256 = {
-    37: ("f3f22c7d3778b581bd201c3d5e7c9818817d75dfe4b133caaf4e1445df12b6fe",
-         "08489c8b20b3e9aaaf7d01a993952092789208f22505024c34b1471782940cac"),
-    49: ("cc15a66a20ceff97cf4ebc1d4c97c01b23c2437408337a25344faa9f175a19e1",
-         "2c68b5a9cc405355700431dfc0b29cb1f54c5127cc61cd323cadbb64f57d79e6"),
+    37: ("6abc0c9dc048f4464a8e3188b460619f087fe79b03de9254448c2141d48eeb5d",
+         "3fdba33ba012bcbe1e10c542abf85721210d2632bd8421380860ab566dae26b3"),
+    49: ("4a8e55acdb94718acea06dc61adc303628f2e59ad960eb2781d96449343b3edf",
+         "d5dcb561c595da7ebc5dce02780938228d04a9f88ccb9b75b0b8fffc1a4c44ab"),
 }
 
 
@@ -548,16 +559,18 @@ def test_index_bytes_are_golden(n):
 
 def test_quad_vertices_matches_quads():
     for n in range(15):
-        assert [quad_vertices(n, qi) for qi in range(len(quads(n)))] == list(quads(n))
-    # sampled ids at 49 and 100 vertices, read off one pass over the 4-subsets
+        expected = _colex(n, 4)
+        assert list(quads(n)) == expected
+        assert [quad_vertices(n, qi) for qi in range(len(expected))] == expected
+    # sampled 4-subsets at 49 and 100 vertices, and the first and the last,
+    # by the id formula
     rng = random.Random(20)
     for n in (49, 100):
-        total = comb(n, 4)
-        ids = sorted({0, total - 1, *rng.sample(range(total), 300)})
-        subsets, seen = itertools.combinations(range(1, n + 1), 4), 0
-        for qi in ids:
-            assert quad_vertices(n, qi) == next(itertools.islice(subsets, qi - seen, None))
-            seen = qi + 1
+        for quad in [(1, 2, 3, 4), (n - 3, n - 2, n - 1, n)] + [
+            tuple(sorted(rng.sample(range(1, n + 1), 4))) for _ in range(300)
+        ]:
+            assert quad_vertices(n, _colex_id(*quad)) == quad
+        assert _colex_id(n - 3, n - 2, n - 1, n) == comb(n, 4) - 1
 
 
 def _clear_index_caches():

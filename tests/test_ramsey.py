@@ -2,11 +2,12 @@ import itertools
 import random
 import sys
 from functools import cmp_to_key
-from math import comb
+from math import comb, factorial
 
 import pytest
 
 from htour import oracles, ramsey
+from htour.classify import CYCLIC, class_member
 from htour.core import (
     HOLE,
     IN_R,
@@ -395,6 +396,30 @@ def test_compatible_orders_rejects_noncyclic():
     h4 = HoleyHT(4, bytes([PLUS, MINUS, PLUS, MINUS]))
     with pytest.raises(InputError):
         compatible_orders_cyclic(h4)
+
+
+def test_compatible_orders_refuse_exactly_the_non_members():
+    # over every hole-free table up to 5 vertices, the one sorted order
+    # decides membership of the cyclic class: there are (n-1)! members, the
+    # cyclic orders of n vertices, each with its n compatible orders
+    for n in range(6):
+        members = 0
+        for values in itertools.product((PLUS, MINUS), repeat=comb(n, 3)):
+            A = HoleyHT(n, bytes(values))
+            if class_member(A, CYCLIC):
+                members += 1
+                assert len(compatible_orders_cyclic(A)) == n
+            else:
+                with pytest.raises(InputError):
+                    compatible_orders_cyclic(A)
+        assert members == (factorial(n - 1) if n >= 3 else 1)
+    # a hole is refused, though the class test judges no 4-subset through it
+    table = bytearray(gen_cyclic(5).table)
+    table[0] = HOLE
+    holey = HoleyHT(5, bytes(table))
+    assert class_member(holey, CYCLIC)
+    with pytest.raises(InputError):
+        compatible_orders_cyclic(holey)
 
 
 def test_expand_cyclic_valid_and_mismatch():

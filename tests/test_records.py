@@ -43,12 +43,12 @@ RECORDS = {
     "SolveResult": (
         "sat completion conflicts nodes",
         lambda: complete(gen_bn(6), H4_FREE),
-        "SolveResult(sat=False, completion=None, conflicts=((1, 2, 3, 8),), nodes=1)",
+        "SolveResult(sat=False, completion=None, conflicts=((1, 2, 3, 7),), nodes=1)",
     ),
     "PropagationResult": (
         "ok structure forced conflict",
         lambda: propagate(gen_bn(6), H4_FREE),
-        "PropagationResult(ok=False, structure=None, forced=(), conflict=(1, 2, 3, 8))",
+        "PropagationResult(ok=False, structure=None, forced=(), conflict=(1, 2, 3, 7))",
     ),
     "MinimalityReport": (
         "is_minimal whole deletions",
@@ -129,8 +129,8 @@ def test_ordered_structures_compare_without_their_position_table():
 def test_results_are_named_tuples():
     res = complete(gen_bn(6), H4_FREE)
     sat, completion, conflicts, nodes = res
-    assert (sat, completion, conflicts, nodes) == (False, None, ((1, 2, 3, 8),), 1)
-    assert res == (False, None, ((1, 2, 3, 8),), 1) and res[3] == res.nodes
+    assert (sat, completion, conflicts, nodes) == (False, None, ((1, 2, 3, 7),), 1)
+    assert res == (False, None, ((1, 2, 3, 7),), 1) and res[3] == res.nodes
     # a report holds a dict of deletions, so it has no hash
     report = is_minimal_obstruction(gen_bn(6), H4_FREE)
     with pytest.raises(TypeError):
