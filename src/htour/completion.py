@@ -94,6 +94,18 @@ from .core import (
 )
 
 ENUMERATION_HOLE_GUARD = 30
+# is_minimal_obstruction spreads its deletions over a process pool only when
+# their work, estimated as the row entries that filling every deletion walks
+# (n * holes * (n - 4) on n vertices), reaches this; below it, starting the
+# pool costs more than it saves (importing concurrent.futures.process alone
+# adds about 18 ms to a child).  Measured as child processes, --jobs 2
+# against --jobs 1 in alternating runs (Python 3.11.7, shared 2-CPU box),
+# --jobs 2 won 1 of 7 on bn(9), 0 of 7 on bn(10), 1 of 7 on bn(11) (estimate
+# 263,625), 1 of 14 on bn(12) (457,674; medians 0.133 against 0.148 s),
+# 11 of 14 on bn(13) (751,203; 0.169 against 0.166 s) and 7 of 7 on each of
+# bn(14) to bn(16) (bn(16): 0.409 against 0.328 s).  The bound lies between
+# bn(12) and bn(13)
+_SPREAD_WORK = 600_000
 # all_completions holds at most this many bytes of tables, cap or not:
 # enumerate --cap 40000 on on(8) holds 2.2 MB
 _ENUMERATION_BYTES = 1 << 22
@@ -383,14 +395,21 @@ def is_minimal_obstruction(structure: HoleyHT, allowed, jobs: int = 1) -> Minima
 
     Single-vertex deletions suffice: restricting a completion of a
     substructure yields completions of all deeper substructures.
+
+    `jobs` bounds the worker processes that the deletions are spread over.
+    No worker starts, and no pool module is imported, unless the estimated
+    work of the deletions reaches `_SPREAD_WORK` (from `bn(13)` on, 23
+    vertices): below it they run in this process, because starting a pool
+    costs more than it saves.  The report does not depend on `jobs`.
     """
     allowed = ConstraintSet.coerce(allowed)
     whole = complete(structure, allowed)
     if whole.sat:
         return MinimalityReport(False, whole, {})
     job = partial(_deletion, structure, allowed)
+    n = structure.n
     # the pool starts all its workers at once: no more than there are deletions
-    workers = min(jobs, structure.n)
+    workers = min(jobs, n) if n * structure.hole_count() * (n - 4) >= _SPREAD_WORK else 1
     if workers > 1:
         import concurrent.futures
 

@@ -24,11 +24,13 @@ from .core import (
     PLUS,
     HoleyHT,
     InputError,
+    _binomials,
+    _lanes,
     _order_parities,
+    _triple_columns,
     glue,
     slot,
     triple_of_rank,
-    triples,
     validate,
 )
 
@@ -175,11 +177,25 @@ def gen_even(n: int, edges, order=None) -> HoleyHT:
     even number of edges get the increasing-in-order tuple, the rest its
     transposition.  Every 4-subset has type C4 or H4."""
     edge_set = normalize_edges(n, edges)
-    # first, so that the vertex guard refuses before the triples are built
+    # first, so that the vertex guard refuses before the columns are built
     cyclic = gen_cyclic(n, order).table
-    odd = (((a, b) in edge_set) ^ ((a, c) in edge_set) ^ ((b, c) in edge_set)
-           for a, b, c in triples(n))
-    return HoleyHT(n, bytes(3 - v if flip else v for v, flip in zip(cyclic, odd)))
+    adjacent = [bytearray(256) for _ in range(n + 1)]
+    for a, b in edge_set:
+        adjacent[a][b] = adjacent[b][a] = 1
+    # the triples {a < b < c} with top vertex c are the ranks C(c-1, 3) up to
+    # C(c, 3): their least and middle columns read through the row of c give
+    # the edges ac and bc, and their pairs {a < b} are the first C(c-1, 2) of
+    # the colex pair sequence, whose edge bits are the rows 2..n-1 cut at
+    # the diagonal
+    least, middle, _ = _triple_columns(n)
+    pairs = b"".join(adjacent[b][1:b] for b in range(2, n))
+    c2, c3, _ = _binomials(n)
+    runs = [(slice(c3[c - 1], c3[c]), c2[c - 1], adjacent[c]) for c in range(3, n + 1)]
+    odd = (_lanes(b"".join(least[run].translate(row) for run, _, row in runs))
+           ^ _lanes(b"".join(middle[run].translate(row) for run, _, row in runs))
+           ^ _lanes(b"".join(pairs[:size] for _, size, _ in runs)))
+    # PLUS (1) and MINUS (2) swap under XOR with 3, a lane per triple
+    return HoleyHT(n, (_lanes(cyclic) ^ odd * 3).to_bytes(len(cyclic), "big"))
 
 
 def normalize_edges(n: int, edges) -> frozenset:

@@ -337,8 +337,10 @@ def item_serialization() -> str:
 
 
 def item_cli_determinism() -> str:
+    # bn(13), 23 vertices, is the smallest bn whose deletions are spread over
+    # worker processes (completion._SPREAD_WORK), so --jobs 8 starts a pool
     gen = subprocess.run(
-        [sys.executable, "-m", "htour", "gen", "--family", "bn", "--n", "6"],
+        [sys.executable, "-m", "htour", "gen", "--family", "bn", "--n", "13"],
         capture_output=True, text=True, check=True,
     )
     outs = []

@@ -275,7 +275,8 @@ def test_class_member_builds_no_index():
 
 def test_failing_member_at_49_vertices():
     # the witness of the column-wise scan over every 4-subset, in a fraction
-    # of its time: the kernel judges the table and its mirror
+    # of its time: the kernel judges the table run by run of top vertices
+    # and stops at the first run that offends
     A = random_full_ht(random.Random(49), 49)
     pair, ok = [A.table, A.table], CYCLIC.ok_table
     assert classify._column_offence(49, pair, ok) == (1, 0)
@@ -295,8 +296,8 @@ def test_one_table_holds_at_most_a_chunk_of_codes(monkeypatch):
     # largest top vertex alone has C(69,3) = 52,394); the ceiling allows a
     # few chunk-sized strings at once (the gathered values, their sum, the
     # codes and their verdict) and a few table-sized ones (the scaled
-    # tables, the mirror and the pair patterns), and stays below the codes
-    # of all 4-subsets at once
+    # tables and the pair patterns), and stays below the codes of all
+    # 4-subsets at once
     n, chunk = 70, 1 << 16
     monkeypatch.setattr(classify, "_CHECK_BYTES", chunk)
     ceiling = 6 * chunk + 8 * comb(n, 3)

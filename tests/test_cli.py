@@ -345,6 +345,15 @@ def test_complete_loads_no_unused_module(tmp_path):
     assert _unused_modules_loaded(code) == []
 
 
+def test_minimality_below_the_spreading_bound_loads_no_pool(tmp_path):
+    # bn(8)'s deletions run in process whatever --jobs asks for
+    path = tmp_path / "bn8.ht"
+    path.write_text(htfile.emit(gen_bn(8)))
+    code = (f"from htour import cli\n"
+            f"assert cli.main(['minimal-obstruction', '--jobs', '2', {str(path)!r}]) == 0")
+    assert _unused_modules_loaded(code) == []
+
+
 @pytest.mark.parametrize("command", [["validate"], ["member", "--allow", "C4"], ["classify4"]])
 def test_commands_that_solve_nothing_load_no_solver(tmp_path, command):
     path = tmp_path / "c4.ht"

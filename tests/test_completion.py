@@ -497,16 +497,16 @@ def test_bn6_boundary_behavior():
     assert rep.deletions[9].sat
 
 
-def test_minimal_obstruction_jobs_agree():
-    seq = is_minimal_obstruction(gen_bn(6), H4_FREE, jobs=1)
-    par = is_minimal_obstruction(gen_bn(6), H4_FREE, jobs=4)
-    assert seq.is_minimal == par.is_minimal
-    assert {v: r.verdict for v, r in seq.deletions.items()} == {
-        v: r.verdict for v, r in par.deletions.items()
-    }
+def _spread_work(structure):
+    """is_minimal_obstruction's estimate of the work of the deletions."""
+    n = structure.n
+    return n * structure.hole_count() * (n - 4)
 
 
-def test_minimal_obstruction_bounds_the_pool(monkeypatch):
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """The max_workers of every pool that is_minimal_obstruction starts; the
+    pool runs its jobs in this process."""
     asked = []
 
     class SerialPool:
@@ -523,11 +523,65 @@ def test_minimal_obstruction_bounds_the_pool(monkeypatch):
             return map(fn, items)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    return asked
+
+
+def test_minimal_obstruction_jobs_agree(monkeypatch):
+    asked = []
+
+    class CountedPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+            super().__init__(max_workers)
+
+    seq = is_minimal_obstruction(gen_bn(6), H4_FREE, jobs=1)
+    # bn(6) is far below the spreading bound: lower it, so that the deletions
+    # run in worker processes
+    monkeypatch.setattr(completion, "_SPREAD_WORK", 0)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountedPool)
+    par = is_minimal_obstruction(gen_bn(6), H4_FREE, jobs=4)
+    assert asked == [4]
+    assert par == seq
+
+
+def test_minimal_obstruction_bounds_the_pool(monkeypatch, pool_sizes):
+    monkeypatch.setattr(completion, "_SPREAD_WORK", 0)
     # a pool forks all its workers at once; bn(7) has 11 deletions to run
     huge = is_minimal_obstruction(gen_bn(7), H4_FREE, jobs=10**6)
-    assert asked == [11]
+    assert pool_sizes == [11]
     assert huge == is_minimal_obstruction(gen_bn(7), H4_FREE, jobs=1)
-    assert asked == [11]
+    assert pool_sizes == [11]
+
+
+def test_minimal_obstruction_spreads_from_its_bound(monkeypatch, pool_sizes):
+    b7 = gen_bn(7)
+    monkeypatch.setattr(completion, "_SPREAD_WORK", _spread_work(b7) + 1)
+    assert is_minimal_obstruction(b7, H4_FREE, jobs=4).is_minimal
+    assert pool_sizes == []
+    monkeypatch.setattr(completion, "_SPREAD_WORK", _spread_work(b7))
+    assert is_minimal_obstruction(b7, H4_FREE, jobs=4).is_minimal
+    assert pool_sizes == [4]
+
+
+def test_minimal_obstruction_below_the_bound_starts_no_pool(monkeypatch):
+    def refuse(max_workers):
+        raise AssertionError("a pool was started")
+
+    # bn(12), 21 vertices, is the largest bn whose deletions run in process
+    b12 = gen_bn(12)
+    assert _spread_work(b12) < completion._SPREAD_WORK <= _spread_work(gen_bn(13))
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+    rep = is_minimal_obstruction(b12, H4_FREE, jobs=10**6)
+    assert rep.is_minimal
+    assert rep == is_minimal_obstruction(b12, H4_FREE, jobs=1)
+
+
+def test_minimal_obstruction_past_the_bound_asks_for_a_worker_per_deletion(pool_sizes):
+    # bn(13), 23 vertices, is the smallest bn whose deletions are spread
+    b13 = gen_bn(13)
+    assert _spread_work(b13) >= completion._SPREAD_WORK
+    assert is_minimal_obstruction(b13, H4_FREE, jobs=10**6).is_minimal
+    assert pool_sizes == [23]
 
 
 def test_restriction_lemma():

@@ -244,6 +244,42 @@ def test_even_examples():
     assert all(v == MINUS for v in gen_even(4, k4).table)
 
 
+def _even_by_triples(n, order):
+    """gen_even(n, edges, order) by its definition, as a function of the
+    edges: one triple at a time in colex order."""
+    pos = {v: i for i, v in enumerate(order)}
+    colex = sorted(itertools.combinations(range(1, n + 1), 3), key=lambda t: t[::-1])
+    parities = [(a, b, c, tuple_parity(pos[a], pos[b], pos[c])) for a, b, c in colex]
+
+    def table(edges):
+        edge = set(map(tuple, map(sorted, edges)))
+        return bytes(MINUS if odd ^ ((a, b) in edge) ^ ((a, c) in edge) ^ ((b, c) in edge)
+                     else PLUS for a, b, c, odd in parities)
+
+    return table
+
+
+def test_even_matches_its_definition():
+    # every graph on at most 6 vertices, along the sorted order or a
+    # shuffled one, then seeded graphs of random density up to the guard
+    rng = random.Random(33)
+    for n in range(7):
+        pairs = list(itertools.combinations(range(1, n + 1), 2))
+        orders = (range(1, n + 1), random_order(rng, n))
+        refs = [_even_by_triples(n, order) for order in orders]
+        for mask in range(1 << len(pairs)):
+            edges = [e for i, e in enumerate(pairs) if mask >> i & 1]
+            assert gen_even(n, edges, orders[mask & 1]).table == refs[mask & 1](edges)
+    for n in (*range(7, 20), 37, 100):
+        density = rng.random()
+        edges = [e for e in itertools.combinations(range(1, n + 1), 2) if rng.random() < density]
+        order = random_order(rng, n)
+        core.triples.cache_clear()
+        assert gen_even(n, edges, order).table == _even_by_triples(n, order)(edges)
+        # the parities come from the byte columns: no tuple per triple
+        assert core.triples.cache_info().currsize == 0
+
+
 def test_even_class_membership():
     import random
 
