@@ -14,8 +14,14 @@ engine method only to backtrack: each turn pops the worklist, or at an
 empty worklist decides the least-rank hole PLUS, or yields a completion; a
 conflict or a completion backtracks, undoing the trail to just after the
 latest decision and flipping it to MINUS in place.  Every forced, decided
-or flipped value goes through the one row block at the foot of the loop.
-Branching PLUS before MINUS on the least-rank hole, it yields the
+or flipped value goes through the one row block at the foot of the loop,
+except a decision on the last hole: it yields the PLUS fill and then the
+MINUS fill and walks no row.  Both are completions, because the worklist
+is empty at a decision, so every 4-subset through the last hole, which has
+it as its only hole, was judged and allows both values; every full
+4-subset is allowed already.  It still counts the decision and the flip
+as one node each, so node counts and the order of the completions do not
+change.  Branching PLUS before MINUS on the least-rank hole, it yields the
 completions in lexicographic order of the hole assignment vector (a forced
 value is the only one that any completion below the node takes).  Its
 callers differ only in when they stop: `complete` takes the first
@@ -234,14 +240,24 @@ class _Engine:
 
         Each turn of the loop pops the worklist, decides, or yields and
         backtracks, and every value it sets (forced, decided or flipped)
-        goes through the one row block at its foot.  One frame (rank, trail
-        mark) is stacked per decision whose MINUS branch is still to be
-        tried; a conflict or a yielded completion pops the latest frame,
-        undoes the trail to just after the decision and flips it to MINUS in
-        place: the decision keeps its place on the trail, and adding the
-        difference of the two weights gives each code, and so the queue,
-        that undoing it and assigning MINUS would give.  The search runs on
-        one worklist, the root's, cleared after a conflict.
+        goes through the one row block at its foot, except a decision on
+        the last hole.  A decision finds the worklist empty, so every quad
+        through the last hole, its only hole, was judged and its action is
+        0, and every full quad is allowed: both fills are completions.  The
+        decision yields them, PLUS then MINUS, and counts the flip as a
+        node as a backtrack would; it walks no row and puts nothing on the
+        trail, so the codes never see the hole filled and the backtrack
+        after it is that of any leaf.  Node counts and the order of the
+        completions do not change.
+
+        One frame (rank, trail mark) is stacked per decision whose MINUS
+        branch is still to be tried; a conflict or a yielded completion pops
+        the latest frame, undoes the trail to just after the decision and
+        flips it to MINUS in place: the decision keeps its place on the
+        trail, and adding the difference of the two weights gives each
+        code, and so the queue, that undoing it and assigning MINUS would
+        give.  The search runs on one worklist, the root's, cleared after a
+        conflict.
 
         A queued quad had a nonzero action when it was queued.  Its three
         assigned triples cannot change before its pop, so the pop re-judges
@@ -256,6 +272,8 @@ class _Engine:
         qt, shift, mask = self.qt, _SHIFT, _RANK
         action, queue, deltas = self.action, self.queue, _DELTAS
         conflicts, n, undo_to = self.conflicts, self.n, self.undo_to
+        # a decision at trail length `last` is on the last hole
+        last = table.count(HOLE) - 1
         self.nodes += 1
         while True:
             if worklist:
@@ -274,9 +292,21 @@ class _Engine:
             else:
                 rank = table.find(HOLE)
                 if rank >= 0:
-                    stack.append((rank, len(trail)))
                     self.nodes += 1
-                    value = PLUS
+                    mark = len(trail)
+                    if mark != last:
+                        stack.append((rank, mark))
+                        value = PLUS
+                    else:
+                        # both fills of the last hole are completions: no
+                        # row walk, and the hole never goes on the trail
+                        table[rank] = PLUS
+                        yield bytes(table)
+                        self.nodes += 1
+                        table[rank] = MINUS
+                        yield bytes(table)
+                        table[rank] = HOLE
+                        rank = -1
                 else:
                     yield bytes(table)
             if rank < 0:

@@ -176,6 +176,41 @@ def test_all_completions_cap_is_prefix():
         all_completions(g, H4_FREE, cap=-1)
 
 
+def test_decision_on_the_last_hole_yields_both_fills():
+    # one hole, {2, 3, 5}, that both values fill: the decision on it yields
+    # the PLUS fill and then the MINUS fill, and counts the root and the
+    # decision as nodes
+    A = HoleyHT(5, bytes([PLUS, MINUS, PLUS, MINUS, MINUS, PLUS, HOLE, PLUS, MINUS, PLUS]))
+    fills = [A.with_value(2, 3, 5, value) for value in (PLUS, MINUS)]
+    assert all_completions(A, ALL_TYPES) == fills == enumerate_completions(A, ALL_TYPES)
+    res = complete(A, ALL_TYPES)
+    assert (res.sat, res.completion, res.nodes) == (True, fills[0], 2)
+    assert all_completions(A, ALL_TYPES, cap=1) == fills[:1]
+    # run out, the search counts the flip too, and leaves the hole a hole
+    engine = _Engine(A, ALL_TYPES)
+    assert list(engine.search()) == [fill.table for fill in fills]
+    assert engine.nodes == 3 and engine.table == A.table and engine.trail == []
+
+
+def test_all_completions_cap_stops_inside_a_pair_of_last_hole_fills():
+    # most completions of on(7) come in pairs, the two fills of the last
+    # hole, that differ in that triple alone; caps 1, 3, 7, 100 and 1227
+    # stop between the two
+    g = gen_on(7)
+    full = all_completions(g, H4_FREE)
+    assert len(full) == 1228
+    # the root, and a node at every decision and every flip, the last
+    # hole's included
+    engine = _Engine(g, H4_FREE)
+    assert sum(1 for _ in engine.search()) == 1228 and engine.nodes == 2457
+    caps = (1, 2, 3, 4, 7, 100, 101, 1227)
+    for cap in caps:
+        assert all_completions(g, H4_FREE, cap=cap) == full[:cap]
+    inside = [cap for cap in caps
+              if sum(a != b for a, b in zip(full[cap - 1].table, full[cap].table)) == 1]
+    assert inside == [1, 3, 7, 100, 1227]
+
+
 def test_all_completions_guard():
     with pytest.raises(GuardExceeded):
         all_completions(HoleyHT.empty(9), H4_FREE)  # 84 holes
@@ -269,6 +304,37 @@ def test_solver_matches_oracle():
             res = complete(A, allowed)
             assert res.sat == bool(comps)
             assert all_completions(A, allowed) == comps
+
+
+def test_five_vertex_structures_at_a_stride_match_the_oracles():
+    # every 49th of the 3**10 holey structures on 5 vertices (triple of rank
+    # r takes base-3 digit r of the index: HOLE, PLUS, MINUS), under each
+    # constraint set, with no symmetry reduction: the completions, the
+    # verdict and witness of complete, the propagation fixpoint, and on the
+    # hole-free ones the class test
+    seen = {"sat": 0, "unsat": 0, "pairs": 0, "forced": 0, "conflict": 0, "full": 0}
+    for index in range(0, 3 ** 10, 49):
+        A = HoleyHT(5, bytes(index // 3 ** r % 3 for r in range(10)))
+        for allowed in TYPE_SETS:
+            comps = enumerate_completions(A, allowed)
+            assert all_completions(A, allowed) == comps, (index, allowed)
+            res = complete(A, allowed)
+            assert res.sat == bool(comps), (index, allowed)
+            assert res.completion == (comps[0] if comps else None), (index, allowed)
+            if HOLE not in A.table:
+                # the oracle's own brute-force test of the class
+                assert class_member(A, allowed).ok == bool(comps), (index, allowed)
+                seen["full"] += 1
+            r = propagate(A, allowed)
+            ok, forced = oracles.unit_fixpoint(A, allowed)
+            assert r.ok == ok, (index, allowed)
+            if ok:
+                assert set(r.forced) == forced, (index, allowed)
+            seen["sat" if comps else "unsat"] += 1
+            seen["pairs"] += len(comps) > 1
+            seen["forced"] += bool(ok and forced)
+            seen["conflict"] += not ok
+    assert seen.pop("full") == 7 * 19 and min(seen.values()) > 1000, seen
 
 
 def test_complete_returns_the_least_completion():
