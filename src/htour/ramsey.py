@@ -29,7 +29,7 @@ from __future__ import annotations
 import sys
 from collections import namedtuple
 from enum import Enum
-from functools import cmp_to_key
+from functools import cmp_to_key, lru_cache
 from math import comb
 from operator import itemgetter
 
@@ -247,10 +247,11 @@ def arrow_check(big: OrderedHT, mid: OrderedHT, small: OrderedHT,
     of `small` into `big` leaves some copy of `mid` monochromatic.
 
     The search visits colorings in base-`colors` counter order (digit i =
-    color of embedding i) and abandons a partial coloring as soon as a fully
-    colored copy is monochromatic, so the counterexample it reports is the
-    least one.  `prune` is accepted for compatibility and selects nothing:
-    the search always prunes.  A copy's embeddings of `small` are those into
+    color of embedding i), tries colors in order of first use and abandons a
+    partial coloring as soon as a fully colored copy is monochromatic, so the
+    counterexample it reports is the least one (see _least_refuting).
+    `prune` is accepted for compatibility and selects nothing: the search
+    always prunes.  A copy's embeddings of `small` are those into
     `big` inside the copy's image; with no copy, the zero coloring refutes.
 
     Refuses (GuardExceeded) before any enumeration when the bound of
@@ -281,7 +282,7 @@ def arrow_check(big: OrderedHT, mid: OrderedHT, small: OrderedHT,
         )
     total = colors ** k
     digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
-    if digits and total >= 10 ** digits:
+    if digits and total >= _power_of_ten(digits):
         raise GuardExceeded(f"{k} embeddings give more colorings than an integer "
                             f"of {digits} digits, the most a report can write")
     images = [sum(1 << v for v in e) for e in embs]
@@ -302,30 +303,63 @@ def arrow_check(big: OrderedHT, mid: OrderedHT, small: OrderedHT,
     return ArrowVerdict(False, tuple(embs), len(masks), total, found, index)
 
 
+@lru_cache(maxsize=4)
+def _power_of_ten(digits: int) -> int:
+    """10 ** digits, the least integer with digits + 1 digits: computed once
+    per limit, so the digit guard of arrow_check costs a lookup per call
+    (10 ** 4300, the default, takes tens of microseconds to compute)."""
+    return 10 ** digits
+
+
 def _least_refuting(k: int, masks: list[int], colors: int) -> tuple | None:
     """DFS over colorings that assigns embedding k-1 first and tries colors
     in ascending order, so leaves come in counter order.  A copy is checked
     when its lowest embedding gets its color, which completes it.  Returns
     the least coloring with no monochromatic copy, or None.  A loop, not a
-    recursion, so any number of embeddings fits."""
+    recursion, so any number of embeddings fits.
+
+    Colors are tried in order of first use: read from embedding k-1 down, a
+    coloring must take each new color as the least one not used yet, so
+    embedding i may take only the colors below min(fresh[i+1], colors),
+    where fresh[i+1] is one more than the number of colors that embeddings
+    k-1..i+1 use (fresh[k] = 1).  This keeps the least refuting coloring:
+    swapping two colors maps refuting colorings to refuting colorings, and
+    a refuting coloring whose colors first appear out of the order 0, 1,
+    2, ... turns, by swapping its first out-of-order color with the least
+    unused one, into a smaller one in counter order.  So the least refuting
+    coloring takes colors in order of first use and the restricted search
+    meets it first; when no coloring refutes, it finds none either.  At
+    most min(colors, k) colors are ever used, so only that many color
+    classes are kept, whatever `colors` is."""
     closing: list[list[int]] = [[] for _ in range(k)]
     for mask in masks:
         closing[(mask & -mask).bit_length() - 1].append(mask)
     coloring = [-1] * k  # -1: not colored yet
     # by_color[c]: bitmask of the embeddings colored c so far
-    by_color = [0] * colors
+    by_color = [0] * min(colors, k)
+    fresh = [1] * (k + 1)
     i = k - 1
     while 0 <= i < k:
         bit = 1 << i
-        if coloring[i] >= 0:  # back from below: take the color off again
-            by_color[coloring[i]] ^= bit
-        for color in range(coloring[i] + 1, colors):
+        color = coloring[i]
+        if color >= 0:  # back from below: take the color off again
+            by_color[color] ^= bit
+        top = fresh[i + 1]
+        limit = top if top < colors else colors
+        copies = closing[i]
+        color += 1
+        while color < limit:
             same = by_color[color] | bit
-            if not any(same & mask == mask for mask in closing[i]):
+            for mask in copies:
+                if same & mask == mask:
+                    break
+            else:  # no copy closed at i is monochromatic: keep the color
                 by_color[color] = same
                 coloring[i] = color
+                fresh[i] = top + (color == top - 1)
                 i -= 1
                 break
+            color += 1
         else:
             coloring[i] = -1
             i += 1

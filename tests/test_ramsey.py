@@ -1,6 +1,7 @@
 import itertools
 import random
 import sys
+import tracemalloc
 from functools import cmp_to_key
 from math import comb, factorial
 
@@ -27,6 +28,7 @@ from htour.ramsey import (
     compatible_orders_cyclic,
     embeddings,
 )
+from sweep_arrow import FULL, HOLEY, check_arrow, check_embeddings, free_structures
 
 
 def cyc(n, order=None):
@@ -337,6 +339,143 @@ def test_arrow_check_refuses_a_count_too_long_to_write(monkeypatch):
     assert searched == []
     assert arrow_check(cyc(8), cyc(3), cyc(2), max_embeddings=40).colorings == 2**28
     assert searched == [28]
+
+
+def test_arrow_digit_guard_follows_the_interpreter_limit(monkeypatch):
+    # the guard's power of ten is kept per limit, so lowering the limit
+    # takes effect at once: under 640 digits (the least limit allowed) a
+    # count of 641 digits is refused before the search, and one of 640 is
+    # searched, with 10**320 - 1 colours for the 2 embeddings of a point
+    # into a pair
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("the interpreter sets no limit on the digits of an integer")
+    searched = []
+    least_refuting = ramsey._least_refuting
+    monkeypatch.setattr(ramsey, "_least_refuting",
+                        lambda *args: searched.append(args[0]) or least_refuting(*args))
+    big, mid, small = cyc(2), cyc(2), cyc(1)
+    assert arrow_check(big, mid, small, colors=10**320).colorings == 10**640
+    assert searched == [2]
+    limit = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(640)
+        with pytest.raises(GuardExceeded, match="^2 embeddings give more colorings "
+                                                "than an integer of 640 digits"):
+            arrow_check(big, mid, small, colors=10**320)
+        assert searched == [2]
+        verdict = arrow_check(big, mid, small, colors=10**320 - 1)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert searched == [2, 2]
+    assert len(str(verdict.colorings)) == 640
+    assert verdict.counterexample == (1, 0) and verdict.coloring_index == 1
+
+
+def test_arrow_keeps_no_more_color_classes_than_embeddings():
+    # colours are taken in order of first use, so at most one class per
+    # embedding is kept: a million colours cost what 15 do (the search
+    # allocated 8 MB for them before), with the same least counterexample
+    big, mid, small = cyc(6), cyc(3), cyc(2)
+    arrow_check(big, mid, small, colors=10**6)  # warm the caches
+    tracemalloc.start()
+    try:
+        verdict = arrow_check(big, mid, small, colors=10**6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000, peak
+    assert verdict.counterexample == (4, 3, 2, 1, 0, 3, 2, 1, 0, 2, 1, 0, 1, 0, 0)
+    assert verdict.coloring_index == 1000000000001000002000000000001000002000003000000000001000002000003000004
+
+
+def _least_refuting_by_sweep(k, masks, colors):
+    """The least coloring of k embeddings (in base-`colors` counter order,
+    digit i = colour of embedding i) under which no mask has all its
+    embeddings in one colour, by a plain sweep over every coloring."""
+    # itertools.product varies its last entry fastest: embedding i sits at
+    # position k-1-i
+    copies = [[k - 1 - i for i in range(k) if mask >> i & 1] for mask in masks]
+    for digits in itertools.product(range(colors), repeat=k):
+        if all(len({digits[p] for p in copy}) > 1 for copy in copies):
+            return digits[::-1]
+    return None
+
+
+def _pigeonhole(k, size, spare=0):
+    """Every `size`-subset of embeddings spare..spare+k-1, as masks."""
+    return [sum(1 << (spare + i) for i in subset)
+            for subset in itertools.combinations(range(k), size)]
+
+
+def test_least_refuting_matches_a_counter_sweep():
+    # the coloring search on bare mask families, against a plain sweep:
+    # seeded random families, no masks, single bits, and held pigeonhole
+    # families (some with embeddings outside every mask), where trying
+    # colours in order of first use prunes the most
+    cases = [(k, [], colors) for k in range(5) for colors in (1, 2, 3)]
+    cases += [(3, [0b001, 0b110], 2), (4, [0b0100], 3), (2, [0b01, 0b10], 1)]
+    cases += [
+        (4, _pigeonhole(4, 2), 3),  # 4 embeddings, 3 colours: a pair shares one
+        (5, _pigeonhole(5, 2), 4),
+        (5, _pigeonhole(5, 3), 2),  # 5 embeddings, 2 colours: a triple shares one
+        (7, _pigeonhole(7, 3), 3),
+        (7, _pigeonhole(4, 2, spare=2), 3),  # embeddings 0, 1, 6 in no mask
+        (6, _pigeonhole(4, 2, spare=1) + [0b100001], 3),
+        (4, _pigeonhole(4, 2), 4),  # four colours suffice: refuted
+    ]
+    rng = random.Random(35)
+    for k in range(13):
+        for colors in range(1, 5):
+            if colors ** k > 3 ** 8:
+                continue
+            for _ in range(6):
+                size = rng.randint(2, max(2, min(k, 4)))
+                masks = [sum(1 << i for i in rng.sample(range(k), min(k, rng.randint(1, size))))
+                         for _ in range(rng.randint(0, 3 * k))]
+                cases.append((k, [m for m in masks if m], colors))
+    held = set()
+    for k, masks, colors in cases:
+        found = ramsey._least_refuting(k, masks, colors)
+        assert found == _least_refuting_by_sweep(k, masks, colors), (k, masks, colors)
+        if found is None:
+            held.add(colors)
+    assert held == {1, 2, 3, 4}, held
+
+
+def test_arrow_layer_on_five_vertices_at_a_stride_matches_the_oracles():
+    # a fixed stride through the cases of tests/sweep_arrow.py (free
+    # expansions: hole-free big on 5 vertices, holey mid on 4, small on 3,
+    # identity order) with 2 and 3 colours, then cyclic and even expansions
+    # on 5, at most 4 and at most 3 vertices under shuffled orders (and
+    # graphs), where the position table and the graph rows are read along
+    # the order: verdict, coloring index and
+    # counterexample against the oracle's counter sweep, and both embedding
+    # searches against the oracle's
+    bigs, mids = free_structures(5, FULL), free_structures(4, HOLEY)
+    smalls = free_structures(3, HOLEY)
+    held = {kind: 0 for kind in ExpansionKind}
+    cases = 0
+    for index in range(0, len(bigs) * len(mids) * len(smalls), 97):
+        big, mid, small = bigs[index // 243], mids[index // 3 % 81], smalls[index % 3]
+        check_embeddings(small, big)
+        check_embeddings(mid, big)
+        for colors in (2, 3):
+            held[ExpansionKind.ALL] += check_arrow(big, mid, small, colors)
+            cases += 1
+    rng = random.Random(35)
+    for kind in (ExpansionKind.CYCLIC, ExpansionKind.EVEN):
+        for _ in range(150):
+            nb = rng.randint(1, 4)
+            sizes = (5, nb, rng.randint(1, min(nb, 3)))
+            big, mid, small = (_random_ordered(rng, kind, n) for n in sizes)
+            check_embeddings(small, big)
+            check_embeddings(mid, big)
+            for colors in (2, 3):
+                held[kind] += check_arrow(big, mid, small, colors)
+                cases += 1
+    assert cases == 2 * (2566 + 300)
+    # about 2.7 % of free cases hold
+    assert held[ExpansionKind.ALL] > 100 and min(held.values()) > 0, held
 
 
 def test_compatible_orders_counts():
